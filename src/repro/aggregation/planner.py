@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from ..gpusim.device import A100, DeviceSpec
 from ..primitives.grouping import count_distinct
 from .hash_groupby import SLOT_BYTES
@@ -58,9 +60,6 @@ class GroupByWorkloadProfile:
 
     rows: int
     estimated_groups: int
-    value_columns: int = 1
-    key_bytes: int = 4
-    value_bytes: int = 4
     zipf_factor: float = 0.0
 
 
@@ -121,6 +120,36 @@ def recommend_groupby_algorithm(
         "(sorting would need ~4)"
     )
     return Recommendation("PART-AGG", reasons)
+
+
+def resolve_groupby_algorithm(
+    algorithm: str,
+    keys: np.ndarray,
+    device: DeviceSpec = A100,
+    zipf_factor: float = 0.0,
+) -> Recommendation:
+    """The one resolver of a group-by's strategy name.
+
+    An explicit name passes through; ``"auto"`` profiles the *global*
+    keys (row count, estimated cardinality, the ``zipf_factor`` hint)
+    and asks :func:`recommend_groupby_algorithm`, so every execution
+    mode and the fused pipeline pick the same strategy.
+
+    >>> import numpy as np
+    >>> resolve_groupby_algorithm("auto", np.arange(64).repeat(4)).algorithm
+    'HASH-AGG'
+    >>> resolve_groupby_algorithm("SORT-AGG", np.arange(64)).algorithm
+    'SORT-AGG'
+    """
+    if algorithm != "auto":
+        return Recommendation(algorithm, ["requested explicitly"])
+    keys = np.asarray(keys)
+    profile = GroupByWorkloadProfile(
+        rows=int(keys.size),
+        estimated_groups=estimate_group_cardinality(keys),
+        zipf_factor=zipf_factor,
+    )
+    return recommend_groupby_algorithm(profile, device=device)
 
 
 def make_groupby_algorithm(name: str, config=None):

@@ -24,19 +24,10 @@ import numpy as np
 from .errors import ShardedExecutionWarning
 
 from .aggregation.base import AggSpec, GroupByConfig, GroupByResult
-from .aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from .aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from .gpusim.device import A100, DeviceSpec, get_device
 from .joins.base import JoinConfig, JoinResult
-from .joins.planner import (
-    JoinWorkloadProfile,
-    make_algorithm,
-    recommend_join_algorithm,
-)
+from .joins.planner import make_algorithm, resolve_join_algorithm
 from .relational.relation import Relation
 
 
@@ -143,6 +134,10 @@ def join(
     (True, False)
     """
     spec = _resolve_device(device)
+    # Resolved before dispatch, so the hints count in every mode.
+    algorithm = resolve_join_algorithm(
+        algorithm, r, s, match_ratio=match_ratio, zipf_factor=zipf_factor
+    ).algorithm
     if shards > 1:
         from .cluster.sharded import sharded_join
 
@@ -170,14 +165,6 @@ def join(
             seed=seed,
             fault_plan=fault_plan,
         )
-    if algorithm == "auto":
-        profile = JoinWorkloadProfile.from_relations(
-            r,
-            s,
-            match_ratio=match_ratio if match_ratio is not None else 1.0,
-            zipf_factor=zipf_factor,
-        )
-        algorithm = recommend_join_algorithm(profile).algorithm
     impl = make_algorithm(algorithm, config)
     return impl.join(r, s, device=spec, seed=seed)
 
@@ -233,6 +220,9 @@ def group_by(
     """
     spec = _resolve_device(device)
     agg_specs = _coerce_aggregates(aggregates)
+    algorithm = resolve_groupby_algorithm(
+        algorithm, keys, spec, zipf_factor=zipf_factor
+    ).algorithm
     if shards > 1:
         from .cluster.sharded import sharded_group_by
 
@@ -262,14 +252,5 @@ def group_by(
             seed=seed,
             fault_plan=fault_plan,
         )
-    if algorithm == "auto":
-        profile = GroupByWorkloadProfile(
-            rows=int(keys.size),
-            estimated_groups=estimate_group_cardinality(keys),
-            value_columns=len(values),
-            key_bytes=keys.dtype.itemsize,
-            zipf_factor=zipf_factor,
-        )
-        algorithm = recommend_groupby_algorithm(profile, device=spec).algorithm
     impl = make_groupby_algorithm(algorithm, config)
     return impl.group_by(keys, values, agg_specs, device=spec, seed=seed)

@@ -52,8 +52,7 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 0) -> ExperimentResult:
         }
         winner = min(times, key=times.get)
         profile = GroupByWorkloadProfile(
-            rows=rows, estimated_groups=groups, value_columns=cols,
-            zipf_factor=zipf,
+            rows=rows, estimated_groups=groups, zipf_factor=zipf
         )
         pick = recommend_groupby_algorithm(profile, device=setup.device).algorithm
         regret = times[pick] / times[winner] - 1.0

@@ -30,16 +30,11 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..aggregation.base import AggSpec, GroupByResult
-from ..aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..joins.base import JoinConfig, JoinResult
-from ..joins.planner import JoinWorkloadProfile, make_algorithm, recommend_join_algorithm
+from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..primitives.grouping import stable_key_order
 from ..relational.relation import Relation
 from .context import ClusterContext
@@ -124,17 +119,6 @@ class ShardedJoinResult:
         )
 
 
-def _resolve_join_algorithm_name(
-    name: str, r: Relation, s: Relation
-) -> str:
-    """Resolve ``"auto"`` from the *global* relations, so every shard
-    runs the same algorithm the single-device planner would pick."""
-    if name != "auto":
-        return name
-    profile = JoinWorkloadProfile.from_relations(r, s)
-    return recommend_join_algorithm(profile).algorithm
-
-
 def sharded_join(
     r: Relation,
     s: Relation,
@@ -173,7 +157,9 @@ def sharded_join(
     cluster = _make_cluster(
         cluster, device, num_devices, interconnect, seed, fault_plan
     )
-    name = _resolve_join_algorithm_name(algorithm, r, s)
+    # Resolved from the *global* relations: every shard runs the same
+    # algorithm the single-device planner would pick.
+    name = resolve_join_algorithm(algorithm, r, s).algorithm
 
     if cluster.num_devices == 1:
         with cluster.compute_step("join") as step:
@@ -308,14 +294,7 @@ def sharded_group_by(
         cluster, device, num_devices, interconnect, seed, fault_plan
     )
     keys = np.asarray(keys)
-    if algorithm == "auto":
-        profile = GroupByWorkloadProfile(
-            rows=int(keys.size),
-            estimated_groups=estimate_group_cardinality(keys),
-            value_columns=len(values),
-            key_bytes=keys.dtype.itemsize,
-        )
-        algorithm = recommend_groupby_algorithm(profile, device=cluster.device).algorithm
+    algorithm = resolve_groupby_algorithm(algorithm, keys, cluster.device).algorithm
 
     if cluster.num_devices == 1:
         with cluster.compute_step("aggregate") as step:

@@ -32,25 +32,16 @@ execution and surfaced through the ambient
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..aggregation.base import AggSpec, GroupByResult
-from ..aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..errors import DeviceOutOfMemoryError, GracefulDegradationError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
-from ..joins.planner import (
-    JoinWorkloadProfile,
-    make_algorithm,
-    recommend_join_algorithm,
-)
+from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..obs.session import current_session
 from ..relational.relation import Relation
 from .plan import FaultPlan
@@ -153,28 +144,6 @@ def _degraded_span(kind: str, **args):
     return session.span(f"degraded:{kind}", category="degraded", **args)
 
 
-def resolve_join_algorithm_name(name: str, r: Relation, s: Relation) -> str:
-    """Resolve ``"auto"`` exactly like the single-device planner."""
-    if name != "auto":
-        return name
-    profile = JoinWorkloadProfile.from_relations(r, s)
-    return recommend_join_algorithm(profile).algorithm
-
-
-def resolve_groupby_algorithm_name(
-    name: str, keys: np.ndarray, values: Dict[str, np.ndarray], device: DeviceSpec
-) -> str:
-    if name != "auto":
-        return name
-    profile = GroupByWorkloadProfile(
-        rows=int(keys.size),
-        estimated_groups=estimate_group_cardinality(keys),
-        value_columns=len(values),
-        key_bytes=keys.dtype.itemsize,
-    )
-    return recommend_groupby_algorithm(profile, device=device).algorithm
-
-
 def resilient_join(
     r: Relation,
     s: Relation,
@@ -195,7 +164,7 @@ def resilient_join(
     """
     from ..joins.out_of_core import OutOfCoreJoin
 
-    name = resolve_join_algorithm_name(algorithm, r, s)
+    name = resolve_join_algorithm(algorithm, r, s).algorithm
     attempts: List[str] = []
     wasted = 0.0
 
@@ -257,7 +226,7 @@ def resilient_group_by(
     from ..aggregation.out_of_core import OutOfCoreGroupBy
 
     keys = np.asarray(keys)
-    name = resolve_groupby_algorithm_name(algorithm, keys, values, device)
+    name = resolve_groupby_algorithm(algorithm, keys, device).algorithm
     attempts: List[str] = []
     wasted = 0.0
     budget: Optional[int] = None

@@ -26,12 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..aggregation.base import AggSpec, GroupByAlgorithm, GroupByResult
-from ..aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..errors import JoinConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
@@ -134,13 +129,8 @@ class FusedJoinAggregate:
         }
         groupby_algorithm = self.groupby_algorithm
         if groupby_algorithm is None:
-            profile = GroupByWorkloadProfile(
-                rows=int(keys.size),
-                estimated_groups=estimate_group_cardinality(keys),
-                value_columns=len(values),
-            )
             groupby_algorithm = make_groupby_algorithm(
-                recommend_groupby_algorithm(profile, device=device).algorithm
+                resolve_groupby_algorithm("auto", keys, device).algorithm
             )
         agg_ctx = GPUContext(
             device=device, seed=seed, fault_plan=fault_plan,

@@ -200,6 +200,42 @@ def make_algorithm(name: str, config=None):
         ) from None
 
 
+def resolve_join_algorithm(
+    algorithm: str,
+    r: Relation,
+    s: Relation,
+    match_ratio: Optional[float] = None,
+    zipf_factor: float = 0.0,
+) -> Recommendation:
+    """The one resolver of a join's algorithm name.
+
+    An explicit name passes through; ``"auto"`` profiles the *global*
+    relations and runs the Figure 18a tree, so every execution mode
+    (plain, resilient, sharded -- where every shard then runs the same
+    algorithm -- and the tier's fallback) picks what the single-device
+    planner would.  ``match_ratio``/``zipf_factor`` are optimizer hints
+    (unknown match ratio means 1.0).
+
+    >>> import numpy as np
+    >>> r = Relation.from_key_payloads(
+    ...     np.arange(64, dtype=np.int32),
+    ...     [np.arange(64, dtype=np.int32)], payload_prefix="r")
+    >>> resolve_join_algorithm("auto", r, r).algorithm
+    'PHJ-UM'
+    >>> resolve_join_algorithm("auto", r, r, zipf_factor=1.5).algorithm
+    'PHJ-OM'
+    >>> resolve_join_algorithm("SMJ-OM", r, r).algorithm
+    'SMJ-OM'
+    """
+    if algorithm != "auto":
+        return Recommendation(algorithm, ["requested explicitly"])
+    profile = JoinWorkloadProfile.from_relations(
+        r, s, match_ratio=match_ratio if match_ratio is not None else 1.0,
+        zipf_factor=zipf_factor,
+    )
+    return recommend_join_algorithm(profile)
+
+
 def planner_choice(
     r: Relation,
     s: Relation,
@@ -219,9 +255,5 @@ def planner_choice(
     >>> impl.name == recommendation.algorithm == 'PHJ-UM'
     True
     """
-    profile = JoinWorkloadProfile.from_relations(
-        r, s, match_ratio=match_ratio if match_ratio is not None else 1.0,
-        zipf_factor=zipf_factor,
-    )
-    recommendation = recommend_join_algorithm(profile)
+    recommendation = resolve_join_algorithm("auto", r, s, match_ratio, zipf_factor)
     return make_algorithm(recommendation.algorithm), recommendation

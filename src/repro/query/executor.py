@@ -14,14 +14,10 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from ..aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..cancel import current_token
 from ..errors import (
     DeviceOutOfMemoryError,
@@ -34,68 +30,178 @@ from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..joins.base import JoinConfig
 from ..joins.fused import FusedJoinAggregate
-from ..joins.planner import JoinWorkloadProfile, make_algorithm, recommend_join_algorithm
+from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..relational.relation import Relation
 from .plan import (
     Aggregate,
     Join,
+    OperatorRun,
     OperatorTrace,
     PlanNode,
     Project,
     QueryResult,
     Scan,
-    aggregate_input_columns,
     validate_plan,
 )
 
 
-def _resolve_join_algorithm(name: str, r: Relation, s: Relation, config: JoinConfig):
-    if name != "auto":
-        return make_algorithm(name, config)
-    profile = JoinWorkloadProfile.from_relations(r, s)
-    return make_algorithm(recommend_join_algorithm(profile).algorithm, config)
+def _group_inputs(node: Aggregate, child: Relation):
+    keys = child.column(node.group_column)
+    values = {
+        spec.column: child.column(spec.column)
+        for spec in node.aggregates
+        if spec.op != "count"
+    }
+    return keys, values
 
 
-def _resolve_groupby_algorithm(name: str, keys, device: DeviceSpec):
-    if name != "auto":
-        return make_groupby_algorithm(name)
-    profile = GroupByWorkloadProfile(
-        rows=int(keys.size), estimated_groups=estimate_group_cardinality(keys)
+# -- execution modes -----------------------------------------------------------
+#
+# One strategy object per executor runs every Join and Aggregate.  The
+# strategies hold no reference to the executor and look their backends
+# up at call time (module attributes, ``executor.tiering`` methods), so
+# code that patches those names after the executor is built still sees
+# every call.
+
+
+class _Plain:
+    """One device, no faults: the resolved algorithm, run directly."""
+
+    name = "plain"
+
+    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
+        algorithm = resolve_join_algorithm(node.algorithm, left, right).algorithm
+        result = make_algorithm(algorithm, config).join(
+            left, right, device=ex.device, seed=ex.seed
+        )
+        if ex.join_output_hook is not None and not projected:
+            ex.join_output_hook(node, result.output)
+        return OperatorRun(
+            result.output, result.algorithm, result.total_seconds,
+            result.matches, result.algorithm, extras=dict(result.phase_seconds),
+        )
+
+    def aggregate(self, ex, node, child) -> OperatorRun:
+        keys, values = _group_inputs(node, child)
+        algorithm = resolve_groupby_algorithm(node.algorithm, keys, ex.device).algorithm
+        result = make_groupby_algorithm(algorithm).group_by(
+            keys, values, list(node.aggregates), device=ex.device, seed=ex.seed
+        )
+        return OperatorRun(
+            result.output, result.algorithm, result.total_seconds,
+            result.groups, result.algorithm, extras=dict(result.phase_seconds),
+        )
+
+
+class _Resilient:
+    """One device under a fault plan: retries and the degradation ladder."""
+
+    name = "resilient"
+
+    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
+        from ..faults import recovery
+
+        result = recovery.resilient_join(
+            left, right, algorithm=node.algorithm, device=ex.device,
+            config=config, seed=ex.seed, fault_plan=ex.fault_plan,
+        )
+        return _resilient_run(result, result.matches)
+
+    def aggregate(self, ex, node, child) -> OperatorRun:
+        from ..faults import recovery
+
+        keys, values = _group_inputs(node, child)
+        result = recovery.resilient_group_by(
+            keys, values, list(node.aggregates), algorithm=node.algorithm,
+            device=ex.device, seed=ex.seed, fault_plan=ex.fault_plan,
+        )
+        return _resilient_run(result, result.groups)
+
+
+def _resilient_run(result, rows: int) -> OperatorRun:
+    return OperatorRun(
+        result.output, result.algorithm, result.total_seconds, rows,
+        result.algorithm, extras=result.extras,
+        span_args={"degraded": result.degraded},
     )
-    return make_groupby_algorithm(
-        recommend_groupby_algorithm(profile, device=device).algorithm
+
+
+class _Sharded:
+    """``shards`` simulated devices: shuffle, per-shard algorithm, merge."""
+
+    name = "sharded"
+
+    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
+        from ..cluster import sharded
+
+        result = sharded.sharded_join(
+            left, right, algorithm=node.algorithm, device=ex.device,
+            num_devices=ex.shards, interconnect=ex.interconnect,
+            config=config, seed=ex.seed, fault_plan=ex.fault_plan,
+        )
+        return _sharded_run(result, result.matches, ex.shards)
+
+    def aggregate(self, ex, node, child) -> OperatorRun:
+        from ..cluster import sharded
+
+        keys, values = _group_inputs(node, child)
+        result = sharded.sharded_group_by(
+            keys, values, list(node.aggregates), algorithm=node.algorithm,
+            device=ex.device, num_devices=ex.shards,
+            interconnect=ex.interconnect, seed=ex.seed,
+            fault_plan=ex.fault_plan,
+        )
+        return _sharded_run(result, result.groups, ex.shards)
+
+
+def _sharded_run(result, rows: int, shards: int) -> OperatorRun:
+    return OperatorRun(
+        result.output, f"{result.algorithm} x{shards}", result.total_seconds,
+        rows, result.algorithm, extras=dict(result.step_seconds),
+        span_args={"shards": shards},
     )
+
+
+class _Tiered:
+    """GPU+CPU co-execution over the segment cache for operators on base
+    relations the runtime manages; everything else runs on the
+    single-device *fallback*."""
+
+    name = "tiered"
+
+    def __init__(self, fallback):
+        self.fallback = fallback
+
+    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
+        if not projected and isinstance(node.left, Scan) and isinstance(node.right, Scan):
+            run = ex.tiering.run_join(
+                left, right, config=config, session=ex._session,
+                fault_plan=ex.fault_plan, seed=ex.seed,
+            )
+            if run is not None:
+                return run
+        return self.fallback.join(ex, node, left, right, config, projected)
+
+    def aggregate(self, ex, node, child) -> OperatorRun:
+        if isinstance(node.child, Scan):
+            run = ex.tiering.run_group_by(
+                child, node.group_column, list(node.aggregates),
+                session=ex._session, fault_plan=ex.fault_plan, seed=ex.seed,
+            )
+            if run is not None:
+                return run
+        return self.fallback.aggregate(ex, node, child)
 
 
 class QueryExecutor:
     """Executes logical plans on a simulated device or device cluster.
 
-    ``shards=N`` with ``N > 1`` runs every Join and Aggregate operator
-    sharded across a simulated N-device cluster (see
-    :mod:`repro.cluster`): inputs are shuffled on the operator key over
-    *interconnect*, each device runs the unchanged single-device
-    algorithm on its shard, and the operator cost becomes the cluster
-    clock (max over device timelines plus shuffle drains).  Results are
-    bit-identical to the single-device run; ``shards=1`` (default) is
-    exactly the single-device executor.
-
-    ``fault_plan=`` applies a :class:`~repro.faults.FaultPlan` to every
-    operator: transient kernel faults retry with simulated backoff, and
-    (injected or real) :class:`~repro.errors.DeviceOutOfMemoryError`
-    degrades the operator to its partitioned/out-of-core variant instead
-    of raising, recording ``degraded=`` in the operator trace.  OOM
-    pressure (``capacity_frac``) is a single-device mechanism and
-    conflicts with ``shards > 1``.
-
-    ``tiering=`` attaches a :class:`~repro.tier.TieredRuntime`: joins
-    over two base-relation scans and aggregates over one base-relation
-    scan are split into a GPU sub-operator over cache-resident segments
-    and a CPU sub-operator over cold ones (output bit-identical to the
-    untiered run for every placement).  Tiering is a single-device
-    residency mechanism and conflicts with ``shards > 1``; with a
-    ``fault_plan``, ``capacity_frac`` pressure shrinks the segment cache
-    (graceful demotion to the CPU tier) instead of OOM-failing, and
-    kernel faults retry inside the tier contexts as usual.
+    ``shards``, ``fault_plan`` and ``tiering`` choose the execution mode
+    every Join and Aggregate runs under, once per executor (``mode``).
+    Every mode returns output bit-identical to the plain run (sharded
+    and degraded joins up to row order).  :meth:`check_modes` is the
+    table of allowed combinations and :meth:`fuses` the join-aggregate
+    fusion rule; see "Execution modes" in ARCHITECTURE.md.
     """
 
     def __init__(
@@ -110,6 +216,39 @@ class QueryExecutor:
         enable_fusion: bool = True,
         tiering=None,
     ):
+        self.check_modes(shards, fault_plan, tiering)
+        self.device = device
+        self.config = config or JoinConfig()
+        self.seed = seed
+        self.shards = shards
+        self.interconnect = interconnect
+        self.fault_plan = fault_plan
+        # Called with (join_node, output_relation) after each plain
+        # (single-device, fault-free, unprojected) join materializes; the
+        # serving layer caches these intermediates as sub-results.  Only
+        # that path fires the hook: sharded/faulted runs may permute row
+        # order and pushed-down projections change the output schema.
+        self.join_output_hook = join_output_hook
+        # ``enable_fusion=False`` runs Aggregate-over-Join unfused even
+        # on one device (bit-identical output, fusion credit forfeited).
+        # The serving layer's brownout controller uses it to shed the
+        # fused pipeline's peak-memory footprint under pressure.
+        self.enable_fusion = enable_fusion
+        self.tiering = tiering
+        self._session: Optional[TraceSession] = None
+        single_device = _Resilient() if fault_plan is not None else _Plain()
+        if tiering is not None:
+            self.mode = _Tiered(fallback=single_device)
+        elif shards > 1:
+            self.mode = _Sharded()
+        else:
+            self.mode = single_device
+
+    @staticmethod
+    def check_modes(shards: int, fault_plan=None, tiering=None) -> None:
+        """The one mode-compatibility check: raise
+        :class:`~repro.errors.JoinConfigError` for a combination of
+        ``shards``, ``fault_plan`` and ``tiering`` no mode supports."""
         if shards < 1:
             raise JoinConfigError(f"shards must be >= 1, got {shards}")
         if tiering is not None and shards > 1:
@@ -132,25 +271,18 @@ class QueryExecutor:
                 "incompatible with shards > 1; use "
                 "fault_plan.without_capacity() for sharded runs"
             )
-        self.device = device
-        self.config = config or JoinConfig()
-        self.seed = seed
-        self.shards = shards
-        self.interconnect = interconnect
-        self.fault_plan = fault_plan
-        # Called with (join_node, output_relation) after each plain
-        # (single-device, fault-free, unprojected) join materializes; the
-        # serving layer caches these intermediates as sub-results.  Only
-        # that path fires the hook: sharded/faulted runs may permute row
-        # order and pushed-down projections change the output schema.
-        self.join_output_hook = join_output_hook
-        # ``enable_fusion=False`` runs Aggregate-over-Join unfused even
-        # on one device (bit-identical output, fusion credit forfeited).
-        # The serving layer's brownout controller uses it to shed the
-        # fused pipeline's peak-memory footprint under pressure.
-        self.enable_fusion = enable_fusion
-        self.tiering = tiering
-        self._session: Optional[TraceSession] = None
+
+    def fuses(self, optimize: bool) -> bool:
+        """Whether an Aggregate directly over a Join runs as one fused
+        pipeline: optimized, on one untiered device, fusion enabled.  A
+        sharded aggregate re-shuffles the join output on the group
+        column instead, and a tiered one splits by segment residency."""
+        return (
+            optimize
+            and self.enable_fusion
+            and self.shards == 1
+            and self.tiering is None
+        )
 
     def execute(
         self,
@@ -210,16 +342,7 @@ class QueryExecutor:
         if isinstance(node, Join):
             return self._run_join(node, trace, optimize, projection=None)
         if isinstance(node, Aggregate):
-            # Join-aggregate fusion folds during materialization on one
-            # device; a sharded aggregate instead re-shuffles the join
-            # output on the group column, so fusion does not apply.
-            if (
-                optimize
-                and isinstance(node.child, Join)
-                and self.shards == 1
-                and self.enable_fusion
-                and self.tiering is None
-            ):
+            if isinstance(node.child, Join) and self.fuses(optimize):
                 return self._run_fused_aggregate(node, trace, optimize)
             if optimize and isinstance(node.child, Join) and self.shards > 1:
                 warnings.warn(
@@ -262,6 +385,23 @@ class QueryExecutor:
         )
         return projected
 
+    def _record(
+        self, span, trace: List[OperatorTrace], kind: str, run: OperatorRun,
+        suffix: str = "",
+    ):
+        """Name the operator's span and append its trace entry."""
+        description = f"{kind}[{run.label}]{suffix}"
+        if span is not None:
+            span.name = description
+            span.args.update(rows=run.rows, algorithm=run.algorithm, **run.span_args)
+        trace.append(
+            OperatorTrace(
+                description, run.seconds, run.rows,
+                extras=run.extras, algorithm=run.algorithm,
+            )
+        )
+        return run.output
+
     def _run_join(
         self,
         node: Join,
@@ -273,264 +413,22 @@ class QueryExecutor:
         left = self._run(node.left, trace, optimize)
         right = self._run(node.right, trace, optimize)
         config = self.config
+        suffix = ""
         if projection is not None:
-            from dataclasses import replace
-
             config = replace(config, projection=tuple(projection))
-        if (
-            self.tiering is not None
-            and projection is None
-            and isinstance(node.left, Scan)
-            and isinstance(node.right, Scan)
-            and self.tiering.handles(left)
-            and self.tiering.handles(right)
-        ):
-            with self._operator_span(node.describe()) as span:
-                result = self.tiering.run_join(
-                    left,
-                    right,
-                    config=config,
-                    session=self._session,
-                    fault_plan=self.fault_plan,
-                    seed=self.seed,
-                )
-            if result is not None:
-                description = (
-                    f"Join[TIER hot:{result.hot_segments}"
-                    f"/cold:{result.cold_segments}]"
-                )
-                if span is not None:
-                    span.name = description
-                    span.args.update(
-                        rows=result.rows,
-                        algorithm=result.algorithm,
-                        hot_segments=result.hot_segments,
-                        cold_segments=result.cold_segments,
-                    )
-                trace.append(
-                    OperatorTrace(
-                        description,
-                        result.seconds,
-                        result.rows,
-                        extras=dict(result.extras),
-                        algorithm=result.algorithm,
-                    )
-                )
-                return result.output
-        if self.shards > 1:
-            from ..cluster.sharded import sharded_join
-
-            with self._operator_span(node.describe()) as span:
-                result = sharded_join(
-                    left,
-                    right,
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    num_devices=self.shards,
-                    interconnect=self.interconnect,
-                    config=config,
-                    seed=self.seed,
-                )
-            description = f"Join[{result.algorithm} x{self.shards}]"
-            if projection is not None:
-                description += f" <- pushed {pushed_from}"
-            if span is not None:
-                span.name = description
-                span.args.update(
-                    rows=result.matches,
-                    algorithm=result.algorithm,
-                    shards=self.shards,
-                )
-            trace.append(
-                OperatorTrace(
-                    description,
-                    result.total_seconds,
-                    result.matches,
-                    extras=dict(result.step_seconds),
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        if self.fault_plan is not None:
-            from ..faults.recovery import resilient_join
-
-            with self._operator_span(node.describe()) as span:
-                result = resilient_join(
-                    left,
-                    right,
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    config=config,
-                    seed=self.seed,
-                    fault_plan=self.fault_plan,
-                )
-            description = f"Join[{result.algorithm}]"
-            if projection is not None:
-                description += f" <- pushed {pushed_from}"
-            if span is not None:
-                span.name = description
-                span.args.update(
-                    rows=result.matches,
-                    algorithm=result.algorithm,
-                    degraded=result.degraded,
-                )
-            trace.append(
-                OperatorTrace(
-                    description,
-                    result.total_seconds,
-                    result.matches,
-                    extras=result.extras,
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        algorithm = _resolve_join_algorithm(node.algorithm, left, right, config)
+            suffix = f" <- pushed {pushed_from}"
         with self._operator_span(node.describe()) as span:
-            result = algorithm.join(left, right, device=self.device, seed=self.seed)
-        description = f"Join[{result.algorithm}]"
-        if projection is not None:
-            description += f" <- pushed {pushed_from}"
-        if span is not None:
-            span.name = description
-            span.args.update(rows=result.matches, algorithm=result.algorithm)
-        trace.append(
-            OperatorTrace(
-                description,
-                result.total_seconds,
-                result.matches,
-                extras=dict(result.phase_seconds),
-                algorithm=result.algorithm,
+            run = self.mode.join(
+                self, node, left, right, config, projected=projection is not None
             )
-        )
-        if self.join_output_hook is not None and projection is None:
-            self.join_output_hook(node, result.output)
-        return result.output
+        return self._record(span, trace, "Join", run, suffix)
 
     def _run_aggregate(
         self, node: Aggregate, child: Relation, trace: List[OperatorTrace]
     ):
-        if (
-            self.tiering is not None
-            and isinstance(node.child, Scan)
-            and self.tiering.handles(child)
-        ):
-            with self._operator_span(node.describe()) as span:
-                result = self.tiering.run_group_by(
-                    child,
-                    node.group_column,
-                    list(node.aggregates),
-                    session=self._session,
-                    fault_plan=self.fault_plan,
-                    seed=self.seed,
-                )
-            if result is not None:
-                description = (
-                    f"Aggregate[TIER hot:{result.hot_segments}"
-                    f"/cold:{result.cold_segments}]"
-                )
-                if span is not None:
-                    span.name = description
-                    span.args.update(
-                        rows=result.rows,
-                        algorithm=result.algorithm,
-                        hot_segments=result.hot_segments,
-                        cold_segments=result.cold_segments,
-                    )
-                trace.append(
-                    OperatorTrace(
-                        description,
-                        result.seconds,
-                        result.rows,
-                        extras=dict(result.extras),
-                        algorithm=result.algorithm,
-                    )
-                )
-                return result.output
-        keys = child.column(node.group_column)
-        values = {
-            spec.column: child.column(spec.column)
-            for spec in node.aggregates
-            if spec.op != "count"
-        }
-        if self.shards > 1:
-            from ..cluster.sharded import sharded_group_by
-
-            with self._operator_span(node.describe()) as span:
-                result = sharded_group_by(
-                    keys,
-                    values,
-                    list(node.aggregates),
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    num_devices=self.shards,
-                    interconnect=self.interconnect,
-                    seed=self.seed,
-                )
-            if span is not None:
-                span.name = f"Aggregate[{result.algorithm} x{self.shards}]"
-                span.args.update(
-                    rows=result.groups,
-                    algorithm=result.algorithm,
-                    shards=self.shards,
-                )
-            trace.append(
-                OperatorTrace(
-                    f"Aggregate[{result.algorithm} x{self.shards}]",
-                    result.total_seconds,
-                    result.groups,
-                    extras=dict(result.step_seconds),
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        if self.fault_plan is not None:
-            from ..faults.recovery import resilient_group_by
-
-            with self._operator_span(node.describe()) as span:
-                result = resilient_group_by(
-                    keys,
-                    values,
-                    list(node.aggregates),
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    seed=self.seed,
-                    fault_plan=self.fault_plan,
-                )
-            if span is not None:
-                span.name = f"Aggregate[{result.algorithm}]"
-                span.args.update(
-                    rows=result.groups,
-                    algorithm=result.algorithm,
-                    degraded=result.degraded,
-                )
-            trace.append(
-                OperatorTrace(
-                    f"Aggregate[{result.algorithm}]",
-                    result.total_seconds,
-                    result.groups,
-                    extras=result.extras,
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        algorithm = _resolve_groupby_algorithm(node.algorithm, keys, self.device)
         with self._operator_span(node.describe()) as span:
-            result = algorithm.group_by(
-                keys, values, list(node.aggregates), device=self.device, seed=self.seed
-            )
-        if span is not None:
-            span.name = f"Aggregate[{result.algorithm}]"
-            span.args.update(rows=result.groups, algorithm=result.algorithm)
-        trace.append(
-            OperatorTrace(
-                f"Aggregate[{result.algorithm}]",
-                result.total_seconds,
-                result.groups,
-                extras=dict(result.phase_seconds),
-                algorithm=result.algorithm,
-            )
-        )
-        return result.output
+            run = self.mode.aggregate(self, node, child)
+        return self._record(span, trace, "Aggregate", run)
 
     def _run_fused_aggregate(
         self, node: Aggregate, trace: List[OperatorTrace], optimize: bool
@@ -538,8 +436,9 @@ class QueryExecutor:
         join_node = node.child
         left = self._run(join_node.left, trace, optimize)
         right = self._run(join_node.right, trace, optimize)
-        join_algorithm = _resolve_join_algorithm(
-            join_node.algorithm, left, right, self.config
+        join_algorithm = make_algorithm(
+            resolve_join_algorithm(join_node.algorithm, left, right).algorithm,
+            self.config,
         )
         groupby_algorithm = None
         if node.algorithm != "auto":
@@ -562,38 +461,22 @@ class QueryExecutor:
             # under memory pressure, unfuse and recover each stage on its
             # own degradation ladder (identical rows, credit forfeited).
             return self._degrade_fused_aggregate(node, left, right, trace)
-        description = (
-            f"FusedJoinAggregate[{result.join_result.algorithm} + "
-            f"{result.groupby_result.algorithm}]"
+        join_name = result.join_result.algorithm
+        agg_name = result.groupby_result.algorithm
+        run = OperatorRun(
+            result.output, f"{join_name} + {agg_name}", result.total_seconds,
+            result.groupby_result.groups, f"{join_name}+{agg_name}",
+            extras={"fusion_credit_s": result.fusion_credit_seconds},
+            span_args={"fusion_credit_s": result.fusion_credit_seconds},
         )
-        if span is not None:
-            span.name = description
-            span.args.update(
-                rows=result.groupby_result.groups,
-                fusion_credit_s=result.fusion_credit_seconds,
-            )
-        trace.append(
-            OperatorTrace(
-                description,
-                result.total_seconds,
-                result.groupby_result.groups,
-                extras={"fusion_credit_s": result.fusion_credit_seconds},
-                algorithm=(
-                    f"{result.join_result.algorithm}"
-                    f"+{result.groupby_result.algorithm}"
-                ),
-            )
-        )
-        return result.output
+        return self._record(span, trace, "FusedJoinAggregate", run)
 
     def _degrade_fused_aggregate(
         self, node: Aggregate, left: Relation, right: Relation,
         trace: List[OperatorTrace],
     ):
         """Unfuse an OOMed fused pipeline and recover stage by stage."""
-        from dataclasses import replace
-
-        from ..faults.recovery import resilient_group_by, resilient_join
+        from ..faults import recovery
 
         if self._session is not None:
             self._session.count("faults_injected_oom")
@@ -607,7 +490,7 @@ class QueryExecutor:
         with self._operator_span(
             "FusedJoinAggregate(degraded)", degraded=True
         ) as span:
-            join_res = resilient_join(
+            join_res = recovery.resilient_join(
                 left,
                 right,
                 algorithm=node.child.algorithm,
@@ -616,14 +499,8 @@ class QueryExecutor:
                 seed=self.seed,
                 fault_plan=self.fault_plan,
             )
-            joined = join_res.output
-            keys = joined.column(node.group_column)
-            values = {
-                spec.column: joined.column(spec.column)
-                for spec in node.aggregates
-                if spec.op != "count"
-            }
-            agg_res = resilient_group_by(
+            keys, values = _group_inputs(node, join_res.output)
+            agg_res = recovery.resilient_group_by(
                 keys,
                 values,
                 list(node.aggregates),
@@ -632,26 +509,20 @@ class QueryExecutor:
                 seed=self.seed,
                 fault_plan=self.fault_plan,
             )
-        description = (
-            f"JoinAggregate[degraded {join_res.algorithm} + {agg_res.algorithm}]"
+        run = OperatorRun(
+            agg_res.output,
+            f"degraded {join_res.algorithm} + {agg_res.algorithm}",
+            join_res.total_seconds + agg_res.total_seconds,
+            agg_res.groups,
+            f"{join_res.algorithm}+{agg_res.algorithm}",
+            extras={
+                "degraded": 1.0,
+                "join_s": join_res.total_seconds,
+                "aggregate_s": agg_res.total_seconds,
+            },
+            span_args={"degraded": True},
         )
-        if span is not None:
-            span.name = description
-            span.args.update(rows=agg_res.groups, degraded=True)
-        trace.append(
-            OperatorTrace(
-                description,
-                join_res.total_seconds + agg_res.total_seconds,
-                agg_res.groups,
-                extras={
-                    "degraded": 1.0,
-                    "join_s": join_res.total_seconds,
-                    "aggregate_s": agg_res.total_seconds,
-                },
-                algorithm=f"{join_res.algorithm}+{agg_res.algorithm}",
-            )
-        )
-        return agg_res.output
+        return self._record(span, trace, "JoinAggregate", run)
 
 
 def execute(

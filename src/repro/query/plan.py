@@ -96,6 +96,25 @@ class OperatorTrace:
 
 
 @dataclass
+class OperatorRun:
+    """One Join or Aggregate run under an execution mode: the output plus
+    the fields of its :class:`OperatorTrace`.
+
+    ``label`` fills the brackets of the trace description
+    (``Join[<label>]``); ``span_args`` are the mode's extra arguments on
+    the operator span (``shards``, ``degraded``, tier segment counts).
+    """
+
+    output: object
+    label: str
+    seconds: float
+    rows: int
+    algorithm: str
+    extras: Dict[str, float] = field(default_factory=dict)
+    span_args: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
 class QueryResult:
     """Output plus the per-operator execution trace."""
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..aggregation import GROUPBY_ALGORITHMS
 from ..joins import ALGORITHMS
+from ..query.executor import QueryExecutor
 from ..query.plan import Aggregate, Join, OperatorTrace, PlanNode, Project, Scan
 from ..relational.relation import Relation
 
@@ -118,14 +119,15 @@ def pin_plan(
     the executor's append order (left subtree, right subtree, operator).
     ``optimize`` decides whether a Project-over-Join folded into the
     join (pushdown: one entry for the whole subtree) or ran separately;
-    ``fused`` mirrors the executor's fusion condition (``optimize and
-    shards == 1``, the default) so an Aggregate-over-Join consumes a
+    ``fused`` is :meth:`~repro.query.executor.QueryExecutor.fuses` of the
+    executor that produced *trace* (default: a plain single-device
+    executor's, i.e. ``optimize``), so an Aggregate-over-Join consumes a
     single fused entry whose ``algorithm`` is ``"<join>+<group-by>"``.
     Only names the algorithm registries know are pinned — degraded
     spellings like ``"OOC[PHJ-OM]"`` are left as the original request.
     """
     if fused is None:
-        fused = optimize
+        fused = QueryExecutor().fuses(optimize)
     position = 0
 
     def take() -> OperatorTrace:

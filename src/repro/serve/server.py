@@ -64,6 +64,7 @@ from ..errors import (
     AdmissionError,
     DeviceOutOfMemoryError,
     GracefulDegradationError,
+    JoinConfigError,
     QueryCancelledError,
     ReproError,
     ServeConfigError,
@@ -263,6 +264,14 @@ class _InFlight:
     brownout_degraded: bool = False
 
 
+def _check_modes(shards: int, fault_plan=None, tiering=None) -> None:
+    """:meth:`QueryExecutor.check_modes`, raised as a ServeConfigError."""
+    try:
+        QueryExecutor.check_modes(shards, fault_plan, tiering)
+    except JoinConfigError as err:
+        raise ServeConfigError(str(err)) from err
+
+
 class QueryServer:
     """A simulated multi-tenant serving layer over the query executor.
 
@@ -360,10 +369,7 @@ class QueryServer:
     ):
         if queue_depth < 0:
             raise ServeConfigError(f"queue_depth must be >= 0, got {queue_depth}")
-        if tiering is not None and tiering is not False and shards > 1:
-            raise ServeConfigError(
-                f"tiering is incompatible with shards > 1 (got shards={shards})"
-            )
+        _check_modes(shards, tiering=tiering or None)
         if mem_overhead < 1.0:
             raise ServeConfigError(
                 f"mem_overhead must be >= 1 (inputs are resident), "
@@ -587,6 +593,8 @@ class QueryServer:
         the server is :meth:`close`-d (``reason="closed"``).  Queue
         overflow, quota and budget decisions happen at arrival time and
         surface as rejected :class:`QueryOutcome`\\ s carrying the error.
+        A ``fault_plan`` the server's modes cannot run with raises
+        :class:`~repro.errors.ServeConfigError` here.
         """
         if self._closed:
             raise AdmissionError("server is closed", reason="closed")
@@ -602,6 +610,8 @@ class QueryServer:
             raise ServeConfigError(
                 f"deadline_s must be positive, got {deadline_s}"
             )
+        if fault_plan is not None:
+            _check_modes(self.shards, fault_plan, self.tiering)
         estimate = self.estimate_bytes(plan)
         capacity = self.memory.capacity_bytes
         if capacity is not None and estimate > capacity:
@@ -1156,11 +1166,7 @@ class QueryServer:
                             request.plan,
                             result.trace,
                             optimize=request.optimize,
-                            # Tiering (like sharding) runs Aggregate-over-
-                            # Join unfused, so the trace has two entries.
-                            fused=request.optimize
-                            and self.shards == 1
-                            and self.tiering is None,
+                            fused=executor.fuses(request.optimize),
                         ),
                         pinned_from=request.plan.describe(),
                     ),

@@ -12,7 +12,7 @@ bit-identically to the single-device executor.
 
 from .cache import SegmentCache
 from .costmodel import TierCostModel
-from .executor import DEFAULT_SEGMENT_ROWS, TieredOpResult, TieredRuntime
+from .executor import DEFAULT_SEGMENT_ROWS, TieredRuntime
 from .policy import PlacementDecision, PlacementPolicy, SegmentStats
 from .segments import SegmentedRelation, SegmentKey
 
@@ -25,6 +25,5 @@ __all__ = [
     "SegmentStats",
     "SegmentedRelation",
     "TierCostModel",
-    "TieredOpResult",
     "TieredRuntime",
 ]

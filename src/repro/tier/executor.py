@@ -27,7 +27,6 @@ fault-injected capacity pressure.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -41,6 +40,7 @@ from ..joins.base import JoinConfig, detect_unique_keys
 from ..joins.matching import expand_bounds
 from ..obs.session import TraceSession, current_session
 from ..primitives.grouping import distinct_sorted, group_identify, stable_key_order
+from ..query.plan import OperatorRun
 from ..relational.relation import Relation
 from .cache import SegmentCache
 from .costmodel import TierCostModel
@@ -51,19 +51,6 @@ from .segments import SegmentedRelation, SegmentKey
 #: at the library's scaled workloads this yields tens of segments per
 #: relation, enough for meaningfully mixed placements).
 DEFAULT_SEGMENT_ROWS = 4096
-
-
-@dataclass
-class TieredOpResult:
-    """One tier-split operator: output plus co-execution accounting."""
-
-    output: object
-    seconds: float
-    rows: int
-    hot_segments: int
-    cold_segments: int
-    extras: Dict[str, float] = field(default_factory=dict)
-    algorithm: str = "TIER"
 
 
 class TieredRuntime:
@@ -155,9 +142,6 @@ class TieredRuntime:
         if segrel is None and self.auto_register:
             segrel = self.register(relation)
         return segrel
-
-    def handles(self, relation: Relation) -> bool:
-        return self.auto_register or id(relation) in self._by_id
 
     def invalidate_relation(self, relation_or_name) -> int:
         """Evict and forget a (possibly updated) relation; bytes freed."""
@@ -436,7 +420,7 @@ class TieredRuntime:
         session: Optional[TraceSession] = None,
         fault_plan=None,
         seed: Optional[int] = None,
-    ) -> Optional[TieredOpResult]:
+    ) -> Optional[OperatorRun]:
         """Tier-split inner join (left = build, right = probe).
 
         Returns ``None`` when either side is not under tier management
@@ -622,14 +606,7 @@ class TieredRuntime:
             "tier_hit_ratio": self.cache.hit_ratio,
         }
         self._note_op(session, hot_rows, cold_rows)
-        return TieredOpResult(
-            output=output,
-            seconds=seconds,
-            rows=matches,
-            hot_segments=len(hot),
-            cold_segments=segS.num_segments - len(hot),
-            extras=extras,
-        )
+        return _tier_run(output, seconds, matches, len(hot), segS.num_segments, extras)
 
     # -- group-by ------------------------------------------------------------
 
@@ -641,7 +618,7 @@ class TieredRuntime:
         session: Optional[TraceSession] = None,
         fault_plan=None,
         seed: Optional[int] = None,
-    ) -> Optional[TieredOpResult]:
+    ) -> Optional[OperatorRun]:
         """Tier-split grouped aggregation over a managed base relation.
 
         Hot row ranges fold on the GPU, cold ranges on the CPU; the
@@ -777,14 +754,7 @@ class TieredRuntime:
             "tier_hit_ratio": self.cache.hit_ratio,
         }
         self._note_op(session, hot_rows, cold_rows)
-        return TieredOpResult(
-            output=output,
-            seconds=seconds,
-            rows=groups,
-            hot_segments=len(hot),
-            cold_segments=segrel.num_segments - len(hot),
-            extras=extras,
-        )
+        return _tier_run(output, seconds, groups, len(hot), segrel.num_segments, extras)
 
     def _note_op(
         self, session: Optional[TraceSession], hot_rows: int, cold_rows: int
@@ -818,6 +788,18 @@ class TieredRuntime:
 
 
 # -- pure helpers ------------------------------------------------------------
+
+
+def _tier_run(output, seconds, rows, hot, segments, extras) -> OperatorRun:
+    return OperatorRun(
+        output=output,
+        label=f"TIER hot:{hot}/cold:{segments - hot}",
+        seconds=seconds,
+        rows=rows,
+        algorithm="TIER",
+        extras=extras,
+        span_args={"hot_segments": hot, "cold_segments": segments - hot},
+    )
 
 
 def _scan_relations(plan) -> List[Relation]:

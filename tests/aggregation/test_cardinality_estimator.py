@@ -8,6 +8,7 @@ pin its behaviour so neither call site drifts.
 import numpy as np
 import pytest
 
+from repro.aggregation import AggSpec
 from repro.aggregation.planner import (
     CARDINALITY_SAMPLE_LIMIT,
     estimate_group_cardinality,
@@ -97,12 +98,28 @@ class TestSampledRegime:
 class TestCallSitesAgree:
     """api.group_by and the executor resolve the same estimate."""
 
-    def test_same_helper_is_used(self):
-        import repro.api as api
-        import repro.query.executor as executor
+    def test_same_helper_is_used(self, monkeypatch):
+        # Both resolve "auto" through the one planner resolver, which
+        # calls the estimator; a spy on it must see both call sites.
+        import repro.aggregation.planner as planner
+        from repro import group_by
+        from repro.query import Aggregate, Scan, execute
+        from repro.relational.relation import Relation
 
-        assert api.estimate_group_cardinality is estimate_group_cardinality
-        assert executor.estimate_group_cardinality is estimate_group_cardinality
+        calls = []
+
+        def spy(keys, *args, **kwargs):
+            calls.append(keys.size)
+            return estimate_group_cardinality(keys, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "estimate_group_cardinality", spy)
+        keys = np.arange(64, dtype=np.int32).repeat(4)
+        values = np.ones(keys.size, dtype=np.int32)
+        group_by(keys, {"v": values}, {"v": "sum"})
+        assert calls == [keys.size]
+        relation = Relation.from_key_payloads(keys, [values], payload_prefix="v")
+        execute(Aggregate(Scan(relation), "key", (AggSpec("v1", "sum"),)))
+        assert calls == [keys.size, keys.size]
 
     def test_auto_algorithm_selection_uses_estimate(self):
         from repro import group_by

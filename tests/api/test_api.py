@@ -12,6 +12,7 @@ from repro import (
     reference_groupby,
     reference_join,
 )
+from repro.faults import FaultPlan
 
 
 @pytest.fixture
@@ -107,3 +108,38 @@ class TestGroupBy:
         keys = rng.integers(0, 32, 200000).astype(np.int32)
         result = group_by(keys, {"v": keys}, {"v": "count"})
         assert result.groups == 32
+
+
+HINT_MODES = {
+    "plain": {},
+    "shards": {"shards": 2},
+    "fault_plan": {"fault_plan": FaultPlan(seed=1)},
+}
+
+
+class TestPlannerHintsInEveryMode:
+    """``auto`` is resolved once, with the caller's hints, before the
+    call dispatches to a mode."""
+
+    @pytest.mark.parametrize("mode", sorted(HINT_MODES))
+    def test_join_zipf_hint(self, mode):
+        rng = np.random.default_rng(4)
+        r = Relation.from_key_payloads(
+            rng.permutation(1 << 12).astype(np.int32),
+            [np.arange(1 << 12, dtype=np.int32)], payload_prefix="r")
+        s = Relation.from_key_payloads(
+            rng.integers(0, 1 << 12, 1 << 14).astype(np.int32),
+            [np.arange(1 << 14, dtype=np.int32)], payload_prefix="s")
+        assert join(r, s, seed=0, **HINT_MODES[mode]).algorithm == "PHJ-UM"
+        skewed = join(r, s, seed=0, zipf_factor=1.5, **HINT_MODES[mode])
+        assert skewed.algorithm == "PHJ-OM"
+
+    @pytest.mark.parametrize("mode", sorted(HINT_MODES))
+    def test_group_by_zipf_hint(self, mode):
+        keys = np.random.default_rng(5).integers(0, 20000, 1 << 18).astype(np.int32)
+        values = {"v": np.ones(keys.size, dtype=np.int32)}
+        plain = group_by(keys, values, {"v": "sum"}, seed=0, **HINT_MODES[mode])
+        assert plain.algorithm == "HASH-AGG"
+        skewed = group_by(keys, values, {"v": "sum"}, seed=0, zipf_factor=1.5,
+                          **HINT_MODES[mode])
+        assert skewed.algorithm == "PART-AGG"
