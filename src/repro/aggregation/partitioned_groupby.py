@@ -143,12 +143,11 @@ class PartitionedGroupBy(GroupByAlgorithm):
                 else:
                     # GFTR: lazily partition (key, column); the fold then
                     # streams the co-partitioned column sequentially.
-                    # Boundaries and the stable permutation are reused
-                    # from the transform phase.
+                    # The transform phase's partitioning is reused.
                     lazy = radix_partition(
                         ctx, keys, [column], bits, phase=MATERIALIZE,
                         hashed=self.config.hashed_partitioning, label=spec.column,
-                        compute_boundaries=False, order=part.order,
+                        like=part,
                     )
                     folded_input = lazy.payloads[0]
                 output[spec.output_name] = segmented_aggregate(

@@ -41,6 +41,54 @@ def expand_bounds(
     return starts + within, s_pos
 
 
+def match_build(build_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The build step of :func:`match_positions`: ``(order, sorted_keys)``.
+
+    ``order`` is the stable sort permutation of ``build_keys`` and
+    ``sorted_keys`` the keys in that order.  Callers probing the same
+    build side many times (the tier's per-segment probes) sort it once.
+    """
+    order = stable_key_order(build_keys)
+    return order, build_keys[order]
+
+
+def match_probe(
+    order: np.ndarray,
+    sorted_keys: np.ndarray,
+    probe_keys: np.ndarray,
+    unique_build_keys: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The probe step of :func:`match_positions` against a built side.
+
+    The probe keys are searched in sorted order, so consecutive binary
+    searches walk the build side monotonically instead of at random;
+    the per-probe bounds are then scattered back to probe order.  Each
+    search is independent of the others, so the pairs are exactly those
+    of searching the probe keys as given.
+    """
+    if sorted_keys.size == 0 or probe_keys.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    probe_order = stable_key_order(probe_keys)
+    probe_sorted = probe_keys[probe_order]
+    lo_sorted = np.searchsorted(sorted_keys, probe_sorted, side="left")
+    if unique_build_keys:
+        clipped = np.minimum(lo_sorted, sorted_keys.size - 1)
+        matched = np.empty(probe_keys.size, dtype=bool)
+        matched[probe_order] = sorted_keys[clipped] == probe_sorted
+        build_at = np.empty(probe_keys.size, dtype=order.dtype)
+        build_at[probe_order] = order[clipped]
+        s_pos = np.flatnonzero(matched)
+        return build_at[s_pos], s_pos
+    hi_sorted = np.searchsorted(sorted_keys, probe_sorted, side="right")
+    lo = np.empty_like(lo_sorted)
+    lo[probe_order] = lo_sorted
+    hi = np.empty_like(hi_sorted)
+    hi[probe_order] = hi_sorted
+    sorted_pos, s_pos = expand_bounds(lo, hi)
+    return order[sorted_pos], s_pos
+
+
 def match_positions(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
@@ -53,20 +101,8 @@ def match_positions(
     where co-partitioning guarantees matches share a partition but the
     intra-partition layout is unsorted.
     """
-    if build_keys.size == 0 or probe_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    order = stable_key_order(build_keys)
-    sorted_keys = build_keys[order]
-    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-    if unique_build_keys:
-        clipped = np.minimum(lo, sorted_keys.size - 1)
-        matched = sorted_keys[clipped] == probe_keys
-        hi = lo + matched.astype(lo.dtype)
-    else:
-        hi = np.searchsorted(sorted_keys, probe_keys, side="right")
-    sorted_pos, s_pos = expand_bounds(lo, hi)
-    return order[sorted_pos], s_pos
+    order, sorted_keys = match_build(build_keys)
+    return match_probe(order, sorted_keys, probe_keys, unique_build_keys)
 
 
 def sorted_match_positions(

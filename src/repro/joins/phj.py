@@ -137,7 +137,7 @@ class PartitionedHashJoin(JoinAlgorithm):
 
     def _partition(
         self, ctx: GPUContext, rel: Relation, payloads, bits, phase, label,
-        compute_boundaries: bool = True, order=None,
+        like=None,
     ):
         temp = ctx.mem.alloc((1 << bits) * 8 * 2, np.uint8, "partition_temp")
         part = radix_partition(
@@ -148,8 +148,7 @@ class PartitionedHashJoin(JoinAlgorithm):
             phase=phase,
             hashed=self.config.hashed_partitioning,
             label=label,
-            compute_boundaries=compute_boundaries,
-            order=order,
+            like=like,
         )
         ctx.mem.free(temp)
         return part
@@ -227,12 +226,12 @@ class PartitionedHashJoin(JoinAlgorithm):
                     continue
                 # Lazily partition this payload column with the keys
                 # (Algorithm 1), discard the partitioned keys, gather.
-                # Boundaries and the stable permutation are reused from
-                # the transform phase (stable partitioner -> identical
-                # layout): no boundary pass, no host-side re-sort.
+                # The transform phase's partitioning is reused (stable
+                # partitioner -> identical layout): no boundary pass,
+                # and the payload gather is the only host work.
                 part = self._partition(
                     ctx, rel, [rel.column(source)], bits, MATERIALIZE, out_name,
-                    compute_boundaries=False, order=parts[side].order,
+                    like=parts[side],
                 )
                 a_col = ctx.mem.adopt(part.payloads[0], f"part_payload_{out_name}")
                 columns.append(

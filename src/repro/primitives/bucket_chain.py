@@ -34,6 +34,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from .grouping import stable_key_order
 from .radix_partition import partition_codes, plan_passes
 
 #: Tuples per fixed-size bucket (keys + one payload column at 4 B each,
@@ -110,7 +111,7 @@ def bucket_chain_partition(
     codes = partition_codes(keys, total_bits, hashed=hashed)
     # Random tie-breaker models the unpredictable atomic completion order.
     tie_breaker = ctx.rng.random(n)
-    order = np.lexsort((tie_breaker, codes))
+    order = _partition_order(codes, tie_breaker)
     keys_out = keys[order]
     payloads_out = [p[order] for p in payloads]
 
@@ -154,3 +155,18 @@ def bucket_chain_partition(
         used_bytes=used,
         conflict_factor=conflict,
     )
+
+
+def _partition_order(codes: np.ndarray, tie_breaker: np.ndarray) -> np.ndarray:
+    """``np.lexsort((tie_breaker, codes))``, as two cheaper sorts.
+
+    A quicksort of the tie-breaker followed by a stable radix pass over
+    the codes yields the same permutation whenever the tie-breaker has
+    no duplicates; with duplicates the tie-breaker is sorted stably
+    instead, which is lexsort's own tie rule.
+    """
+    order = np.argsort(tie_breaker, kind="quicksort")
+    ranked = tie_breaker[order]
+    if ranked.size > 1 and np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(tie_breaker, kind="stable")
+    return order[stable_key_order(codes[order])]

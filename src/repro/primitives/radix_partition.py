@@ -92,10 +92,9 @@ class Partitioned:
     total_bits: int
     hashed: bool
     passes: int
-    #: The stable permutation that produced this layout.  Pass it as
-    #: ``order=`` to later :func:`radix_partition` calls on the *same*
-    #: keys (lazy per-column transforms) to skip recomputing it.
-    order: Optional[np.ndarray] = None
+    #: The stable permutation that produced this layout; a later
+    #: ``radix_partition(..., like=this)`` on the same keys reuses it.
+    order: np.ndarray
 
     @property
     def num_partitions(self) -> int:
@@ -126,8 +125,7 @@ def radix_partition(
     phase: Optional[str] = None,
     hashed: bool = False,
     label: str = "",
-    compute_boundaries: bool = True,
-    order: Optional[np.ndarray] = None,
+    like: Optional[Partitioned] = None,
 ) -> Partitioned:
     """Multi-pass stable radix partitioning into ``2**total_bits`` parts.
 
@@ -141,23 +139,38 @@ def radix_partition(
     the data movement runs as a single argsort + gather — the simulated
     per-pass kernels are unchanged, the result is bit-identical.
 
-    ``compute_boundaries=False`` skips the boundary pass — correct when
-    the same keys were already partitioned once (the partitioner is
-    stable, so boundaries are identical; Algorithm 1's lazy per-column
-    transforms reuse them).  ``order`` likewise reuses the stable
-    permutation of an earlier :class:`Partitioned` of the same keys,
-    skipping the host-side argsort entirely.
+    ``like`` is an earlier :class:`Partitioned` of the *same* keys with
+    the same bits and hashing — Algorithm 1's lazy per-column
+    transforms.  The partitioner is stable, so the layout is identical:
+    the call reuses ``like``'s permutation, partitioned keys, counts and
+    offsets, skips the boundary pass, and gathers only the payloads.
+    The RADIX-PARTITION kernels are charged as for a full call.
     """
     pass_plan = plan_passes(total_bits)
     ctx.count("partition_passes", len(pass_plan))
 
-    codes = partition_codes(keys, total_bits, hashed=hashed)
-    if order is None:
+    if like is not None:
+        if (
+            like.total_bits != total_bits
+            or like.hashed != hashed
+            or like.keys.size != keys.size
+        ):
+            raise ValueError(
+                "like= must be a partitioning of the same keys with the "
+                "same total_bits and hashing"
+            )
+        order, keys_out = like.order, like.keys
+        counts, offsets = like.counts, like.offsets
+    else:
+        codes = partition_codes(keys, total_bits, hashed=hashed)
         # codes < 2**total_bits fit in int32 for any realistic bit
         # budget, unlocking the packed fast path of stable_key_order.
         narrow = codes.astype(np.int32, copy=False) if total_bits <= 31 else codes
         order = stable_key_order(narrow)
-    keys_out = keys[order]
+        keys_out = keys[order]
+        counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
+        offsets = np.zeros_like(counts)
+        np.cumsum(counts[:-1], out=offsets[1:])
     payloads_out = [p[order] for p in payloads]
 
     payload_bytes = sum(int(p.nbytes) for p in payloads)
@@ -174,10 +187,7 @@ def radix_partition(
     ]
     ctx.submit_many(pass_stats, phase=phase)
 
-    counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
-    offsets = np.zeros_like(counts)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    if compute_boundaries:
+    if like is None:
         # Boundary computation: one extra read of keys + tiny writes.
         ctx.submit(
             KernelStats(

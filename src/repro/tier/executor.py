@@ -7,12 +7,14 @@ overlap: the operator's elapsed time is the max of the two tiers plus
 merge and staging), and merges the partial results **bit-identically**
 to the single-device ``execute()`` path:
 
-* joins compute matches per probe segment with the canonical
-  searchsorted construction of
-  :func:`~repro.joins.matching.match_positions`; concatenating the
-  per-segment pairs in segment order *is* the global s-major match
-  order of :func:`~repro.relational.validation.join_match_indices`,
-  independent of which segments happen to be resident;
+* joins probe each segment with
+  :func:`~repro.joins.matching.match_probe` against one hoisted
+  :func:`~repro.joins.matching.match_build` of the build side (the two
+  steps of :func:`~repro.joins.matching.match_positions`);
+  concatenating the per-segment pairs in segment order *is* the
+  global s-major match order of
+  :func:`~repro.relational.validation.join_match_indices`, independent
+  of which segments happen to be resident;
 * group-bys fold exact per-tier partial aggregates (int64 sums/counts,
   elementwise min/max merge, mean recomputed from merged sums and
   counts) keyed by group key — identical to the monolithic
@@ -37,9 +39,9 @@ from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import BufferPool, DeviceMemory
 from ..joins.base import JoinConfig, detect_unique_keys
-from ..joins.matching import expand_bounds
+from ..joins.matching import match_build, match_probe
 from ..obs.session import TraceSession, current_session
-from ..primitives.grouping import distinct_sorted, group_identify, stable_key_order
+from ..primitives.grouping import distinct_sorted, group_identify
 from ..query.plan import OperatorRun
 from ..relational.relation import Relation
 from .cache import SegmentCache
@@ -456,32 +458,23 @@ class TieredRuntime:
         if unique is None:
             unique = detect_unique_keys(left.key_values)
         r_keys = left.key_values
-        # Hoisted build-side sort; per segment this is exactly
-        # joins.matching.match_positions, so concatenating per-segment
-        # pairs in segment order reproduces the global s-major match
-        # order bit-for-bit regardless of placement.
-        order = stable_key_order(r_keys)
-        sorted_keys = r_keys[order]
+        # Hoisted build step of joins.matching.match_positions; probing
+        # it per segment and concatenating the pairs in segment order
+        # reproduces the global s-major match order bit-for-bit
+        # regardless of placement.
+        order, sorted_keys = match_build(r_keys)
         parts_r: List[np.ndarray] = []
         parts_s: List[np.ndarray] = []
         hot_matches = cold_matches = 0
         for index in range(segS.num_segments):
             start, _ = segS.row_range(index)
             seg_keys = self._segment_array(segS, right.key, index, index in hot)
-            if sorted_keys.size == 0:
-                continue
-            lo = np.searchsorted(sorted_keys, seg_keys, side="left")
-            if unique:
-                clipped = np.minimum(lo, sorted_keys.size - 1)
-                hi = lo + (sorted_keys[clipped] == seg_keys).astype(lo.dtype)
-            else:
-                hi = np.searchsorted(sorted_keys, seg_keys, side="right")
-            sorted_pos, s_pos = expand_bounds(lo, hi)
+            r_pos, s_pos = match_probe(order, sorted_keys, seg_keys, unique)
             if index in hot:
-                hot_matches += sorted_pos.size
+                hot_matches += r_pos.size
             else:
-                cold_matches += sorted_pos.size
-            parts_r.append(order[sorted_pos])
+                cold_matches += r_pos.size
+            parts_r.append(r_pos)
             parts_s.append(s_pos + start)
         empty = np.empty(0, dtype=np.int64)
         r_idx = np.concatenate(parts_r) if parts_r else empty

@@ -21,7 +21,10 @@ import numpy as np
 import pytest
 
 from repro.gpusim import GPUContext, KernelStats
+from repro.joins.matching import match_positions
+from repro.primitives.bucket_chain import bucket_chain_partition
 from repro.primitives.grouping import group_identify
+from repro.primitives.radix_partition import radix_partition
 from repro.primitives.sector_analysis import analyze_indices, set_sector_mode
 
 pytestmark = pytest.mark.perf
@@ -87,4 +90,41 @@ def test_sector_count_throughput():
     assert throughput >= floor("sector_count_indices_per_s"), (
         f"sector analysis at {throughput:.0f} indices/s, "
         f"floor {floor('sector_count_indices_per_s'):.0f}"
+    )
+
+
+def test_match_positions_throughput():
+    """The partitioned hash joins' match search sustains the probes/s floor.
+
+    2^20 unique build keys against 2^20 probe keys, both radix
+    partitioned on 10 bits as PHJ-OM lays them out.
+    """
+    rng = np.random.default_rng(3)
+    n = 1 << 20
+    build = rng.permutation(n).astype(np.int32)
+    probe = rng.integers(0, n, n).astype(np.int32)
+    pr = radix_partition(GPUContext(), build, [], total_bits=10).keys
+    ps = radix_partition(GPUContext(), probe, [], total_bits=10).keys
+    seconds = best_seconds(lambda: match_positions(pr, ps, True))
+    throughput = ps.size / seconds
+    assert throughput >= floor("match_positions_probes_per_s"), (
+        f"match_positions at {throughput:.0f} probes/s, "
+        f"floor {floor('match_positions_probes_per_s'):.0f}"
+    )
+
+
+def test_bucket_chain_throughput():
+    """Bucket-chain partitioning of 2^20 (key, payload) tuples on 10 bits."""
+    rng = np.random.default_rng(3)
+    n = 1 << 20
+    keys = rng.integers(0, 1 << 30, n).astype(np.int32)
+    payload = np.arange(n, dtype=np.int32)
+    ctx = GPUContext()
+    seconds = best_seconds(
+        lambda: bucket_chain_partition(ctx, keys, [payload], total_bits=10)
+    )
+    throughput = n / seconds
+    assert throughput >= floor("bucket_chain_tuples_per_s"), (
+        f"bucket_chain_partition at {throughput:.0f} tuples/s, "
+        f"floor {floor('bucket_chain_tuples_per_s'):.0f}"
     )

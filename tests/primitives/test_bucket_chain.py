@@ -60,6 +60,53 @@ class TestNonDeterminism:
         assert np.array_equal(a.keys, b.keys)
 
 
+class _FixedRng:
+    """Stands in for ``ctx.rng``: hands out a fixed tie-breaker."""
+
+    def __init__(self, tie_breaker):
+        self.tie_breaker = tie_breaker
+
+    def random(self, n):
+        assert n == self.tie_breaker.size
+        return self.tie_breaker
+
+
+class TestLayoutOrder:
+    """The layout is ``np.lexsort((tie_breaker, codes))`` of the input."""
+
+    @staticmethod
+    def _layout(keys, tie_breaker, bits, hashed=False):
+        ctx = GPUContext(device=A100)
+        ctx.rng = _FixedRng(tie_breaker)
+        ids = np.arange(keys.size, dtype=np.int64)
+        part = bucket_chain_partition(ctx, keys, [ids], bits, hashed=hashed)
+        expected = np.lexsort((tie_breaker, partition_codes(keys, bits, hashed=hashed)))
+        return part, ids[expected]
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    @pytest.mark.parametrize("bits", [1, 6, 12])
+    def test_distinct_tie_breakers(self, bits, hashed):
+        rng = np.random.default_rng(bits)
+        keys = rng.integers(-(1 << 30), 1 << 30, 5000).astype(np.int32)
+        part, expected = self._layout(keys, rng.random(keys.size), bits, hashed)
+        assert np.array_equal(part.payloads[0], expected)
+        assert np.array_equal(part.keys, keys[expected])
+
+    @pytest.mark.parametrize("levels", [1, 3, 50])
+    def test_duplicate_tie_breakers_take_the_stable_fallback(self, levels):
+        rng = np.random.default_rng(levels)
+        keys = rng.integers(0, 1 << 12, 3000).astype(np.int32)
+        tie_breaker = rng.integers(0, levels, keys.size) / levels
+        part, expected = self._layout(keys, tie_breaker, 4)
+        assert np.array_equal(part.payloads[0], expected)
+
+    def test_empty_and_single(self):
+        for n in (0, 1):
+            keys = np.arange(n, dtype=np.int32)
+            part, expected = self._layout(keys, np.full(n, 0.5), 3)
+            assert np.array_equal(part.payloads[0], expected)
+
+
 class TestFragmentation:
     def test_allocation_covers_data_plus_slack(self):
         keys = np.arange(100, dtype=np.int32)
