@@ -23,13 +23,14 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import AggregationConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
+from ..primitives.grouping import stable_key_order
 
 #: Canonical group-by phases.
 TRANSFORM, AGGREGATE, MATERIALIZE = "transform", "aggregate", "materialize"
@@ -40,7 +41,15 @@ SUPPORTED_OPS = ("sum", "count", "min", "max", "mean")
 
 @dataclass(frozen=True)
 class AggSpec:
-    """One aggregate: ``op`` applied to value column ``column``."""
+    """One aggregate: ``op`` applied to value column ``column``.
+
+    Output dtypes: ``count`` is int64; ``sum``, ``min`` and ``max`` are
+    int64 for integer and bool columns (sums exact) and float64 for
+    float columns (sums folded in row order); ``mean`` is float64, the
+    exact sum over the count.  A sum that does not fit in int64, uint64
+    values above the int64 range and other dtypes raise
+    :class:`~repro.errors.AggregationConfigError`.
+    """
 
     column: str
     op: str
@@ -125,30 +134,100 @@ def segmented_aggregate(
 ) -> np.ndarray:
     """Aggregate *values* per group given group codes ``inverse``.
 
-    The numeric semantics shared by every strategy; traffic is charged by
-    the callers.  ``values`` may be None for ``count``.
+    The one fold of record, with the :class:`AggSpec` dtype contract:
+    every strategy and the tier compute their values here; traffic is
+    charged by the callers.  ``values`` may be None for ``count``.
+
+    >>> inverse = np.zeros(2, dtype=np.int64)
+    >>> big = np.array([2**53 + 1, 1])
+    >>> int(segmented_aggregate(inverse, 1, big, "sum")[0]) - 2**53
+    2
+    >>> int(big.sum(dtype=np.float64)) - 2**53
+    0
     """
     counts = np.bincount(inverse, minlength=num_groups)
     if op == "count":
         return counts.astype(np.int64)
+    if op not in SUPPORTED_OPS:
+        raise AggregationConfigError(f"unsupported aggregate {op!r}")
     if values is None:
         raise AggregationConfigError(f"aggregate {op!r} requires a value column")
-    if op == "sum":
+    kind = values.dtype.kind
+    if kind not in "biuf":
+        raise AggregationConfigError(f"aggregate {op!r} over {values.dtype} values")
+    if kind == "u" and values.dtype.itemsize == 8 and values.size:
+        if int(values.max()) > np.iinfo(np.int64).max:
+            raise AggregationConfigError("uint64 values exceed the int64 range")
+    if op in ("min", "max"):
+        wide = values.astype(np.float64 if kind == "f" else np.int64)
+        lo, hi = (-np.inf, np.inf) if kind == "f" else _INT64_RANGE
+        out = np.full(num_groups, hi if op == "min" else lo, dtype=wide.dtype)
+        (np.minimum if op == "min" else np.maximum).at(out, inverse, wide)
+        return out
+    if kind == "f":
+        weights = values.astype(np.float64)
+        sums = np.bincount(inverse, weights=weights, minlength=num_groups)
+    else:
+        ints = values.view(np.uint8) if kind == "b" else values
+        sums = _exact_int_sums(inverse, num_groups, ints)
+    return sums if op == "sum" else sums / np.maximum(counts, 1)
+
+
+_INT64_RANGE = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+
+#: float64 represents every integer of magnitude below this exactly.
+_FLOAT_EXACT = 1 << 53
+
+
+def _exact_int_sums(
+    inverse: np.ndarray, num_groups: int, values: np.ndarray
+) -> np.ndarray:
+    """Exact int64 per-group sums of an integer column.
+
+    One float64 ``bincount`` is exact while ``rows * max|v| < 2**53``,
+    decided from the dtype when it can be, else with one min/max pass.
+    Above that the values are cut into limbs narrow enough for each
+    limb's ``bincount`` to be exact; the limb sums recombine as Python
+    ints, so a total outside int64 raises instead of wrapping.
+    """
+    rows = int(values.size)
+    info = np.iinfo(values.dtype)
+    bound = max(-int(info.min), int(info.max))
+    if rows * bound >= _FLOAT_EXACT and rows:
+        bound = max(-int(values.min()), int(values.max()))
+    if rows * bound < _FLOAT_EXACT:
         return np.bincount(
             inverse, weights=values.astype(np.float64), minlength=num_groups
         ).astype(np.int64)
-    if op == "mean":
-        sums = np.bincount(
-            inverse, weights=values.astype(np.float64), minlength=num_groups
-        )
-        return sums / np.maximum(counts, 1)
-    if op in ("min", "max"):
-        reducer = np.minimum if op == "min" else np.maximum
-        fill = np.iinfo(np.int64).max if op == "min" else np.iinfo(np.int64).min
-        out = np.full(num_groups, fill, dtype=np.int64)
-        reducer.at(out, inverse, values.astype(np.int64))
-        return out
-    raise AggregationConfigError(f"unsupported aggregate {op!r}")
+    wide = values.astype(np.int64)
+    bits = 53 - rows.bit_length()  # rows * 2**bits <= 2**53
+    totals = np.zeros(num_groups, dtype=object)
+    for shift in range(0, 64, bits):
+        limb = wide >> shift  # the top limb keeps the sign
+        if shift + bits < 64:
+            limb &= (1 << bits) - 1
+        limb_sums = np.bincount(inverse, weights=limb, minlength=num_groups)
+        totals += limb_sums.astype(np.int64).astype(object) * (1 << shift)
+    lo, hi = _INT64_RANGE
+    if num_groups and not (lo <= totals.min() and totals.max() <= hi):
+        raise AggregationConfigError("a group's sum overflows int64")
+    return totals.astype(np.int64)
+
+
+def merge_disjoint_groups(
+    outputs: Sequence["OrderedDict[str, np.ndarray]"],
+) -> "OrderedDict[str, np.ndarray]":
+    """Merge group-by outputs with disjoint, ascending ``group_key`` sets.
+
+    A stable sort of the concatenated keys gives the global ascending
+    order, and every column is reordered by it.  Shards and out-of-core
+    blocks fold each group wholly in one place, so the merge is exact.
+    """
+    order = stable_key_order(np.concatenate([out["group_key"] for out in outputs]))
+    return OrderedDict(
+        (name, np.concatenate([out[name] for out in outputs])[order])
+        for name in outputs[0]
+    )
 
 
 class GroupByAlgorithm(ABC):

@@ -32,9 +32,8 @@ from ..errors import DeviceOutOfMemoryError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
-from ..primitives.grouping import stable_key_order
 from ..primitives.radix_partition import partition_codes
-from .base import AggSpec, GroupByResult
+from .base import AggSpec, GroupByResult, merge_disjoint_groups
 from .planner import make_groupby_algorithm
 
 #: Working-set multiple of the input bytes a block must fit alongside
@@ -225,28 +224,20 @@ class OutOfCoreGroupBy:
         )
 
     def _merge(self, block_results, aggregates, device):
-        """K-way merge of disjoint ascending per-block key sets."""
+        """Merge the per-block outputs (disjoint ascending key sets)."""
         if not block_results:
             columns = [("group_key", np.empty(0, dtype=np.int64))]
             columns += [
                 (spec.output_name, np.empty(0, dtype=np.int64)) for spec in aggregates
             ]
             return OrderedDict(columns), 0.0
-        all_keys = np.concatenate([r.output["group_key"] for r in block_results])
-        order = stable_key_order(all_keys)
-        output: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        output["group_key"] = all_keys[order]
-        for name in block_results[0].output:
-            if name == "group_key":
-                continue
-            merged = np.concatenate([r.output[name] for r in block_results])
-            output[name] = merged[order]
+        output = merge_disjoint_groups([r.output for r in block_results])
         merge_ctx = GPUContext(device=device)
         out_bytes = sum(int(col.nbytes) for col in output.values())
         merge_ctx.submit(
             KernelStats(
                 name="ooc_merge",
-                items=int(all_keys.size),
+                items=int(output["group_key"].size),
                 seq_read_bytes=out_bytes,
                 seq_write_bytes=out_bytes,
             ),

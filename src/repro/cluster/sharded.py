@@ -29,13 +29,12 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..aggregation.base import AggSpec, GroupByResult
+from ..aggregation.base import AggSpec, GroupByResult, merge_disjoint_groups
 from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..joins.base import JoinConfig, JoinResult
 from ..joins.planner import make_algorithm, resolve_join_algorithm
-from ..primitives.grouping import stable_key_order
 from ..relational.relation import Relation
 from .context import ClusterContext
 from .shuffle import ShuffleResult, shard_to_relation, shuffle_columns, shuffle_relation
@@ -347,19 +346,14 @@ def sharded_group_by(
     cluster.shuffle_step("gather", gather, label="result-gather")
 
     # ... and k-way merge them into ascending group-key order.
-    merged_keys = np.concatenate([res.output["group_key"] for res in per_device])
-    order = stable_key_order(merged_keys)
-    merged: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for column in per_device[0].output:
-        merged[column] = np.concatenate(
-            [res.output[column] for res in per_device]
-        )[order]
+    merged = merge_disjoint_groups([res.output for res in per_device])
+    groups = int(merged["group_key"].size)
     merged_bytes = sum(int(a.nbytes) for a in merged.values())
     with cluster.compute_step("merge") as step:
         step.contexts[0].submit(
             KernelStats(
                 name="kway_merge",
-                items=int(merged_keys.size),
+                items=groups,
                 seq_read_bytes=merged_bytes,
                 seq_write_bytes=merged_bytes,
             ),
@@ -374,5 +368,5 @@ def sharded_group_by(
         shuffle=shuffle,
         step_seconds=_step_breakdown(cluster),
         rows=int(keys.size),
-        groups=int(merged_keys.size),
+        groups=groups,
     )

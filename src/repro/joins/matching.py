@@ -41,24 +41,17 @@ def expand_bounds(
     return starts + within, s_pos
 
 
-def match_build(build_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The build step of :func:`match_positions`: ``(order, sorted_keys)``.
-
-    ``order`` is the stable sort permutation of ``build_keys`` and
-    ``sorted_keys`` the keys in that order.  Callers probing the same
-    build side many times (the tier's per-segment probes) sort it once.
-    """
-    order = stable_key_order(build_keys)
-    return order, build_keys[order]
-
-
-def match_probe(
-    order: np.ndarray,
-    sorted_keys: np.ndarray,
+def match_positions(
+    build_keys: np.ndarray,
     probe_keys: np.ndarray,
     unique_build_keys: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The probe step of :func:`match_positions` against a built side.
+    """Matching (build position, probe position) pairs, s-major.
+
+    ``build_keys`` need not be sorted; positions refer to the arrays as
+    given (e.g. a radix-partitioned layout).  Used by the hash joins,
+    where co-partitioning guarantees matches share a partition but the
+    intra-partition layout is unsorted, and by the tier join.
 
     The probe keys are searched in sorted order, so consecutive binary
     searches walk the build side monotonically instead of at random;
@@ -66,9 +59,11 @@ def match_probe(
     search is independent of the others, so the pairs are exactly those
     of searching the probe keys as given.
     """
-    if sorted_keys.size == 0 or probe_keys.size == 0:
+    if build_keys.size == 0 or probe_keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    order = stable_key_order(build_keys)
+    sorted_keys = build_keys[order]
     probe_order = stable_key_order(probe_keys)
     probe_sorted = probe_keys[probe_order]
     lo_sorted = np.searchsorted(sorted_keys, probe_sorted, side="left")
@@ -87,33 +82,3 @@ def match_probe(
     hi[probe_order] = hi_sorted
     sorted_pos, s_pos = expand_bounds(lo, hi)
     return order[sorted_pos], s_pos
-
-
-def match_positions(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    unique_build_keys: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Matching (build position, probe position) pairs, s-major.
-
-    ``build_keys`` need not be sorted; positions refer to the arrays as
-    given (e.g. a radix-partitioned layout).  Used by the hash joins,
-    where co-partitioning guarantees matches share a partition but the
-    intra-partition layout is unsorted.
-    """
-    order, sorted_keys = match_build(build_keys)
-    return match_probe(order, sorted_keys, probe_keys, unique_build_keys)
-
-
-def sorted_match_positions(
-    build_keys_sorted: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Match pairs when the build side is already sorted (merge join).
-
-    ``lo``/``hi`` come from :func:`repro.primitives.merge_path.match_bounds`.
-    Positions on the build side refer to the *sorted* layout.
-    """
-    del build_keys_sorted  # bounds already encode everything needed
-    return expand_bounds(lo, hi)

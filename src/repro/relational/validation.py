@@ -71,6 +71,8 @@ def reference_groupby(
     ``aggregates`` maps value-column name -> one of ``sum``, ``count``,
     ``min``, ``max``, ``mean``.  Returns an OrderedDict with ``group_key``
     (ascending distinct keys) followed by one aggregate column per entry.
+    Integer sums are exact int64 (``OverflowError`` if a total does not
+    fit); float columns keep float64 for ``sum``/``min``/``max``.
     """
     # Sort-based identification: identical (group_keys, inverse) to
     # np.unique(keys, return_inverse=True) but ~15x faster on
@@ -86,23 +88,42 @@ def reference_groupby(
             out[f"count_{column}"] = counts.astype(np.int64)
             continue
         data = values[column]
-        if how == "sum":
-            agg = np.bincount(inverse, weights=data.astype(np.float64), minlength=num_groups)
-            out[f"sum_{column}"] = agg.astype(np.int64)
-        elif how == "mean":
-            sums = np.bincount(inverse, weights=data.astype(np.float64), minlength=num_groups)
-            out[f"mean_{column}"] = sums / np.maximum(counts, 1)
+        wide = data.astype(np.float64 if data.dtype.kind == "f" else np.int64)
+        if how in ("sum", "mean"):
+            if wide.dtype == np.float64:
+                sums = np.bincount(inverse, weights=wide, minlength=num_groups)
+            else:
+                sums = _exact_int_group_sums(inverse, num_groups, wide)
+            if how == "mean":
+                sums = sums / np.maximum(counts, 1)
+            out[f"{how}_{column}"] = sums
         elif how in ("min", "max"):
             reducer = np.minimum if how == "min" else np.maximum
-            fill = (
-                np.iinfo(np.int64).max if how == "min" else np.iinfo(np.int64).min
-            )
-            agg = np.full(num_groups, fill, dtype=np.int64)
-            reducer.at(agg, inverse, data.astype(np.int64))
+            if wide.dtype == np.float64:
+                lo, hi = -np.inf, np.inf
+            else:
+                lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+            agg = np.full(num_groups, hi if how == "min" else lo, wide.dtype)
+            reducer.at(agg, inverse, wide)
             out[f"{how}_{column}"] = agg
         else:
             raise ValueError(f"unknown aggregate {how!r}")
     return out
+
+
+def _exact_int_group_sums(
+    inverse: np.ndarray, num_groups: int, wide: np.ndarray
+) -> np.ndarray:
+    """Exact per-group int64 sums: signed high and unsigned low 32-bit
+    halves each sum in int64 without wrapping (below 2^31 rows)."""
+    high = np.zeros(num_groups, dtype=np.int64)
+    low = np.zeros(num_groups, dtype=np.int64)
+    np.add.at(high, inverse, wide >> 32)
+    np.add.at(low, inverse, wide & 0xFFFFFFFF)
+    high += low >> 32
+    if num_groups and (high.min() < -(1 << 31) or high.max() >= 1 << 31):
+        raise OverflowError("a group's sum overflows int64")
+    return (high << 32) + (low & 0xFFFFFFFF)
 
 
 def assert_join_equal(result: Relation, expected: Relation) -> None:

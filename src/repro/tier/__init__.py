@@ -5,9 +5,9 @@ Relations are split into fixed-size column segments
 resident in simulated device memory as real ``DeviceArray`` allocations;
 a cost-based :class:`PlacementPolicy` decides placement from per-segment
 access history and the serving layer's template popularity; and a
-:class:`TieredRuntime` splits join and group-by operators into a GPU
-part over resident segments plus a CPU part over cold ones, merged
-bit-identically to the single-device executor.
+:class:`TieredRuntime` prices join and group-by operators as a GPU
+part over resident segments plus a CPU part over cold ones, with the
+values computed once by the single-device code.
 """
 
 from .cache import SegmentCache

@@ -4,25 +4,20 @@ The placement-aware pass splits one logical operator into a GPU
 sub-operator over resident (hot) segments and a CPU sub-operator over
 cold ones, runs the two concurrently (Eiger-style heterogeneous
 overlap: the operator's elapsed time is the max of the two tiers plus
-merge and staging), and merges the partial results **bit-identically**
-to the single-device ``execute()`` path:
+merge and staging).  Placement prices the work; it never changes the
+values.  The output is computed once, over the base relation's
+columns, by the same single-device code ``execute()`` uses:
 
-* joins probe each segment with
-  :func:`~repro.joins.matching.match_probe` against one hoisted
-  :func:`~repro.joins.matching.match_build` of the build side (the two
-  steps of :func:`~repro.joins.matching.match_positions`);
-  concatenating the per-segment pairs in segment order *is* the
-  global s-major match order of
-  :func:`~repro.relational.validation.join_match_indices`, independent
-  of which segments happen to be resident;
-* group-bys fold exact per-tier partial aggregates (int64 sums/counts,
-  elementwise min/max merge, mean recomputed from merged sums and
-  counts) keyed by group key — identical to the monolithic
-  ``segmented_aggregate`` in the integer-exact regime the library
-  already assumes.
+* joins make one :func:`~repro.joins.matching.match_positions` call
+  over the whole probe column; the hot and cold tiers are charged for
+  the matches that fall in their segments;
+* group-bys fold with ``group_identify`` + ``segmented_aggregate`` (the
+  one fold of record); the hot and cold tiers are charged for the rows
+  and the distinct groups of their segments.
 
-The oracle suite (``tests/oracle/test_tier_oracle.py``) pins both
-properties across hot/cold/mixed placements, eviction mid-query, and
+The output is therefore bit-identical to ``execute()`` for every
+placement.  The oracle suite (``tests/oracle/test_tier_oracle.py``)
+pins that across hot/cold/mixed placements, eviction mid-query, and
 fault-injected capacity pressure.
 """
 
@@ -33,15 +28,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..aggregation.base import AggSpec
+from ..aggregation.base import AggSpec, segmented_aggregate
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import BufferPool, DeviceMemory
 from ..joins.base import JoinConfig, detect_unique_keys
-from ..joins.matching import match_build, match_probe
+from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
-from ..primitives.grouping import distinct_sorted, group_identify
+from ..primitives.grouping import group_identify
 from ..query.plan import OperatorRun
 from ..relational.relation import Relation
 from .cache import SegmentCache
@@ -211,14 +206,15 @@ class TieredRuntime:
         wants: Sequence[Tuple[SegmentedRelation, Sequence[str]]],
         session: Optional[TraceSession],
         op: str,
-    ) -> Dict[str, float]:
+    ) -> Tuple[Dict[str, float], Set[SegmentKey]]:
         """One placement pass for an operator reading *wants*.
 
         Row-range granular: the columns a range needs are admitted (and
         scored) as a bundle, so placement never strands a range with its
         key resident but a payload cold.  Returns accounting for the
-        operator's extras/spans; admission transfer is charged by the
-        caller from ``admitted_bytes``.
+        operator's extras/spans (``_fault_contexts`` charges the admission
+        transfer from ``admitted_bytes``) and the keys admitted in this
+        pass.
         """
         policy = self.policy
         cache = self.cache
@@ -374,30 +370,32 @@ class TieredRuntime:
                     self.cache.record_access(False, nbytes)
         return resident
 
-    def _segment_array(
-        self, segrel: SegmentedRelation, column: str, index: int, hot: bool
-    ) -> np.ndarray:
-        """One segment's data — from the device cache when resident."""
-        if hot:
-            data = self.cache.get(segrel.segment_key(column, index))
-            if data is not None:
-                return data
-        return segrel.column_slice(column, index)
-
-    def _wire_pool_sink(self, session: Optional[TraceSession]) -> None:
+    def _begin_op(self, session: Optional[TraceSession], fault_plan):
+        """The operator's session, with the cache's pool and capacity set."""
+        if session is None:
+            session = current_session()
         # The cache's private DeviceMemory predates any session, so its
         # pool sink is wired per operator call — before the placement
         # pass, so first-call admissions show up as pool.* metrics
         # alongside the tier.* counters.
         if session is not None and self.cache.memory.pool is not None:
             self.cache.memory.pool.sink = session
+        if fault_plan is not None and fault_plan.capacity_frac is not None:
+            self.apply_capacity_pressure(fault_plan.capacity_frac, session)
+        elif self.cache.pressure_capacity_bytes is not None:
+            # capacity pressure is a transient fault: a fault-free run
+            # lifts it so the cache can re-warm
+            self.apply_capacity_pressure(None, session)
+        return session
 
     def _fault_contexts(
         self,
         session: Optional[TraceSession],
         fault_plan,
         seed: Optional[int],
+        placement: Dict[str, float],
     ) -> Tuple[GPUContext, GPUContext]:
+        """The GPU and CPU tier contexts, the placement's admissions charged."""
         # Capacity pressure is modeled as cache shrinkage (graceful
         # demotion), not as context-memory enforcement; kernel-fault
         # injection is kept so tier kernels retry like everything else.
@@ -410,6 +408,15 @@ class TieredRuntime:
             device=self.cpu_device, trace=session, seed=seed,
             fault_plan=plan, fault_site="tier-cpu",
         )
+        if placement["admitted_bytes"]:
+            gpu.submit(
+                KernelStats(
+                    name="tier_admit",
+                    launches=max(1, int(placement["admitted"])),
+                    host_transfer_bytes=int(placement["admitted_bytes"]),
+                ),
+                phase="tier-admit",
+            )
         return gpu, cpu
 
     # -- join ---------------------------------------------------------------
@@ -436,15 +443,7 @@ class TieredRuntime:
         if segR is None or segS is None:
             return None
         config = config or JoinConfig()
-        if session is None:
-            session = current_session()
-        self._wire_pool_sink(session)
-        if fault_plan is not None and fault_plan.capacity_frac is not None:
-            self.apply_capacity_pressure(fault_plan.capacity_frac, session)
-        elif self.cache.pressure_capacity_bytes is not None:
-            # capacity pressure is a transient fault: a fault-free run
-            # lifts it so the cache can re-warm
-            self.apply_capacity_pressure(None, session)
+        session = self._begin_op(session, fault_plan)
         r_cols = left.column_names
         s_cols = right.column_names
         placement, fresh = self._place(
@@ -458,44 +457,19 @@ class TieredRuntime:
         if unique is None:
             unique = detect_unique_keys(left.key_values)
         r_keys = left.key_values
-        # Hoisted build step of joins.matching.match_positions; probing
-        # it per segment and concatenating the pairs in segment order
-        # reproduces the global s-major match order bit-for-bit
-        # regardless of placement.
-        order, sorted_keys = match_build(r_keys)
-        parts_r: List[np.ndarray] = []
-        parts_s: List[np.ndarray] = []
-        hot_matches = cold_matches = 0
-        for index in range(segS.num_segments):
-            start, _ = segS.row_range(index)
-            seg_keys = self._segment_array(segS, right.key, index, index in hot)
-            r_pos, s_pos = match_probe(order, sorted_keys, seg_keys, unique)
-            if index in hot:
-                hot_matches += r_pos.size
-            else:
-                cold_matches += r_pos.size
-            parts_r.append(r_pos)
-            parts_s.append(s_pos + start)
-        empty = np.empty(0, dtype=np.int64)
-        r_idx = np.concatenate(parts_r) if parts_r else empty
-        s_idx = np.concatenate(parts_s) if parts_s else empty
+        r_idx, s_idx = match_positions(r_keys, right.key_values, unique)
+        per_segment = np.bincount(
+            s_idx // segS.segment_rows, minlength=segS.num_segments
+        )
+        hot_matches = int(per_segment[sorted(hot)].sum())
+        cold_matches = int(r_idx.size) - hot_matches
         output = _materialize_join(left, right, r_idx, s_idx, config.output_name)
 
         matches = int(r_idx.size)
         out_bytes = output.total_bytes
         hot_out_bytes = int(out_bytes * hot_matches / matches) if matches else 0
         mixed = hot_rows > 0 and cold_rows > 0
-        gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed)
-        admitted_bytes = int(placement["admitted_bytes"])
-        if admitted_bytes:
-            gpu_ctx.submit(
-                KernelStats(
-                    name="tier_admit",
-                    launches=max(1, int(placement["admitted"])),
-                    host_transfer_bytes=admitted_bytes,
-                ),
-                phase="tier-admit",
-            )
+        gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed, placement)
         r_key_bytes = int(r_keys.nbytes)
         r_row_bytes = max(1, left.total_bytes // max(1, left.num_rows))
         if hot_rows:
@@ -588,18 +562,10 @@ class TieredRuntime:
                 ),
                 phase="tier-merge",
             )
-        seconds = max(gpu_s, cpu_s) + merge_s
-        extras = {
-            "tier_gpu_s": gpu_s,
-            "tier_cpu_s": cpu_s,
-            "tier_merge_s": merge_s,
-            "tier_hot_rows": float(hot_rows),
-            "tier_cold_rows": float(cold_rows),
-            "tier_admitted_bytes": float(admitted_bytes),
-            "tier_hit_ratio": self.cache.hit_ratio,
-        }
-        self._note_op(session, hot_rows, cold_rows)
-        return _tier_run(output, seconds, matches, len(hot), segS.num_segments, extras)
+        return self._finish_op(
+            session, output, matches, len(hot), segS.num_segments,
+            hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement,
+        )
 
     # -- group-by ------------------------------------------------------------
 
@@ -614,22 +580,15 @@ class TieredRuntime:
     ) -> Optional[OperatorRun]:
         """Tier-split grouped aggregation over a managed base relation.
 
-        Hot row ranges fold on the GPU, cold ranges on the CPU; the
-        exact partial aggregates merge by group key into output
-        bit-identical to the monolithic path for every placement.
+        Hot row ranges are charged to the GPU, cold ranges to the CPU;
+        the values come from the single-device fold over the whole
+        relation, so they are bit-identical to ``execute()`` for every
+        placement.
         """
         segrel = self.segmented(child)
         if segrel is None:
             return None
-        if session is None:
-            session = current_session()
-        self._wire_pool_sink(session)
-        if fault_plan is not None and fault_plan.capacity_frac is not None:
-            self.apply_capacity_pressure(fault_plan.capacity_frac, session)
-        elif self.cache.pressure_capacity_bytes is not None:
-            # capacity pressure is a transient fault: a fault-free run
-            # lifts it so the cache can re-warm
-            self.apply_capacity_pressure(None, session)
+        session = self._begin_op(session, fault_plan)
         needed: List[str] = [group_column]
         for spec in aggregates:
             if spec.op != "count" and spec.column not in needed:
@@ -637,61 +596,32 @@ class TieredRuntime:
         placement, fresh = self._place([(segrel, needed)], session, "group-by")
         hot, hot_rows, cold_rows = self._split(segrel, needed, fresh)
 
-        def tier_arrays(indices: Sequence[int], is_hot: bool):
-            keys = [
-                self._segment_array(segrel, group_column, i, is_hot)
-                for i in indices
-            ]
-            values = {
-                column: [
-                    self._segment_array(segrel, column, i, is_hot)
-                    for i in indices
-                ]
-                for column in needed
-                if column != group_column
-            }
-            key_arr = (
-                np.concatenate(keys)
-                if keys
-                else child.column(group_column)[:0]
+        group_keys, inverse = group_identify(child.column(group_column))
+        groups = int(group_keys.size)
+        output: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        output["group_key"] = group_keys
+        for spec in aggregates:
+            values = child.column(spec.column) if spec.op != "count" else None
+            output[spec.output_name] = segmented_aggregate(
+                inverse, groups, values, spec.op
             )
-            value_arrs = {
-                column: (
-                    np.concatenate(parts) if parts else child.column(column)[:0]
-                )
-                for column, parts in values.items()
-            }
-            return key_arr, value_arrs
-
+        # Each tier writes one partial per distinct group among its rows.
         hot_idx = sorted(hot)
         cold_idx = [i for i in range(segrel.num_segments) if i not in hot]
-        hot_partial = cold_partial = None
+        segment_is_hot = np.zeros(segrel.num_segments, dtype=bool)
+        segment_is_hot[hot_idx] = True
+        row_is_hot = np.repeat(segment_is_hot, segrel.segment_rows)[: child.num_rows]
+        hot_groups = cold_groups = 0
         if hot_rows:
-            hot_partial = _partial_aggregate(*tier_arrays(hot_idx, True), aggregates)
+            hot_groups = np.count_nonzero(np.bincount(inverse[row_is_hot]))
         if cold_rows:
-            cold_partial = _partial_aggregate(*tier_arrays(cold_idx, False), aggregates)
-        merged = _merge_partials(hot_partial, cold_partial, aggregates)
-        output = _finalize_partial(merged, aggregates)
-        groups = int(output["group_key"].size)
+            cold_groups = np.count_nonzero(np.bincount(inverse[~row_is_hot]))
 
         mixed = hot_rows > 0 and cold_rows > 0
-        gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed)
-        admitted_bytes = int(placement["admitted_bytes"])
-        if admitted_bytes:
-            gpu_ctx.submit(
-                KernelStats(
-                    name="tier_admit",
-                    launches=max(1, int(placement["admitted"])),
-                    host_transfer_bytes=admitted_bytes,
-                ),
-                phase="tier-admit",
-            )
+        gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed, placement)
         partial_bytes = 8 * (1 + len(aggregates))
         if hot_rows:
-            hot_bytes = sum(segS_bytes for segS_bytes in (
-                segrel.range_nbytes(needed, i) for i in hot_idx
-            ))
-            hot_groups = int(hot_partial["keys"].size)
+            hot_bytes = sum(segrel.range_nbytes(needed, i) for i in hot_idx)
             gpu_ctx.submit(
                 KernelStats(
                     name="tier_fold",
@@ -704,7 +634,6 @@ class TieredRuntime:
             )
         if cold_rows:
             cold_bytes = sum(segrel.range_nbytes(needed, i) for i in cold_idx)
-            cold_groups = int(cold_partial["keys"].size)
             cpu_ctx.submit(
                 KernelStats(
                     name="tier_fold",
@@ -718,7 +647,6 @@ class TieredRuntime:
         cpu_s = cpu_ctx.elapsed_seconds
         merge_s = 0.0
         if mixed:
-            cold_groups = int(cold_partial["keys"].size)
             merge_s = gpu_ctx.submit(
                 KernelStats(
                     name="tier_result_transfer",
@@ -736,32 +664,43 @@ class TieredRuntime:
                 ),
                 phase="tier-merge",
             )
-        seconds = max(gpu_s, cpu_s) + merge_s
+        return self._finish_op(
+            session, output, groups, len(hot), segrel.num_segments,
+            hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement,
+        )
+
+    def _finish_op(
+        self, session, output, rows, hot, segments,
+        hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement,
+    ) -> OperatorRun:
+        """The tiers overlap: elapsed is the slower tier plus the merge."""
         extras = {
             "tier_gpu_s": gpu_s,
             "tier_cpu_s": cpu_s,
             "tier_merge_s": merge_s,
             "tier_hot_rows": float(hot_rows),
             "tier_cold_rows": float(cold_rows),
-            "tier_admitted_bytes": float(admitted_bytes),
+            "tier_admitted_bytes": float(placement["admitted_bytes"]),
             "tier_hit_ratio": self.cache.hit_ratio,
         }
-        self._note_op(session, hot_rows, cold_rows)
-        return _tier_run(output, seconds, groups, len(hot), segrel.num_segments, extras)
-
-    def _note_op(
-        self, session: Optional[TraceSession], hot_rows: int, cold_rows: int
-    ) -> None:
-        if session is None:
-            return
-        session.count("tier.ops")
-        if hot_rows:
-            session.count("tier.gpu_rows", hot_rows)
-        if cold_rows:
-            session.count("tier.cpu_rows", cold_rows)
-        session.count("tier.hits", 0)  # ensure the counter exists in reports
-        ratio_pct = round(self.cache.hit_ratio * 100.0, 3)
-        session.metrics.record_max("tier.hit_ratio_pct_peak", ratio_pct)
+        if session is not None:
+            session.count("tier.ops")
+            if hot_rows:
+                session.count("tier.gpu_rows", hot_rows)
+            if cold_rows:
+                session.count("tier.cpu_rows", cold_rows)
+            session.count("tier.hits", 0)  # ensure the counter exists in reports
+            ratio_pct = round(self.cache.hit_ratio * 100.0, 3)
+            session.metrics.record_max("tier.hit_ratio_pct_peak", ratio_pct)
+        return OperatorRun(
+            output=output,
+            label=f"TIER hot:{hot}/cold:{segments - hot}",
+            seconds=max(gpu_s, cpu_s) + merge_s,
+            rows=rows,
+            algorithm="TIER",
+            extras=extras,
+            span_args={"hot_segments": hot, "cold_segments": segments - hot},
+        )
 
     def fork_cold(self) -> "TieredRuntime":
         """A placement-independence probe: same segmentation, empty cache.
@@ -781,18 +720,6 @@ class TieredRuntime:
 
 
 # -- pure helpers ------------------------------------------------------------
-
-
-def _tier_run(output, seconds, rows, hot, segments, extras) -> OperatorRun:
-    return OperatorRun(
-        output=output,
-        label=f"TIER hot:{hot}/cold:{segments - hot}",
-        seconds=seconds,
-        rows=rows,
-        algorithm="TIER",
-        extras=extras,
-        span_args={"hot_segments": hot, "cold_segments": segments - hot},
-    )
 
 
 def _scan_relations(plan) -> List[Relation]:
@@ -832,113 +759,3 @@ def _materialize_join(
         columns.append((out_name, array[s_idx]))
         taken.add(out_name)
     return Relation(columns, key="key", name=output_name)
-
-
-def _partial_aggregate(
-    keys: np.ndarray,
-    values: Dict[str, np.ndarray],
-    aggregates: List[AggSpec],
-) -> Dict[str, np.ndarray]:
-    """Exact partial aggregates of one tier's rows, keyed by group key.
-
-    Sums ride the same float64-bincount path as ``segmented_aggregate``
-    (exact for the integer-valued columns the library supports, so the
-    int64 cast is lossless) and are merged as int64 — which is why the
-    merged result is bit-identical to the monolithic fold.
-    """
-    group_keys, inverse = group_identify(keys)
-    n = int(group_keys.size)
-    partial: Dict[str, np.ndarray] = {
-        "keys": group_keys,
-        "counts": np.bincount(inverse, minlength=n).astype(np.int64),
-    }
-    for spec in aggregates:
-        if spec.op == "count":
-            continue
-        data = values[spec.column]
-        if spec.op in ("sum", "mean"):
-            name = f"sum:{spec.column}"
-            if name not in partial:
-                partial[name] = np.bincount(
-                    inverse, weights=data.astype(np.float64), minlength=n
-                ).astype(np.int64)
-        elif spec.op in ("min", "max"):
-            reducer = np.minimum if spec.op == "min" else np.maximum
-            fill = (
-                np.iinfo(np.int64).max
-                if spec.op == "min"
-                else np.iinfo(np.int64).min
-            )
-            out = np.full(n, fill, dtype=np.int64)
-            reducer.at(out, inverse, data.astype(np.int64))
-            partial[f"{spec.op}:{spec.column}"] = out
-    return partial
-
-
-def _merge_partials(
-    a: Optional[Dict[str, np.ndarray]],
-    b: Optional[Dict[str, np.ndarray]],
-    aggregates: List[AggSpec],
-) -> Dict[str, np.ndarray]:
-    """Merge two per-tier partials by group key (either may be None)."""
-    if a is None and b is None:
-        raise ValueError("both tiers empty: nothing to aggregate")
-    if a is None:
-        return b  # type: ignore[return-value]
-    if b is None:
-        return a
-    merged_keys = distinct_sorted(np.concatenate([a["keys"], b["keys"]]))
-    pos_a = np.searchsorted(merged_keys, a["keys"])
-    pos_b = np.searchsorted(merged_keys, b["keys"])
-    n = int(merged_keys.size)
-    merged: Dict[str, np.ndarray] = {"keys": merged_keys}
-
-    def additive(name: str) -> np.ndarray:
-        out = np.zeros(n, dtype=np.int64)
-        np.add.at(out, pos_a, a[name])
-        np.add.at(out, pos_b, b[name])
-        return out
-
-    merged["counts"] = additive("counts")
-    for spec in aggregates:
-        if spec.op == "count":
-            continue
-        if spec.op in ("sum", "mean"):
-            name = f"sum:{spec.column}"
-            if name not in merged:
-                merged[name] = additive(name)
-        elif spec.op in ("min", "max"):
-            name = f"{spec.op}:{spec.column}"
-            fill = (
-                np.iinfo(np.int64).max
-                if spec.op == "min"
-                else np.iinfo(np.int64).min
-            )
-            side_a = np.full(n, fill, dtype=np.int64)
-            side_a[pos_a] = a[name]
-            side_b = np.full(n, fill, dtype=np.int64)
-            side_b[pos_b] = b[name]
-            reducer = np.minimum if spec.op == "min" else np.maximum
-            merged[name] = reducer(side_a, side_b)
-    return merged
-
-
-def _finalize_partial(
-    partial: Dict[str, np.ndarray], aggregates: List[AggSpec]
-) -> "OrderedDict[str, np.ndarray]":
-    """Partial -> the executor's output schema (same dtypes as plain)."""
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    out["group_key"] = partial["keys"]
-    counts = partial["counts"]
-    for spec in aggregates:
-        if spec.op == "count":
-            out[spec.output_name] = counts
-        elif spec.op == "sum":
-            out[spec.output_name] = partial[f"sum:{spec.column}"]
-        elif spec.op == "mean":
-            out[spec.output_name] = (
-                partial[f"sum:{spec.column}"] / np.maximum(counts, 1)
-            )
-        else:
-            out[spec.output_name] = partial[f"{spec.op}:{spec.column}"]
-    return out

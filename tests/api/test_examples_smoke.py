@@ -17,6 +17,7 @@ FAST_EXAMPLES = {
     "quickstart.py": "Joined with",
     "gather_microscope.py": "sectors",
     "query_server.py": "Served 8 concurrent joins",
+    "multi_gpu_scaling.py": "float sums bit-identical",
 }
 
 
@@ -45,6 +46,7 @@ def test_all_examples_present():
         "advanced_pipelines.py",
         "mini_query_engine.py",
         "query_server.py",
+        "multi_gpu_scaling.py",
     }
     present = {p.name for p in EXAMPLES_DIR.glob("*.py")}
     assert expected <= present

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.joins.matching import match_build, match_positions, match_probe
+from repro.joins.matching import match_positions
 
 
 def _reference(build_keys, probe_keys, unique_build_keys):
@@ -113,18 +113,3 @@ def test_partitioned_layout_at_scale(unique):
     probe = probe[np.argsort(probe & 0xFF, kind="stable")]
     _assert_same(match_positions(build, probe, unique), _reference(build, probe, unique))
 
-
-def test_build_once_probe_many_equals_one_call():
-    """The tier's hoisted build step: per-segment probes concatenate to one call."""
-    rng = np.random.default_rng(11)
-    build = rng.integers(0, 500, 700).astype(np.int64)
-    probe = rng.integers(-50, 550, 1000).astype(np.int64)
-    order, sorted_keys = match_build(build)
-    r_parts, s_parts = [], []
-    for start in range(0, probe.size, 128):
-        r_pos, s_pos = match_probe(order, sorted_keys, probe[start:start + 128], False)
-        r_parts.append(r_pos)
-        s_parts.append(s_pos + start)
-    whole = match_positions(build, probe, False)
-    assert np.array_equal(np.concatenate(r_parts), whole[0])
-    assert np.array_equal(np.concatenate(s_parts), whole[1])

@@ -211,3 +211,46 @@ def test_aggregate_over_join_runs_join_tiered_and_fold_plain(relations):
     assert not any("Fused" in d for d in descriptions)
     # the join output is an intermediate, never auto-registered/tier-cached
     assert all(k.relation in ("R", "S") for k in ex.tiering.cache.resident_keys())
+
+
+def _assert_same_aggregate(tiered, plain):
+    assert list(tiered.keys()) == list(plain.keys())
+    for name in plain:
+        assert tiered[name].dtype == plain[name].dtype
+        np.testing.assert_array_equal(tiered[name], plain[name])
+
+
+def test_mixed_placement_is_exact_above_float_precision(rng):
+    """int64 values in [2^50, 2^51): each group's sum passes 2^53, where a
+    float64 fold rounds.  The tier must still equal plain bit for bit."""
+    n = 30000
+    s = Relation(
+        [
+            ("key", rng.integers(0, 50, n).astype(np.int64)),
+            ("v", rng.integers(1 << 50, 1 << 51, n).astype(np.int64)),
+        ],
+        key="key",
+        name="S",
+    )
+    specs = (AggSpec("v", "sum"), AggSpec("v", "mean"), AggSpec("v", "max"))
+    plan = Aggregate(Scan(s, "S"), group_column="key", aggregates=specs)
+    plain = execute(plan).output
+    ex = QueryExecutor(tiering=runtime(200_000))
+    for _ in range(3):
+        result = ex.execute(plan)
+    description = result.trace[-1].description
+    assert "hot:0" not in description and "cold:0" not in description
+    _assert_same_aggregate(result.output, plain)
+
+
+def test_aggregate_over_empty_relation_matches_plain():
+    empty = Relation(
+        [("key", np.empty(0, dtype=np.int64)), ("v", np.empty(0, dtype=np.int32))],
+        key="key",
+        name="E",
+    )
+    specs = (AggSpec("v", "sum"), AggSpec("v", "min"), AggSpec("key", "count"))
+    plan = Aggregate(Scan(empty, "E"), group_column="key", aggregates=specs)
+    plain = execute(plan).output
+    tiered = QueryExecutor(tiering=runtime(1 << 30)).execute(plan).output
+    _assert_same_aggregate(tiered, plain)
