@@ -19,6 +19,12 @@ The output is therefore bit-identical to ``execute()`` for every
 placement.  The oracle suite (``tests/oracle/test_tier_oracle.py``)
 pins that across hot/cold/mixed placements, eviction mid-query, and
 fault-injected capacity pressure.
+
+Keys change only on ``update()``, so the host work that does not depend
+on placement is done once per relation version: the runtime keeps each
+relation pair's join index and each column's group index
+(:meth:`SegmentedRelation.groups`) until the relation is invalidated.
+The simulated clock still charges every kernel on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from ..gpusim.memory import BufferPool, DeviceMemory
 from ..joins.base import JoinConfig, detect_unique_keys
 from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
-from ..primitives.grouping import group_identify
 from ..query.plan import OperatorRun
 from ..relational.relation import Relation
 from .cache import SegmentCache
@@ -48,6 +53,10 @@ from .segments import SegmentedRelation, SegmentKey
 #: at the library's scaled workloads this yields tens of segments per
 #: relation, enough for meaningfully mixed placements).
 DEFAULT_SEGMENT_ROWS = 4096
+
+#: One join index: matching (build, probe) positions, s-major, plus the
+#: match count of each probe segment.
+_JoinIndex = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class TieredRuntime:
@@ -108,6 +117,8 @@ class TieredRuntime:
         self.amortize_admission = bool(amortize_admission)
         self._by_id: Dict[int, SegmentedRelation] = {}
         self._names: Dict[str, int] = {}
+        # (build name, probe name, unique_build_keys hint) -> _JoinIndex
+        self._join_indexes: Dict[Tuple[str, str, Optional[bool]], _JoinIndex] = {}
 
     # -- registry ------------------------------------------------------------
 
@@ -119,6 +130,17 @@ class TieredRuntime:
         ``name`` overrides the relation's own display name — the serving
         layer passes its catalog name so tier counters, popularity and
         placement spans read in catalog terms.
+
+        A registered relation must not be mutated in place: the runtime
+        keeps join and group indexes over its keys.  Only
+        :meth:`invalidate_relation` (which ``QueryServer.update`` calls)
+        replaces one.
+
+        Those indexes are not bounded: they live until the relation is
+        invalidated, which for a relation registered automatically (an
+        ad hoc scan under ``auto_register``) is never.  A join index
+        holds about 8 bytes per output row (two int32 positions below
+        2^31 rows), a group index 4 bytes per row plus its distinct keys.
         """
         existing = self._by_id.get(id(relation))
         if existing is not None:
@@ -141,7 +163,11 @@ class TieredRuntime:
         return segrel
 
     def invalidate_relation(self, relation_or_name) -> int:
-        """Evict and forget a (possibly updated) relation; bytes freed."""
+        """Evict and forget a (possibly updated) relation; bytes freed.
+
+        Its segmented view, group indexes and every join index that
+        names it go too.
+        """
         if isinstance(relation_or_name, str):
             name = relation_or_name
             rel_id = self._names.pop(name, None)
@@ -153,6 +179,11 @@ class TieredRuntime:
                 return 0
             name = segrel.name
             self._names.pop(name, None)
+        self._join_indexes = {
+            pair: index
+            for pair, index in self._join_indexes.items()
+            if name not in pair[:2]
+        }
         self.policy.forget(name)
         return self.cache.evict_relation(name)
 
@@ -245,6 +276,7 @@ class TieredRuntime:
         # Segments admitted during THIS pass: resident for compute, but
         # access-counted as misses (their transfer was paid this query).
         fresh: Set[SegmentKey] = set()
+        ranking = None  # ranked on the first eviction of the pass
         for score, segrel, index, missing, nbytes in candidates:
             weight = policy.effective_accesses(missing[0][0]) * policy.popularity(
                 segrel.name
@@ -264,12 +296,12 @@ class TieredRuntime:
                 headroom = (
                     cap - cache.resident_bytes if cap is not None else bundle_bytes
                 )
-                victims = policy.choose_victims(
-                    bundle_bytes - max(0, headroom),
-                    score,
-                    cache.resident_items(),
-                    protect=protect,
-                )
+                if ranking is None:
+                    ranking = policy.rank_victims(
+                        cache.resident_items(),
+                        lambda key: key not in protect and cache.is_resident(key),
+                    )
+                victims = ranking.choose(bundle_bytes - max(0, headroom), score)
                 if victims is None:
                     declined += 1
                     continue
@@ -449,17 +481,13 @@ class TieredRuntime:
         placement, fresh = self._place(
             [(segR, r_cols), (segS, s_cols)], session, "join"
         )
+        before = self.cache.hits, self.cache.misses
         hot, hot_rows, cold_rows = self._split(segS, s_cols, fresh)
         r_resident = self._count_build_residency(segR, r_cols, fresh)
         r_missing = left.total_bytes - r_resident
 
-        unique = config.unique_build_keys
-        if unique is None:
-            unique = detect_unique_keys(left.key_values)
-        r_keys = left.key_values
-        r_idx, s_idx = match_positions(r_keys, right.key_values, unique)
-        per_segment = np.bincount(
-            s_idx // segS.segment_rows, minlength=segS.num_segments
+        r_idx, s_idx, per_segment = self._join_index(
+            segR, segS, config.unique_build_keys
         )
         hot_matches = int(per_segment[sorted(hot)].sum())
         cold_matches = int(r_idx.size) - hot_matches
@@ -470,7 +498,7 @@ class TieredRuntime:
         hot_out_bytes = int(out_bytes * hot_matches / matches) if matches else 0
         mixed = hot_rows > 0 and cold_rows > 0
         gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed, placement)
-        r_key_bytes = int(r_keys.nbytes)
+        r_key_bytes = int(left.key_values.nbytes)
         r_row_bytes = max(1, left.total_bytes // max(1, left.num_rows))
         if hot_rows:
             gpu_ctx.submit(
@@ -564,8 +592,40 @@ class TieredRuntime:
             )
         return self._finish_op(
             session, output, matches, len(hot), segS.num_segments,
-            hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement,
+            hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement, before,
         )
+
+    def _join_index(
+        self,
+        segR: SegmentedRelation,
+        segS: SegmentedRelation,
+        unique_hint: Optional[bool],
+    ) -> _JoinIndex:
+        """The memoised join index of build *segR* and probe *segS*.
+
+        Keyed by the ``unique_build_keys`` hint as given, so a wrong
+        ``True`` hint never shares an entry with auto-detection.
+        Positions are read-only, int32 whenever both row counts allow.
+        """
+        pair = (segR.name, segS.name, unique_hint)
+        index = self._join_indexes.get(pair)
+        if index is not None:
+            return index
+        r_keys = segR.relation.key_values
+        unique = unique_hint
+        if unique is None:
+            unique = detect_unique_keys(r_keys)
+        r_idx, s_idx = match_positions(r_keys, segS.relation.key_values, unique)
+        per_segment = np.bincount(
+            s_idx // segS.segment_rows, minlength=segS.num_segments
+        )
+        if max(segR.num_rows, segS.num_rows) < 2**31:
+            r_idx = r_idx.astype(np.int32)
+            s_idx = s_idx.astype(np.int32)
+        for array in (r_idx, s_idx, per_segment):
+            array.flags.writeable = False
+        index = self._join_indexes[pair] = (r_idx, s_idx, per_segment)
+        return index
 
     # -- group-by ------------------------------------------------------------
 
@@ -594,12 +654,13 @@ class TieredRuntime:
             if spec.op != "count" and spec.column not in needed:
                 needed.append(spec.column)
         placement, fresh = self._place([(segrel, needed)], session, "group-by")
+        before = self.cache.hits, self.cache.misses
         hot, hot_rows, cold_rows = self._split(segrel, needed, fresh)
 
-        group_keys, inverse = group_identify(child.column(group_column))
+        group_keys, inverse = segrel.groups(group_column)
         groups = int(group_keys.size)
         output: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        output["group_key"] = group_keys
+        output["group_key"] = group_keys.copy()
         for spec in aggregates:
             values = child.column(spec.column) if spec.op != "count" else None
             output[spec.output_name] = segmented_aggregate(
@@ -666,14 +727,18 @@ class TieredRuntime:
             )
         return self._finish_op(
             session, output, groups, len(hot), segrel.num_segments,
-            hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement,
+            hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement, before,
         )
 
     def _finish_op(
         self, session, output, rows, hot, segments,
-        hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement,
+        hot_rows, cold_rows, gpu_s, cpu_s, merge_s, placement, before,
     ) -> OperatorRun:
-        """The tiers overlap: elapsed is the slower tier plus the merge."""
+        """The tiers overlap: elapsed is the slower tier plus the merge.
+
+        *before* is the cache's (hits, misses) before the operator's
+        range accesses were recorded.
+        """
         extras = {
             "tier_gpu_s": gpu_s,
             "tier_cpu_s": cpu_s,
@@ -689,7 +754,8 @@ class TieredRuntime:
                 session.count("tier.gpu_rows", hot_rows)
             if cold_rows:
                 session.count("tier.cpu_rows", cold_rows)
-            session.count("tier.hits", 0)  # ensure the counter exists in reports
+            session.count("tier.hits", self.cache.hits - before[0])
+            session.count("tier.misses", self.cache.misses - before[1])
             ratio_pct = round(self.cache.hit_ratio * 100.0, 3)
             session.metrics.record_max("tier.hit_ratio_pct_peak", ratio_pct)
         return OperatorRun(

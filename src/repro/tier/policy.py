@@ -20,7 +20,7 @@ thrashes its own working set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .segments import SegmentKey
 
@@ -138,24 +138,22 @@ class PlacementPolicy:
 
     # -- eviction ------------------------------------------------------------
 
-    def choose_victims(
+    def rank_victims(
         self,
-        needed_bytes: int,
-        candidate_score: float,
         resident: Iterable[Tuple[SegmentKey, int]],
-        protect: Optional[Set[SegmentKey]] = None,
-    ) -> Optional[List[SegmentKey]]:
-        """Victims freeing >= *needed_bytes*, or ``None`` to decline.
+        live: Callable[[SegmentKey], bool],
+    ) -> "VictimRanking":
+        """Rank the evictable *resident* segments once for a placement pass.
 
-        Only segments outside *protect* whose residency age passed
-        ``min_residency_ticks`` and whose score (scaled by the
-        hysteresis ratio) is below *candidate_score* are evictable.
-        Cheapest-first; declines rather than evicting better segments.
+        A segment is evictable while ``live(key)`` holds (it is still
+        resident and outside the pass's protected set) and once its
+        residency age passed ``min_residency_ticks``.  Within a pass the
+        tick and the scores are fixed, so one ranking serves every
+        candidate of the pass.
         """
-        protect = protect or set()
-        evictable: List[Tuple[float, SegmentKey, int]] = []
+        ranked: List[Tuple[float, SegmentKey, int]] = []
         for key, nbytes in resident:
-            if key in protect:
+            if not live(key):
                 continue
             stats = self._stats.get(key)
             if (
@@ -164,19 +162,9 @@ class PlacementPolicy:
                 and self.tick - stats.admitted_tick < self.min_residency_ticks
             ):
                 continue  # residency hysteresis: too recently admitted
-            score = self.score(key, nbytes)
-            if score * self.hysteresis >= candidate_score:
-                continue  # not clearly worse than the candidate
-            evictable.append((score, key, nbytes))
-        evictable.sort(key=lambda item: (item[0], item[1]))
-        victims: List[SegmentKey] = []
-        freed = 0
-        for _, key, nbytes in evictable:
-            victims.append(key)
-            freed += nbytes
-            if freed >= needed_bytes:
-                return victims
-        return None
+            ranked.append((self.score(key, nbytes), key, nbytes))
+        ranked.sort(key=lambda item: (item[0], item[1]))
+        return VictimRanking(ranked, self.hysteresis, live)
 
     def forget(self, relation: str) -> None:
         """Drop all history for *relation* (after an update/invalidation)."""
@@ -186,3 +174,45 @@ class PlacementPolicy:
             if key.relation != relation
         }
         self._popularity.pop(relation, None)
+
+
+class VictimRanking:
+    """The evictable segments of one placement pass, cheapest first.
+
+    Built by :meth:`PlacementPolicy.rank_victims`.  A key stops being
+    ``live`` when it is evicted or protected during the pass; the walk
+    skips it.
+    """
+
+    def __init__(
+        self,
+        ranked: List[Tuple[float, SegmentKey, int]],
+        hysteresis: float,
+        live: Callable[[SegmentKey], bool],
+    ):
+        self._ranked = ranked
+        self._hysteresis = hysteresis
+        self._live = live
+
+    def choose(
+        self, needed_bytes: int, candidate_score: float
+    ) -> Optional[List[SegmentKey]]:
+        """Victims freeing >= *needed_bytes*, or ``None`` to decline.
+
+        Only segments whose score (scaled by the hysteresis ratio) is
+        below *candidate_score* are evictable: the walk stops at the
+        first one that is not, declining rather than evicting better
+        segments.  The caller evicts the victims returned.
+        """
+        victims: List[SegmentKey] = []
+        freed = 0
+        for score, key, nbytes in self._ranked:
+            if score * self._hysteresis >= candidate_score:
+                return None  # not clearly worse than the candidate
+            if not self._live(key):
+                continue
+            victims.append(key)
+            freed += nbytes
+            if freed >= needed_bytes:
+                return victims
+        return None

@@ -13,10 +13,11 @@ without ever mixing tiers inside a row.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from ..primitives.grouping import group_identify
 from ..relational.relation import Relation
 
 
@@ -32,11 +33,16 @@ class SegmentKey(NamedTuple):
 
 
 class SegmentedRelation:
-    """A relation viewed as fixed-size column segments.
+    """A relation viewed as fixed-size column segments, plus its indexes.
 
-    Purely a view: the backing :class:`~repro.relational.relation.Relation`
-    stays the host-side source of truth; the cache copies segment slices
-    onto the simulated device when the placement policy admits them.
+    The backing :class:`~repro.relational.relation.Relation` stays the
+    host-side source of truth; the cache copies segment slices onto the
+    simulated device when the placement policy admits them.  Beside the
+    view it memoises per-column group indexes (:meth:`groups`), which
+    depend only on the column's values.  Registered relations are never
+    mutated in place, so an index lives exactly as long as this object:
+    ``TieredRuntime.invalidate_relation`` (and so ``QueryServer.update``)
+    drops the segmented relation and its indexes with it.
     """
 
     def __init__(self, relation: Relation, segment_rows: int, name: str = ""):
@@ -45,6 +51,7 @@ class SegmentedRelation:
         self.relation = relation
         self.segment_rows = int(segment_rows)
         self.name = name or relation.name or f"relation@{id(relation):x}"
+        self._groups: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def num_rows(self) -> int:
@@ -96,6 +103,22 @@ class SegmentedRelation:
         for index in range(self.num_segments):
             for column in columns:
                 yield self.segment_key(column, index)
+
+    def groups(self, column: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Memoised :func:`group_identify` of *column*: (group keys, inverse).
+
+        Both arrays are read-only; the inverse is int32 whenever the
+        row count allows.
+        """
+        memo = self._groups.get(column)
+        if memo is None:
+            group_keys, inverse = group_identify(self.relation.column(column))
+            if self.num_rows < 2**31:
+                inverse = inverse.astype(np.int32)
+            group_keys.flags.writeable = False
+            inverse.flags.writeable = False
+            memo = self._groups[column] = (group_keys, inverse)
+        return memo
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,6 +26,8 @@ from repro.primitives.bucket_chain import bucket_chain_partition
 from repro.primitives.grouping import group_identify
 from repro.primitives.radix_partition import radix_partition
 from repro.primitives.sector_analysis import analyze_indices, set_sector_mode
+from repro.relational.relation import Relation
+from repro.tier import TieredRuntime
 
 pytestmark = pytest.mark.perf
 
@@ -127,4 +129,37 @@ def test_bucket_chain_throughput():
     assert throughput >= floor("bucket_chain_tuples_per_s"), (
         f"bucket_chain_partition at {throughput:.0f} tuples/s, "
         f"floor {floor('bucket_chain_tuples_per_s'):.0f}"
+    )
+
+
+def test_tier_repeat_join_throughput():
+    """A tiered 2^14 x 2^16 join repeated on a warm runtime (joins/s).
+
+    The runtime keeps the pair's join index, so a repeat pays placement,
+    pricing and materialisation but not the match search.
+    """
+    rng = np.random.default_rng(3)
+    n_r, n_s = 1 << 14, 1 << 16
+    r = Relation.from_key_payloads(
+        rng.permutation(n_r).astype(np.int32),
+        [rng.integers(0, 1 << 20, n_r).astype(np.int32)],
+        payload_prefix="r",
+    )
+    s = Relation.from_key_payloads(
+        rng.integers(0, n_r, n_s).astype(np.int32),
+        [rng.integers(0, 1 << 20, n_s).astype(np.int32)],
+        payload_prefix="s",
+    )
+    runtime = TieredRuntime()
+    reps = 10
+
+    def joins():
+        for _ in range(reps):
+            runtime.run_join(r, s)
+
+    seconds = best_seconds(joins)
+    throughput = reps / seconds
+    assert throughput >= floor("tier_repeat_join_per_s"), (
+        f"repeated tier join at {throughput:.0f} joins/s, "
+        f"floor {floor('tier_repeat_join_per_s'):.0f}/s"
     )

@@ -56,6 +56,19 @@ def test_tiered_outcomes_bit_identical_and_cache_warms(plan, r, s):
     assert server.tiering.cache.hits > 0  # repeats hit the warm cache
 
 
+def test_warm_repeat_counts_tier_hits_in_its_trace(plan, r, s):
+    server = tiered_server(enable_result_cache=False)
+    server.register("r", r)
+    server.register("s", s)
+    for _ in range(3):
+        server.submit(plan, at_s=0.0)
+    first, _, last = server.run()
+    cold = first.result.session.metrics
+    warm = last.result.session.metrics
+    assert cold.value("tier.hits") == 0 and cold.value("tier.misses") > 0
+    assert warm.value("tier.hits") > 0 and warm.value("tier.misses") == 0
+
+
 def test_submit_feeds_template_popularity(plan, r, s):
     server = tiered_server()
     server.register("r", r)
