@@ -34,6 +34,7 @@ from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..relational.relation import Relation
+from ..primitives.direct_address import dense_span
 from ..primitives.grouping import count_distinct
 from ..relational.types import id_dtype
 
@@ -201,9 +202,19 @@ def init_tuple_ids(
 
 
 def detect_unique_keys(keys: np.ndarray) -> bool:
-    """True if all key values are distinct."""
+    """True if all key values are distinct.
+
+    Keys spanning at most ``keys.size`` values (a primary-key
+    permutation) mark a seen-table, one flag per value, instead of
+    sorting: they are distinct iff they mark ``keys.size`` flags.
+    """
     if keys.size <= 1:
         return True
+    span = dense_span(keys, keys[:0])
+    if span is not None:
+        seen = np.zeros(span[1] - span[0] + 1, dtype=bool)
+        seen[keys - span[0]] = True
+        return np.count_nonzero(seen) == keys.size
     return count_distinct(keys) == keys.size
 
 

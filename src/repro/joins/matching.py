@@ -9,6 +9,14 @@ All helpers produce matches in probe-major (s-major) order: ascending s
 position, which is the streaming order both the merge join and the
 partitioned hash join naturally emit (Section 4.1 — the property that
 keeps GFTR's output identifiers clustered).
+
+Dense integer keys (the paper's primary-key permutation of ``[0, |R|)``
+against foreign keys over the same domain) are matched by direct
+addressing: when :func:`~repro.primitives.direct_address.dense_span`
+admits the build keys, one slot table (unique build keys) or one
+prefix-count table gives every probe's match range in the build's stable
+key order, in O(n) and without sorting the probe side.  Other keys take
+the sort path.  Both return the same pairs, dtypes and order.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..primitives.direct_address import dense_bounds, dense_first_matches, dense_span
 from ..primitives.grouping import stable_key_order
 
 
@@ -34,6 +43,10 @@ def expand_bounds(
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    if total == np.count_nonzero(counts):
+        # Every range holds at most one match (the primary-key case).
+        s_pos = np.flatnonzero(counts).astype(np.int64, copy=False)
+        return lo[s_pos].astype(np.int64), s_pos
     s_pos = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
     starts = np.repeat(lo.astype(np.int64), counts)
     first = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -53,15 +66,26 @@ def match_positions(
     where co-partitioning guarantees matches share a partition but the
     intra-partition layout is unsorted, and by the tier join.
 
-    The probe keys are searched in sorted order, so consecutive binary
-    searches walk the build side monotonically instead of at random;
-    the per-probe bounds are then scattered back to probe order.  Each
-    search is independent of the others, so the pairs are exactly those
-    of searching the probe keys as given.
+    Dense keys are matched by direct addressing (module docstring).
+    Otherwise the probe keys are searched in sorted order, so
+    consecutive binary searches walk the build side monotonically
+    instead of at random; the per-probe bounds are then scattered back
+    to probe order.  Each search is independent of the others, so the
+    pairs are exactly those of searching the probe keys as given.
     """
     if build_keys.size == 0 or probe_keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    span = dense_span(build_keys, probe_keys)
+    if span is not None:
+        if unique_build_keys:
+            matches = dense_first_matches(build_keys, probe_keys, span)
+            if matches is not None:
+                return matches
+        else:
+            lo, hi = dense_bounds(build_keys, probe_keys, span, ("left", "right"))
+            sorted_pos, s_pos = expand_bounds(lo, hi)
+            return stable_key_order(build_keys)[sorted_pos], s_pos
     order = stable_key_order(build_keys)
     sorted_keys = build_keys[order]
     probe_order = stable_key_order(probe_keys)

@@ -11,6 +11,11 @@ resolve collisions round by round (first pending writer per slot wins,
 losers advance), probes walk runs until an empty slot, collecting *all*
 duplicate matches.  Every slot access is recorded so the join can charge
 exact random-traffic statistics.
+
+Host cost is linear per round: each round's first writers claim their
+slots with one ``np.minimum.at`` over a reusable claim table, and when
+no probe hit twice (unique build keys) the hits are put in probe-major
+order by one scatter; only duplicate hits pay the two stable sorts.
 """
 
 from __future__ import annotations
@@ -73,32 +78,32 @@ def build_table(
         raise ReproError(f"cannot insert {keys.size} keys into capacity {capacity}")
     table_keys = np.full(capacity, EMPTY, dtype=np.int64)
     table_values = np.zeros(capacity, dtype=np.int64)
-    cur = hash_to_slots(keys, capacity)
-    pending = np.arange(keys.size, dtype=np.int64)
+    # pending inserts in ascending order, each with its current slot
+    slots = hash_to_slots(keys, capacity)
+    index_dtype = np.int32 if keys.size < 2**31 else np.int64
+    pending = np.arange(keys.size, dtype=index_dtype)
+    # claim[slot] is the first pending writer of the slot this round;
+    # keys.size marks an unclaimed slot.
+    unclaimed = keys.size
+    claim = np.full(capacity, unclaimed, dtype=index_dtype)
     touched: List[np.ndarray] = []
     rounds = 0
     while pending.size:
         rounds += 1
         if rounds > capacity:
             raise ReproError("hash-table insertion did not converge")
-        slots = cur[pending]
-        touched.append(slots.copy())
-        order = stable_key_order(slots)
-        slots_sorted = slots[order]
-        pending_sorted = pending[order]
-        is_first = np.ones(slots_sorted.size, dtype=bool)
-        is_first[1:] = slots_sorted[1:] != slots_sorted[:-1]
-        candidates = pending_sorted[is_first]
-        candidate_slots = slots_sorted[is_first]
-        free = table_keys[candidate_slots] == EMPTY
-        winners = candidates[free]
-        winner_slots = candidate_slots[free]
-        table_keys[winner_slots] = keys[winners]
-        table_values[winner_slots] = values[winners]
-        done = np.zeros(keys.size, dtype=bool)
-        done[winners] = True
-        pending = pending[~done[pending]]
-        cur[pending] = (cur[pending] + 1) % capacity
+        touched.append(slots)
+        np.minimum.at(claim, slots, pending)
+        first = np.flatnonzero(claim[slots] == pending)
+        claim[slots] = unclaimed
+        won = first[table_keys[slots[first]] == EMPTY]
+        winner_slots = slots[won]
+        table_keys[winner_slots] = keys[pending[won]]
+        table_values[winner_slots] = values[pending[won]]
+        lost = np.ones(pending.size, dtype=bool)
+        lost[won] = False
+        pending = pending[lost]
+        slots = (slots[lost] + 1) % capacity
     all_touched = (
         np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
     )
@@ -116,8 +121,10 @@ def probe_table(
     match per equal-key slot along the way.
     """
     capacity = table_keys.size
-    cur = hash_to_slots(probe_keys, capacity)
+    # active probes in ascending order, each with its key and current slot
     active = np.arange(probe_keys.size, dtype=np.int64)
+    keys = probe_keys
+    slots = hash_to_slots(probe_keys, capacity)
     hits_probe: List[np.ndarray] = []
     hits_value: List[np.ndarray] = []
     touched: List[np.ndarray] = []
@@ -126,26 +133,34 @@ def probe_table(
         rounds += 1
         if rounds > capacity + 1:
             raise ReproError("hash-table probe did not converge")
-        slots = cur[active]
-        touched.append(slots.copy())
+        touched.append(slots)
         slot_keys = table_keys[slots]
-        empty = slot_keys == EMPTY
-        hit = slot_keys == probe_keys[active]
+        hit = slot_keys == keys
         if hit.any():
             hits_probe.append(active[hit])
             hits_value.append(table_values[slots[hit]])
-        survivors = active[~empty]
-        cur[survivors] = (cur[survivors] + 1) % capacity
-        active = survivors
+        live = slot_keys != EMPTY
+        active = active[live]
+        keys = keys[live]
+        slots = (slots[live] + 1) % capacity
     if hits_probe:
         probe_idx = np.concatenate(hits_probe)
         build_vals = np.concatenate(hits_value)
-        # lexsort((b, a)) as a composition of stable sorts so narrow
-        # integer keys take the radix tiers in stable_key_order.
-        order = stable_key_order(build_vals)
-        order = order[stable_key_order(probe_idx[order])]
-        probe_idx = probe_idx[order]
-        build_vals = build_vals[order]
+        hit_once = np.zeros(probe_keys.size, dtype=bool)
+        hit_once[probe_idx] = True
+        if np.count_nonzero(hit_once) == probe_idx.size:
+            # No probe hit twice: probe-major order is one scatter.
+            by_probe = np.empty(probe_keys.size, dtype=build_vals.dtype)
+            by_probe[probe_idx] = build_vals
+            probe_idx = np.flatnonzero(hit_once).astype(np.int64, copy=False)
+            build_vals = by_probe[probe_idx]
+        else:
+            # lexsort((b, a)) as a composition of stable sorts so narrow
+            # integer keys take the radix tiers in stable_key_order.
+            order = stable_key_order(build_vals)
+            order = order[stable_key_order(probe_idx[order])]
+            probe_idx = probe_idx[order]
+            build_vals = build_vals[order]
     else:
         probe_idx = np.empty(0, dtype=np.int64)
         build_vals = np.empty(0, dtype=np.int64)

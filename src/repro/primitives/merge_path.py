@@ -7,6 +7,10 @@ the data distribution (Section 3.1).  Rui et al. and ModernGPU run it
 twice — once for the lower and once for the upper bound of each probe
 key; for primary-foreign-key joins a single pass suffices, which is the
 paper's first SMJ optimization (and our ablation abl02).
+
+The host computes each pass's bounds by direct addressing when the keys
+are dense (:mod:`.direct_address`) and by ``np.searchsorted`` otherwise;
+the bounds, and the charged pass, are the same either way.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from .direct_address import dense_bounds, dense_span
 
 
 def _merge_pass_stats(
@@ -35,6 +40,15 @@ def _merge_pass_stats(
     )
 
 
+def _search(r_keys_sorted: np.ndarray, s_keys: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(r_keys_sorted, s_keys, side)``, direct when dense."""
+    span = dense_span(r_keys_sorted, s_keys)
+    if span is None:
+        return np.searchsorted(r_keys_sorted, s_keys, side=side)
+    (bounds,) = dense_bounds(r_keys_sorted, s_keys, span, (side,))
+    return bounds
+
+
 def lower_bounds(
     ctx: GPUContext,
     r_keys_sorted: np.ndarray,
@@ -43,7 +57,7 @@ def lower_bounds(
     label: str = "",
 ) -> np.ndarray:
     """Position of the first element ``>= s`` in *r*, for each s key."""
-    bounds = np.searchsorted(r_keys_sorted, s_keys_sorted, side="left")
+    bounds = _search(r_keys_sorted, s_keys_sorted, "left")
     ctx.submit(
         _merge_pass_stats(
             f"merge_path_lower:{label}" if label else "merge_path_lower",
@@ -64,7 +78,7 @@ def upper_bounds(
     label: str = "",
 ) -> np.ndarray:
     """Position one past the last element ``<= s`` in *r*, per s key."""
-    bounds = np.searchsorted(r_keys_sorted, s_keys_sorted, side="right")
+    bounds = _search(r_keys_sorted, s_keys_sorted, "right")
     ctx.submit(
         _merge_pass_stats(
             f"merge_path_upper:{label}" if label else "merge_path_upper",

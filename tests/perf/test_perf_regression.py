@@ -22,6 +22,7 @@ import pytest
 
 from repro.gpusim import GPUContext, KernelStats
 from repro.joins.matching import match_positions
+from repro.primitives.hash_table import build_table, probe_table, table_capacity
 from repro.primitives.bucket_chain import bucket_chain_partition
 from repro.primitives.grouping import group_identify
 from repro.primitives.radix_partition import radix_partition
@@ -112,6 +113,48 @@ def test_match_positions_throughput():
     assert throughput >= floor("match_positions_probes_per_s"), (
         f"match_positions at {throughput:.0f} probes/s, "
         f"floor {floor('match_positions_probes_per_s'):.0f}"
+    )
+
+
+def test_match_positions_sparse_throughput():
+    """The sort path of the match search, on keys spread over 2^30.
+
+    Same shape as the dense floor above, but the build keys span ~2^30
+    values, far past the direct-address threshold, so this guards the
+    sorted-probe binary search.
+    """
+    rng = np.random.default_rng(3)
+    n = 1 << 20
+    build = (rng.permutation(n) * 1024 + rng.integers(0, 1024, n)).astype(np.int32)
+    probe = build[rng.integers(0, n, n)]
+    pr = radix_partition(GPUContext(), build, [], total_bits=10).keys
+    ps = radix_partition(GPUContext(), probe, [], total_bits=10).keys
+    seconds = best_seconds(lambda: match_positions(pr, ps, True))
+    throughput = ps.size / seconds
+    assert throughput >= floor("match_positions_sparse_probes_per_s"), (
+        f"sparse match_positions at {throughput:.0f} probes/s, "
+        f"floor {floor('match_positions_sparse_probes_per_s'):.0f}"
+    )
+
+
+def test_npj_table_throughput():
+    """NPJ's hash-table build plus probe, 2^20 x 2^20 tuples (tuples/s)."""
+    rng = np.random.default_rng(3)
+    n = 1 << 20
+    build = rng.permutation(n).astype(np.int32)
+    probe = rng.integers(0, n, n).astype(np.int32)
+    ids = np.arange(n, dtype=np.int64)
+    capacity = table_capacity(n)
+
+    def build_and_probe():
+        table = build_table(build, ids, capacity)
+        probe_table(table.table_keys, table.table_values, probe)
+
+    seconds = best_seconds(build_and_probe)
+    throughput = (build.size + probe.size) / seconds
+    assert throughput >= floor("npj_table_tuples_per_s"), (
+        f"NPJ table build+probe at {throughput:.0f} tuples/s, "
+        f"floor {floor('npj_table_tuples_per_s'):.0f}"
     )
 
 

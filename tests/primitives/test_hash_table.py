@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.primitives.hashing import hash_to_slots
 from repro.primitives.hash_table import (
     EMPTY,
     build_table,
@@ -122,3 +123,140 @@ def test_probe_matches_reference_semantics(build, probe):
         if sk == bk
     }
     assert pairs == expected
+
+
+# -- differential: the linear-time claim and hit order vs the sort-based
+# implementation they replaced (frozen copies below) ------------------------
+
+
+def _frozen_build(keys, values, capacity):
+    """Round-by-round insert; each slot's first writer found by a stable sort."""
+    table_keys = np.full(capacity, EMPTY, dtype=np.int64)
+    table_values = np.zeros(capacity, dtype=np.int64)
+    cur = hash_to_slots(keys, capacity)
+    pending = np.arange(keys.size, dtype=np.int64)
+    touched = []
+    rounds = 0
+    while pending.size:
+        rounds += 1
+        slots = cur[pending]
+        touched.append(slots.copy())
+        order = np.argsort(slots, kind="stable")
+        slots_sorted = slots[order]
+        pending_sorted = pending[order]
+        is_first = np.ones(slots_sorted.size, dtype=bool)
+        is_first[1:] = slots_sorted[1:] != slots_sorted[:-1]
+        candidates = pending_sorted[is_first]
+        candidate_slots = slots_sorted[is_first]
+        free = table_keys[candidate_slots] == EMPTY
+        winners = candidates[free]
+        winner_slots = candidate_slots[free]
+        table_keys[winner_slots] = keys[winners]
+        table_values[winner_slots] = values[winners]
+        done = np.zeros(keys.size, dtype=bool)
+        done[winners] = True
+        pending = pending[~done[pending]]
+        cur[pending] = (cur[pending] + 1) % capacity
+    all_touched = np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
+    return table_keys, table_values, all_touched, rounds
+
+
+def _frozen_probe(table_keys, table_values, probe_keys):
+    """Walk every probe's run; order the hits by (probe, build value)."""
+    capacity = table_keys.size
+    cur = hash_to_slots(probe_keys, capacity)
+    active = np.arange(probe_keys.size, dtype=np.int64)
+    hits_probe, hits_value, touched = [], [], []
+    rounds = 0
+    while active.size:
+        rounds += 1
+        slots = cur[active]
+        touched.append(slots.copy())
+        slot_keys = table_keys[slots]
+        empty = slot_keys == EMPTY
+        hit = slot_keys == probe_keys[active]
+        if hit.any():
+            hits_probe.append(active[hit])
+            hits_value.append(table_values[slots[hit]])
+        survivors = active[~empty]
+        cur[survivors] = (cur[survivors] + 1) % capacity
+        active = survivors
+    if hits_probe:
+        probe_idx = np.concatenate(hits_probe)
+        build_vals = np.concatenate(hits_value)
+        order = np.lexsort((build_vals, probe_idx))
+        probe_idx, build_vals = probe_idx[order], build_vals[order]
+    else:
+        probe_idx = np.empty(0, dtype=np.int64)
+        build_vals = np.empty(0, dtype=np.int64)
+    all_touched = np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
+    return probe_idx, build_vals, all_touched, rounds
+
+
+def _assert_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        else:
+            assert g == w
+
+
+@st.composite
+def _table_case(draw):
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    # A narrow domain forces duplicate build keys (the sorted hit order)
+    # and, with a tight capacity, many collision rounds.
+    domain = draw(st.sampled_from([3, 40, 2**31 - 6]))
+    unique = draw(st.booleans())
+    build = draw(st.lists(st.integers(0, domain), max_size=150, unique=unique))
+    probe = draw(st.lists(st.integers(0, domain + 5), max_size=150))
+    # At least one slot stays empty, so every probe run ends.
+    slack = draw(st.sampled_from([1, 2, 8]))
+    capacity = 1 << max(1, (len(build) * slack).bit_length())
+    return (
+        np.asarray(build, dtype=dtype),
+        np.asarray(probe, dtype=dtype),
+        capacity,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_table_case())
+def test_build_and_probe_match_frozen_sort_implementation(case):
+    build, probe, capacity = case
+    values = np.arange(build.size, dtype=np.int64)[::-1].copy()
+    built = build_table(build, values, capacity)
+    _assert_identical(
+        (built.table_keys, built.table_values, built.touched_slots, built.rounds),
+        _frozen_build(build, values, capacity),
+    )
+    probed = probe_table(built.table_keys, built.table_values, probe)
+    _assert_identical(
+        (probed.probe_indices, probed.build_values, probed.touched_slots, probed.rounds),
+        _frozen_probe(built.table_keys, built.table_values, probe),
+    )
+
+
+@pytest.mark.parametrize("unique", [True, False])
+def test_build_and_probe_match_frozen_at_scale(unique):
+    """2^14 keys into a half-full table, as NPJ sizes it."""
+    rng = np.random.default_rng(5)
+    n = 1 << 14
+    build = rng.permutation(n).astype(np.int32)
+    if not unique:
+        build //= 4
+    probe = rng.integers(0, n + n // 8, n).astype(np.int32)
+    values = np.arange(n, dtype=np.int64)
+    capacity = table_capacity(n)
+    built = build_table(build, values, capacity)
+    _assert_identical(
+        (built.table_keys, built.table_values, built.touched_slots, built.rounds),
+        _frozen_build(build, values, capacity),
+    )
+    probed = probe_table(built.table_keys, built.table_values, probe)
+    _assert_identical(
+        (probed.probe_indices, probed.build_values, probed.touched_slots, probed.rounds),
+        _frozen_probe(built.table_keys, built.table_values, probe),
+    )
