@@ -145,9 +145,8 @@ def segmented_aggregate(
     >>> int(big.sum(dtype=np.float64)) - 2**53
     0
     """
-    counts = np.bincount(inverse, minlength=num_groups)
     if op == "count":
-        return counts.astype(np.int64)
+        return np.bincount(inverse, minlength=num_groups).astype(np.int64)
     if op not in SUPPORTED_OPS:
         raise AggregationConfigError(f"unsupported aggregate {op!r}")
     if values is None:
@@ -170,7 +169,9 @@ def segmented_aggregate(
     else:
         ints = values.view(np.uint8) if kind == "b" else values
         sums = _exact_int_sums(inverse, num_groups, ints)
-    return sums if op == "sum" else sums / np.maximum(counts, 1)
+    if op == "sum":
+        return sums
+    return sums / np.maximum(np.bincount(inverse, minlength=num_groups), 1)
 
 
 _INT64_RANGE = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))

@@ -32,6 +32,7 @@ from ..errors import DeviceOutOfMemoryError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
+from ..primitives.grouping import bucket_rows
 from ..primitives.radix_partition import partition_codes
 from .base import AggSpec, GroupByResult, merge_disjoint_groups
 from .planner import make_groupby_algorithm
@@ -179,8 +180,7 @@ class OutOfCoreGroupBy:
         )
 
         block_results: List[GroupByResult] = []
-        for block in range(1 << bits):
-            rows = np.flatnonzero(codes == block)
+        for block, rows in enumerate(bucket_rows(codes, 1 << bits)):
             if rows.size == 0:
                 continue
             block_keys = keys[rows]

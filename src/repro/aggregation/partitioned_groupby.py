@@ -11,6 +11,13 @@ atomics, robust to both skew and high group cardinality.
 ``pattern="gfur"`` instead partitions ``(key, tuple ID)`` and fetches
 value columns through the permuted IDs (unclustered), mirroring the
 join study's baseline pattern for ablation.
+
+Host-side, every pattern computes its values with the one fold of
+record (``segmented_aggregate`` in row order).  GFTR's partitionings
+are therefore priced (:func:`charge_radix_partition`, a bytes-only
+reservation for the partitioned keys) and never performed; GFUR
+performs its ``(key, tuple ID)`` partition, whose permuted IDs the
+gather's sector analysis reads.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ import numpy as np
 from ..errors import AggregationConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather
+from ..primitives.gather import gather_stats_only
 from ..primitives.grouping import group_identify
-from ..primitives.radix_partition import radix_partition
+from ..primitives.radix_partition import charge_radix_partition, radix_partition
 from ..relational.types import id_dtype
 from .base import (
     AGGREGATE,
@@ -108,11 +115,13 @@ class PartitionedGroupBy(GroupByAlgorithm):
                 )
                 id_map = ctx.mem.adopt(part.payloads[0], "ids_partitioned")
             else:
-                part = radix_partition(
-                    ctx, keys, [], bits, phase=TRANSFORM,
-                    hashed=self.config.hashed_partitioning, label="keys",
+                # The folds compute their values in row order, so GFTR
+                # only prices its partitionings: the charges depend on
+                # sizes alone, and nothing reads the moved data.
+                charge_radix_partition(
+                    ctx, n, int(keys.nbytes), 0, bits, phase=TRANSFORM, label="keys"
                 )
-            a_keys = ctx.mem.adopt(part.keys, "keys_partitioned")
+            a_keys = ctx.mem.reserve(int(keys.nbytes), "keys_partitioned")
 
         output: "OrderedDict[str, np.ndarray]" = OrderedDict()
         output["group_key"] = group_keys
@@ -121,7 +130,7 @@ class PartitionedGroupBy(GroupByAlgorithm):
             # Per-partition group discovery (shared-memory hash build):
             # one sequential pass over the partitioned keys.
             self._charge_partition_fold(
-                ctx, n, int(part.keys.nbytes), num_groups * 8, "partition_groups", AGGREGATE
+                ctx, n, int(keys.nbytes), num_groups * 8, "partition_groups", AGGREGATE
             )
 
         with ctx.phase(MATERIALIZE):
@@ -137,31 +146,30 @@ class PartitionedGroupBy(GroupByAlgorithm):
                 column = values[spec.column]
                 if self.pattern == "gfur":
                     # Unclustered gather through partitioned IDs, then fold.
-                    folded_input = gather(
-                        ctx, column, id_map.data, phase=MATERIALIZE, label=spec.column
+                    gather_stats_only(
+                        ctx, id_map.data, column.dtype.itemsize, int(column.nbytes),
+                        phase=MATERIALIZE, label=spec.column,
                     )
                 else:
-                    # GFTR: lazily partition (key, column); the fold then
-                    # streams the co-partitioned column sequentially.
-                    # The transform phase's partitioning is reused.
-                    lazy = radix_partition(
-                        ctx, keys, [column], bits, phase=MATERIALIZE,
-                        hashed=self.config.hashed_partitioning, label=spec.column,
-                        like=part,
+                    # GFTR: lazily partition (key, column) with the transform
+                    # phase's layout; the fold then streams the
+                    # co-partitioned column sequentially.
+                    charge_radix_partition(
+                        ctx, n, int(keys.nbytes), int(column.nbytes), bits,
+                        phase=MATERIALIZE, label=spec.column, boundaries=False,
                     )
-                    folded_input = lazy.payloads[0]
                 output[spec.output_name] = segmented_aggregate(
                     inverse, num_groups, column, spec.op
                 )
                 self._charge_partition_fold(
                     ctx,
                     n,
-                    int(folded_input.nbytes),
+                    int(column.nbytes),
                     num_groups * 8,
                     f"fold:{spec.output_name}",
                     MATERIALIZE,
                 )
-            ctx.mem.free(a_keys)
+            a_keys.free()
             if id_map is not None:
                 ctx.mem.free(id_map)
         return output

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from ..primitives.grouping import bucket_rows
 from ..primitives.hashing import mix_hash
 from ..relational.relation import Relation
 from .context import ClusterContext, ClusterStepRecord
@@ -152,7 +153,7 @@ def shuffle_columns(
         )
     names = list(local_columns[0]) if local_columns else []
 
-    # Per-source bucket masks + local scatter kernels.
+    # Per-source bucket rows + local scatter kernels.
     buckets: List[List[Dict[str, np.ndarray]]] = []  # [src][dst] -> columns
     matrix = np.zeros((n, n), dtype=np.int64)
 
@@ -172,9 +173,8 @@ def shuffle_columns(
                 label=label,
             )
             row = []
-            for dst in range(n):
-                mask = assignment == dst
-                bucket = {name: columns[name][mask] for name in names}
+            for dst, rows in enumerate(bucket_rows(assignment, n)):
+                bucket = {name: columns[name][rows] for name in names}
                 nbytes = sum(int(a.nbytes) for a in bucket.values())
                 matrix[src, dst] = nbytes
                 row.append(bucket)

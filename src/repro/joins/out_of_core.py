@@ -32,6 +32,7 @@ from ..errors import JoinConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
+from ..primitives.grouping import bucket_rows
 from ..primitives.radix_partition import partition_codes
 from ..relational.relation import Relation
 from .base import JoinAlgorithm, JoinResult
@@ -237,11 +238,10 @@ class OutOfCoreJoin:
             ),
             phase="host_partition",
         )
-        chunks = []
-        for chunk_id in range(1 << bits):
-            mask = codes == chunk_id
-            chunks.append(rel.take(np.flatnonzero(mask), name=f"{rel.name}#{chunk_id}"))
-        return chunks
+        return [
+            rel.take(rows, name=f"{rel.name}#{chunk_id}")
+            for chunk_id, rows in enumerate(bucket_rows(codes, 1 << bits))
+        ]
 
     @staticmethod
     def _charge_transfer(ctx: GPUContext, num_bytes: int, label: str) -> None:

@@ -1,36 +1,61 @@
-"""Sort-based group identification: a fast, exact `np.unique` replacement.
+"""Group identification: a fast, exact ``np.unique`` replacement.
 
 ``np.unique(keys, return_inverse=True)`` on high-cardinality integer
 keys is dominated by a hash-based distinct pass that runs ~15x slower
 than an explicit sort + boundary scan on this workload.  Every group-by
 variant and the join planner need exactly that operation, so this module
-centralizes a sort-based implementation whose outputs are *bit-identical*
-to ``np.unique`` (sorted group keys, first-occurrence inverse mapping)
+centralizes it, with outputs *bit-identical* to ``np.unique`` (sorted
+group keys, ``intp`` inverse mapping, every NaN key in one last group)
 — the oracle tests in ``tests/primitives/test_grouping.py`` pin the
 equivalence against ``np.unique`` directly, so every caller (including
-``relational/validation.py``'s reference implementations, which now use
-:func:`group_identify` too) rides the sort-based path.
+``relational/validation.py``'s reference implementations, which use
+:func:`group_identify` too) rides these paths.
+
+Integer keys dense by :func:`~repro.primitives.direct_address.dense_span`
+(applied to the key array itself: at most ``2n`` values spanned) are
+grouped by direct addressing: a seen-table over ``key - min``, its
+running count as the group rank, and one gather.  Other keys take the
+sort + boundary scan.  :func:`bucket_rows` is the one stable split of
+rows by a small bucket code (shuffles and out-of-core staging).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
+
+from .direct_address import dense_span
 
 
 def group_identify(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys plus the inverse mapping.
 
     Exactly equivalent to ``np.unique(keys, return_inverse=True)``:
-    ``group_keys`` is sorted ascending and
-    ``group_keys[inverse] == keys``.  A non-stable argsort is safe here
-    because the inverse depends only on key *values*, never on the order
-    of equal elements.
+    ``group_keys`` is sorted ascending, has the dtype of *keys*, and
+    ``group_keys[inverse] == keys`` (NaN keys form one last group).
+    Dense integer keys are grouped by direct addressing; otherwise a
+    non-stable argsort is safe because the inverse depends only on key
+    *values*, never on the order of equal elements.
     """
     n = int(keys.size)
     if n == 0:
         return keys[:0].copy(), np.empty(0, dtype=np.intp)
+    span = dense_span(keys, keys)
+    if span is not None:
+        # hi - lo fits the dtype (dense_span), so every offset and every
+        # group key below does too.
+        lo, hi = span
+        offsets = keys.astype(np.intp)
+        if lo:
+            offsets -= lo
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[offsets] = True
+        rank = np.cumsum(seen, dtype=np.intp)
+        rank -= 1
+        group_keys = np.flatnonzero(seen).astype(keys.dtype)
+        group_keys += keys.dtype.type(lo)
+        return group_keys, np.take(rank, offsets)
     order = np.argsort(keys, kind="quicksort")
     sorted_keys = keys[order]
     boundaries = _boundaries(sorted_keys)
@@ -61,15 +86,14 @@ def groups_from_sorted(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 def count_distinct(keys: np.ndarray) -> int:
     """Number of distinct values, via sort + boundary count.
 
-    Equivalent to ``np.unique(keys).size`` but avoids the hash-based
-    unique pass (~15x faster on high-cardinality ints) and materializes
-    no distinct-key array.
+    Equivalent to ``np.unique(keys).size`` (NaNs count once) but avoids
+    the hash-based unique pass (~15x faster on high-cardinality ints)
+    and materializes no distinct-key array.
     """
     n = int(keys.size)
     if n == 0:
         return 0
-    sorted_keys = np.sort(keys, kind="quicksort")
-    return 1 + int(np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1]))
+    return int(np.count_nonzero(_boundaries(np.sort(keys, kind="quicksort"))))
 
 
 def distinct_sorted(keys: np.ndarray) -> np.ndarray:
@@ -148,9 +172,30 @@ def stable_key_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def bucket_rows(codes: np.ndarray, num_buckets: int) -> List[np.ndarray]:
+    """Row indices of each bucket, in row order.
+
+    ``bucket_rows(codes, k)[b]`` equals ``np.flatnonzero(codes == b)``
+    for every ``b < k`` (empty where no row has code ``b``); *codes*
+    are non-negative integers below *num_buckets*.  One stable sort of
+    the codes and one ``bincount`` replace ``k`` full mask scans.
+    """
+    order = stable_key_order(codes)
+    ends = np.cumsum(np.bincount(codes, minlength=num_buckets))
+    return np.split(order, ends[:-1])
+
+
 def _boundaries(sorted_keys: np.ndarray) -> np.ndarray:
-    """Boolean mask marking the first element of each run in sorted keys."""
+    """Boolean mask marking the first element of each run in sorted keys.
+
+    NaNs sort last and compare unequal to themselves; as in
+    ``np.unique``, the first NaN starts one run that holds them all.
+    """
     boundaries = np.empty(sorted_keys.size, dtype=bool)
     boundaries[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundaries[1:])
+    if sorted_keys.dtype.kind in "cfmM" and np.isnan(sorted_keys[-1]):
+        first_nan = int(np.searchsorted(sorted_keys, sorted_keys[-1], side="left"))
+        boundaries[first_nan] = True
+        boundaries[first_nan + 1:] = False
     return boundaries

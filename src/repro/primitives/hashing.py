@@ -34,7 +34,7 @@ def mix_hash(keys: np.ndarray) -> np.ndarray:
     Used where key bits are correlated with partition bits (e.g. dense
     primary keys) and a plain multiplicative hash would skew buckets.
     """
-    z = keys.astype(np.uint64, copy=False).copy()
+    z = keys.astype(np.uint64)  # always a copy: mixed in place below
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(0xBF58476D1CE4E5B9)

@@ -117,6 +117,57 @@ def plan_passes(total_bits: int) -> List[tuple]:
     return passes
 
 
+def charge_radix_partition(
+    ctx: GPUContext,
+    rows: int,
+    key_bytes: int,
+    payload_bytes: int,
+    total_bits: int,
+    phase: Optional[str] = None,
+    label: str = "",
+    boundaries: bool = True,
+) -> int:
+    """Charge a :func:`radix_partition` call without moving any data.
+
+    Counts ``partition_passes``, submits one RADIX-PARTITION kernel per
+    LSD pass and, with ``boundaries``, the histogram + exclusive-scan
+    kernel whose ``counts`` and ``offsets`` are ``2**total_bits`` int64
+    each.  Every charge depends only on sizes, so callers that need the
+    price but never read the partitioned arrays call this alone.
+    Returns the number of passes.
+    """
+    pass_plan = plan_passes(total_bits)
+    ctx.count("partition_passes", len(pass_plan))
+    name = f"radix_partition:{label}" if label else "radix_partition"
+    ctx.submit_many(
+        [
+            KernelStats(
+                name=name,
+                items=rows,
+                # fused histogram read of keys + read of keys & payloads
+                seq_read_bytes=2 * key_bytes + payload_bytes,
+                seq_write_bytes=key_bytes + payload_bytes,
+                atomic_ops=1 << num_bits,
+            )
+            for _, num_bits in pass_plan
+        ],
+        phase=phase,
+    )
+    if boundaries:
+        # Boundary computation: one extra read of keys + tiny writes.
+        ctx.submit(
+            KernelStats(
+                name="partition_boundaries",
+                items=rows,
+                seq_read_bytes=key_bytes,
+                seq_write_bytes=16 << total_bits,
+                atomic_ops=1 << total_bits,
+            ),
+            phase=phase,
+        )
+    return len(pass_plan)
+
+
 def radix_partition(
     ctx: GPUContext,
     keys: np.ndarray,
@@ -132,7 +183,8 @@ def radix_partition(
     Charges ``ceil(total_bits / 8)`` RADIX-PARTITION invocations (the
     paper uses 15-16 bits -> two invocations per column pair) and then
     computes partition boundaries with a histogram + exclusive scan,
-    because the primitive itself leaves boundaries unknown (Section 4.3).
+    because the primitive itself leaves boundaries unknown (Section 4.3);
+    :func:`charge_radix_partition` holds those charges.
 
     Host-side, the composed LSD passes are equivalent to ONE stable sort
     of the full digit (each pass is a stable sort by a sub-digit), so
@@ -146,9 +198,6 @@ def radix_partition(
     offsets, skips the boundary pass, and gathers only the payloads.
     The RADIX-PARTITION kernels are charged as for a full call.
     """
-    pass_plan = plan_passes(total_bits)
-    ctx.count("partition_passes", len(pass_plan))
-
     if like is not None:
         if (
             like.total_bits != total_bits
@@ -173,32 +222,16 @@ def radix_partition(
         np.cumsum(counts[:-1], out=offsets[1:])
     payloads_out = [p[order] for p in payloads]
 
-    payload_bytes = sum(int(p.nbytes) for p in payloads)
-    pass_stats = [
-        KernelStats(
-            name=f"radix_partition:{label}" if label else "radix_partition",
-            items=int(keys.size),
-            # fused histogram read of keys + read of keys & payloads
-            seq_read_bytes=2 * int(keys.nbytes) + payload_bytes,
-            seq_write_bytes=int(keys.nbytes) + payload_bytes,
-            atomic_ops=1 << num_bits,
-        )
-        for _, num_bits in pass_plan
-    ]
-    ctx.submit_many(pass_stats, phase=phase)
-
-    if like is None:
-        # Boundary computation: one extra read of keys + tiny writes.
-        ctx.submit(
-            KernelStats(
-                name="partition_boundaries",
-                items=int(keys.size),
-                seq_read_bytes=int(keys.nbytes),
-                seq_write_bytes=int(counts.nbytes + offsets.nbytes),
-                atomic_ops=int(counts.size),
-            ),
-            phase=phase,
-        )
+    passes = charge_radix_partition(
+        ctx,
+        int(keys.size),
+        int(keys.nbytes),
+        sum(int(p.nbytes) for p in payloads),
+        total_bits,
+        phase=phase,
+        label=label,
+        boundaries=like is None,
+    )
     return Partitioned(
         keys=keys_out,
         payloads=payloads_out,
@@ -206,6 +239,6 @@ def radix_partition(
         offsets=offsets,
         total_bits=total_bits,
         hashed=hashed,
-        passes=len(pass_plan),
+        passes=passes,
         order=order,
     )

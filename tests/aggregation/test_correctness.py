@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation import AggSpec, make_groupby_algorithm
+from repro.api import group_by
 from repro.errors import AggregationConfigError
 from repro.relational import reference_groupby
+from repro.relational.relation import Relation
 from repro.workloads import GroupByWorkloadSpec, generate_groupby_workload
 
 ALL_STRATEGIES = ["HASH-AGG", "SORT-AGG", "SORT-AGG/gfur", "PART-AGG", "PART-AGG/gfur"]
@@ -123,3 +125,30 @@ def test_property_sum(rows, strategy):
         keys, {"v": vals}, [AggSpec("v", "sum")], seed=0
     )
     assert np.array_equal(result.output["sum_v"], expected["sum_v"])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("shards", [1, 2], ids=lambda s: f"shards{s}")
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_nan_keys_form_one_group(strategy, shards):
+    """NaN keys collapse into one last group, as in ``np.unique``.
+
+    The tier is not in this matrix: a ``Relation`` holds only int32 and
+    int64 columns, so no float key reaches it.
+    """
+    keys = np.array([1, np.nan, 2, np.nan] * 64)
+    values = {"v": np.arange(keys.size, dtype=np.int64)}
+    result = group_by(
+        keys, values, [("v", "sum"), ("v", "count")], algorithm=strategy,
+        shards=shards, seed=0,
+    )
+    assert np.array_equal(
+        result.output["group_key"], np.array([1.0, 2.0, np.nan]), equal_nan=True
+    )
+    assert result.output["count_v"].tolist() == [64, 64, 128]
+    assert result.output["sum_v"].tolist() == [
+        int(values["v"][0::4].sum()), int(values["v"][2::4].sum()),
+        int(values["v"][1::2].sum()),
+    ]
+    with pytest.raises(KeyError, match="unsupported dtype"):
+        Relation([("k", keys)], key="k")

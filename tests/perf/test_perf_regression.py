@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.aggregation import AggSpec, make_groupby_algorithm
 from repro.gpusim import GPUContext, KernelStats
 from repro.joins.matching import match_positions
 from repro.primitives.hash_table import build_table, probe_table, table_capacity
@@ -205,4 +206,36 @@ def test_tier_repeat_join_throughput():
     assert throughput >= floor("tier_repeat_join_per_s"), (
         f"repeated tier join at {throughput:.0f} joins/s, "
         f"floor {floor('tier_repeat_join_per_s'):.0f}/s"
+    )
+
+
+def test_dense_group_identify_throughput():
+    """Direct-address grouping: 2^20 int32 keys over 2^18 values (keys/s)."""
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 1 << 18, 1 << 20).astype(np.int32)
+    seconds = best_seconds(lambda: group_identify(keys))
+    throughput = keys.size / seconds
+    assert throughput >= floor("dense_group_identify_keys_per_s"), (
+        f"dense group_identify at {throughput:.0f} keys/s, "
+        f"floor {floor('dense_group_identify_keys_per_s'):.0f}"
+    )
+
+
+def test_part_agg_throughput():
+    """PART-AGG/gftr: 2^20 rows into 2^16 groups, five aggregates (rows/s).
+
+    Its radix partitions are priced and never performed, and the dense
+    keys are grouped by direct addressing.
+    """
+    rng = np.random.default_rng(3)
+    n = 1 << 20
+    keys = rng.integers(0, 1 << 16, n).astype(np.int32)
+    values = {"v": rng.integers(0, 1 << 16, n).astype(np.int32)}
+    aggregates = [AggSpec("v", op) for op in ("sum", "count", "min", "max", "mean")]
+    algorithm = make_groupby_algorithm("PART-AGG")
+    seconds = best_seconds(lambda: algorithm.group_by(keys, values, aggregates))
+    throughput = n / seconds
+    assert throughput >= floor("part_agg_rows_per_s"), (
+        f"PART-AGG at {throughput:.0f} rows/s, "
+        f"floor {floor('part_agg_rows_per_s'):.0f}"
     )
