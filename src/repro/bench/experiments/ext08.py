@@ -19,7 +19,7 @@ memory, three ways:
 Every query in every arm is checked bit-identical against a plain
 ``execute()`` of the same plan — the placement-independence oracle —
 and the table reports per-arm throughput, the cumulative byte-weighted
-hit ratio, and the tier/pool observability counters.
+hit ratio, and the tier observability counters.
 """
 
 from __future__ import annotations
@@ -186,8 +186,6 @@ def _run_arm(
         "admitted_mb": cache.admitted_bytes / 1e6,
         "evictions": float(cache.evictions),
         "mismatches": float(mismatches),
-        "pool_take_hits": session.metrics.value("pool.take_hit"),
-        "pool_take_misses": session.metrics.value("pool.take_miss"),
         "tier_admissions": session.metrics.value("tier.admissions"),
         "resident_peak_mb": session.metrics.value("tier.resident_bytes_peak")
         / 1e6,
@@ -291,9 +289,6 @@ def run(
     result.findings["tier_admission_spans_counted"] = tiered[
         "tier_admissions"
     ]
-    result.findings["pool_metrics_observed"] = float(
-        tiered["pool_take_hits"] + tiered["pool_take_misses"] > 0
-    )
     result.add_note(
         f"dataset {dataset / 1e6:.0f} MB over device memory "
         f"{setup.device.global_mem_bytes / 1e6:.0f} MB "

@@ -157,7 +157,8 @@ class MemoryReservation:
 
     The serving layer's admission controller reserves each admitted
     query's estimated working set up front, so concurrent queries cannot
-    collectively over-commit the device.  A reservation participates in
+    collectively over-commit the device, and the tier's segment cache
+    holds each resident segment as one.  A reservation participates in
     capacity checks, current/peak accounting and the live-allocation
     listing exactly like a :class:`DeviceArray`, but never materializes
     host memory (reserving a simulated 40 GB costs nothing real).
@@ -242,20 +243,11 @@ class DeviceMemory:
             data = np.empty(shape, dtype=dtype)
         return self._register(data, label)
 
-    def from_host(self, array: np.ndarray, label: str = "") -> DeviceArray:
-        """Copy a host numpy array onto the device (counts toward usage)."""
-        if self.pool is not None:
-            data = self.pool.take(array.shape, array.dtype)
-            if data is not None:
-                np.copyto(data, array)
-                return self._register(data, label)
-        return self._register(np.ascontiguousarray(array).copy(), label)
-
     def adopt(self, array: np.ndarray, label: str = "") -> DeviceArray:
         """Register an already-materialized array as device resident.
 
-        Unlike :meth:`from_host` this does not copy; use it when the array
-        was just produced by a primitive and is logically device memory.
+        This does not copy; use it when the array was just produced by a
+        primitive and is logically device memory.
         """
         return self._register(np.ascontiguousarray(array), label)
 

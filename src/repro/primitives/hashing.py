@@ -16,6 +16,27 @@ KNUTH_MULT_32 = np.uint32(2654435761)
 FIB_MULT_64 = np.uint64(11400714819323198485)
 
 
+def _key_words(keys: np.ndarray, copy: bool = False) -> np.ndarray:
+    """The uint64 word each key hashes by.
+
+    Integer (and bool) keys keep their two's-complement word
+    (``astype(np.uint64)``).  Float keys hash by their IEEE bit pattern,
+    widened to 64 bits, after -0.0 becomes 0.0 and every NaN the one
+    canonical NaN — so keys that compare equal, and all NaNs (which
+    group as one key), share a word, and fractional keys spread instead
+    of truncating onto their integer part.  ``copy=True`` guarantees a
+    fresh, writable array.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind != "f":
+        return keys.astype(np.uint64, copy=copy)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is replaced anyway
+        canonical = np.where(
+            np.isnan(keys), keys.dtype.type(np.nan), keys + keys.dtype.type(0)
+        )
+    return canonical.view(f"u{keys.dtype.itemsize}").astype(np.uint64, copy=False)
+
+
 def multiplicative_hash(keys: np.ndarray) -> np.ndarray:
     """Fibonacci/Knuth multiplicative hash, returned as uint64.
 
@@ -23,7 +44,7 @@ def multiplicative_hash(keys: np.ndarray) -> np.ndarray:
     the high bits are used; matches the style of hash used by
     shared-memory hash tables in GPU joins.
     """
-    k = keys.astype(np.uint64, copy=False)
+    k = _key_words(keys)
     with np.errstate(over="ignore"):
         return k * FIB_MULT_64
 
@@ -34,7 +55,7 @@ def mix_hash(keys: np.ndarray) -> np.ndarray:
     Used where key bits are correlated with partition bits (e.g. dense
     primary keys) and a plain multiplicative hash would skew buckets.
     """
-    z = keys.astype(np.uint64)  # always a copy: mixed in place below
+    z = _key_words(keys, copy=True)  # mixed in place below
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(0xBF58476D1CE4E5B9)

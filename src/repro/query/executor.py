@@ -163,9 +163,9 @@ def _sharded_run(result, rows: int, shards: int) -> OperatorRun:
 
 
 class _Tiered:
-    """GPU+CPU co-execution over the segment cache for operators on base
-    relations the runtime manages; everything else runs on the
-    single-device *fallback*."""
+    """GPU+CPU co-execution over the segment cache for operators that
+    read base relations (``Scan`` children); everything else runs on
+    the single-device *fallback*."""
 
     name = "tiered"
 
@@ -174,22 +174,18 @@ class _Tiered:
 
     def join(self, ex, node, left, right, config, projected) -> OperatorRun:
         if not projected and isinstance(node.left, Scan) and isinstance(node.right, Scan):
-            run = ex.tiering.run_join(
+            return ex.tiering.run_join(
                 left, right, config=config, session=ex._session,
                 fault_plan=ex.fault_plan, seed=ex.seed,
             )
-            if run is not None:
-                return run
         return self.fallback.join(ex, node, left, right, config, projected)
 
     def aggregate(self, ex, node, child) -> OperatorRun:
         if isinstance(node.child, Scan):
-            run = ex.tiering.run_group_by(
+            return ex.tiering.run_group_by(
                 child, node.group_column, list(node.aggregates),
                 session=ex._session, fault_plan=ex.fault_plan, seed=ex.seed,
             )
-            if run is not None:
-                return run
         return self.fallback.aggregate(ex, node, child)
 
 

@@ -1,11 +1,15 @@
 """Device-resident segment cache.
 
-Hot segments live as real :class:`~repro.gpusim.memory.DeviceArray`
-allocations in a :class:`~repro.gpusim.memory.DeviceMemory`, so cache
-residency competes with everything else that memory backs — the serving
-layer's admission reservations in particular — and device-OOM pressure
-is felt as real allocation failures, which the cache converts into
-graceful admission declines instead of query failures.
+The cache keeps metadata, not data: each hot segment is a bytes-only
+:class:`~repro.gpusim.memory.MemoryReservation` in a
+:class:`~repro.gpusim.memory.DeviceMemory`, labelled
+``tier:<relation.column[index]>``.  Operators compute their values over
+the host relation and only price the hot/cold split, so nothing reads a
+device copy of a segment and none is made.  Residency still competes
+with everything else that memory backs — the serving layer's admission
+reservations in particular — and device-OOM pressure is felt as real
+reservation failures, which the cache converts into graceful admission
+declines instead of query failures.
 
 Accounting invariant (property-tested): ``resident_bytes`` equals the
 sum of the resident segments' sizes across any interleaving of
@@ -15,18 +19,16 @@ admissions, evictions, demotions and pressure shrinks.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import List, Optional, Set, Tuple
 
 from ..errors import DeviceOutOfMemoryError
-from ..gpusim.memory import DeviceArray, DeviceMemory
+from ..gpusim.memory import DeviceMemory, MemoryReservation
 from .policy import PlacementPolicy
 from .segments import SegmentKey
 
 
 class SegmentCache:
-    """Maps :class:`SegmentKey` -> resident :class:`DeviceArray`.
+    """Maps :class:`SegmentKey` -> the :class:`MemoryReservation` holding it.
 
     Parameters
     ----------
@@ -40,18 +42,12 @@ class SegmentCache:
         defers entirely to *memory*'s capacity.
     """
 
-    def __init__(
-        self,
-        memory: DeviceMemory,
-        capacity_bytes: Optional[int] = None,
-        label_prefix: str = "tier",
-    ):
+    def __init__(self, memory: DeviceMemory, capacity_bytes: Optional[int] = None):
         self.memory = memory
         self.capacity_bytes = capacity_bytes
-        self.label_prefix = label_prefix
         #: effective cap under fault-injected capacity pressure (<= capacity)
         self.pressure_capacity_bytes: Optional[int] = None
-        self._resident: "OrderedDict[SegmentKey, DeviceArray]" = OrderedDict()
+        self._resident: "OrderedDict[SegmentKey, MemoryReservation]" = OrderedDict()
         self.resident_bytes = 0
         # cumulative counters (mirrored into obs as tier.* metrics)
         self.hits = 0
@@ -109,15 +105,6 @@ class SegmentCache:
     def is_resident(self, key: SegmentKey) -> bool:
         return key in self._resident
 
-    def get(self, key: SegmentKey) -> Optional[np.ndarray]:
-        """The resident device data for *key*, or ``None``.
-
-        Does not touch hit/miss counters — operators record one
-        byte-weighted access per row range via :meth:`record_access`.
-        """
-        arr = self._resident.get(key)
-        return None if arr is None else arr.data
-
     def record_access(self, hit: bool, nbytes: int) -> None:
         if hit:
             self.hits += 1
@@ -133,15 +120,15 @@ class SegmentCache:
         return self.hit_bytes / total if total else 0.0
 
     def resident_items(self) -> List[Tuple[SegmentKey, int]]:
-        return [(key, arr.nbytes) for key, arr in self._resident.items()]
+        return [(key, held.nbytes) for key, held in self._resident.items()]
 
     def resident_keys(self) -> List[SegmentKey]:
         return list(self._resident)
 
     # -- placement ops -------------------------------------------------------
 
-    def admit(self, key: SegmentKey, host_data: np.ndarray) -> bool:
-        """Copy *host_data* device-resident under *key*; False = declined.
+    def admit(self, key: SegmentKey, nbytes: int) -> bool:
+        """Reserve *nbytes* of device memory for *key*; False = declined.
 
         A decline (budget exhausted or the backing memory raising OOM,
         e.g. because serving reservations hold the bytes) leaves the
@@ -149,34 +136,32 @@ class SegmentCache:
         """
         if key in self._resident:
             return True
-        nbytes = int(host_data.nbytes)
+        nbytes = int(nbytes)
         if not self.can_fit(nbytes):
             self.declined += 1
             return False
         try:
-            arr = self.memory.from_host(
-                host_data, label=f"{self.label_prefix}:{key.describe()}"
-            )
+            held = self.memory.reserve(nbytes, label=f"tier:{key.describe()}")
         except DeviceOutOfMemoryError:
             self.declined += 1
             return False
-        self._resident[key] = arr
-        self.resident_bytes += arr.nbytes
+        self._resident[key] = held
+        self.resident_bytes += nbytes
         self.admissions += 1
-        self.admitted_bytes += arr.nbytes
+        self.admitted_bytes += nbytes
         return True
 
     def evict(self, key: SegmentKey, demotion: bool = False) -> int:
         """Drop *key* from the device; returns the bytes freed.
 
-        Segments are read-only copies of host columns, so eviction needs
-        no writeback — the bytes are simply released.
+        Segments mirror read-only host columns, so eviction needs no
+        writeback — the reservation is simply released.
         """
-        arr = self._resident.pop(key, None)
-        if arr is None:
+        held = self._resident.pop(key, None)
+        if held is None:
             return 0
-        nbytes = arr.nbytes
-        arr.free()
+        nbytes = held.nbytes
+        held.free()
         self.resident_bytes -= nbytes
         if demotion:
             self.demotions += 1
@@ -226,7 +211,7 @@ class SegmentCache:
 
     def assert_consistent(self) -> None:
         """Raise if ``resident_bytes`` drifted from the resident set."""
-        actual = sum(arr.nbytes for arr in self._resident.values())
+        actual = sum(held.nbytes for held in self._resident.values())
         if actual != self.resident_bytes:
             raise AssertionError(
                 f"segment accounting drift: resident_bytes={self.resident_bytes} "

@@ -38,7 +38,7 @@ from ..aggregation.base import AggSpec, segmented_aggregate
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
-from ..gpusim.memory import BufferPool, DeviceMemory
+from ..gpusim.memory import DeviceMemory
 from ..joins.base import JoinConfig, detect_unique_keys
 from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
@@ -87,7 +87,6 @@ class TieredRuntime:
         cache_fraction: float = 0.5,
         memory: Optional[DeviceMemory] = None,
         policy: Optional[PlacementPolicy] = None,
-        auto_register: bool = True,
         min_admit_weight: float = 1.0,
         amortize_admission: bool = False,
     ):
@@ -98,15 +97,11 @@ class TieredRuntime:
             capacity_bytes = int(device.global_mem_bytes * cache_fraction)
         self.capacity_bytes = int(capacity_bytes)
         if memory is None:
-            # Segment buffers come in one shape per (relation, column),
-            # so eviction/re-admission churn recycles well; the pool
-            # also mirrors pool.* metrics once a session is wired in.
-            memory = DeviceMemory(self.capacity_bytes, pool=BufferPool())
+            memory = DeviceMemory(self.capacity_bytes)
         self.memory = memory
         self.policy = policy or PlacementPolicy()
         self.cache = SegmentCache(memory, capacity_bytes=self.capacity_bytes)
         self.cost = TierCostModel(device, cpu_device)
-        self.auto_register = auto_register
         self.min_admit_weight = float(min_admit_weight)
         # ``amortize_admission`` raises the admission bar to the cost
         # model's break-even reuse count: a segment is only staged when
@@ -127,7 +122,9 @@ class TieredRuntime:
     ) -> SegmentedRelation:
         """Segment *relation* (idempotent; names are made unique).
 
-        ``name`` overrides the relation's own display name — the serving
+        Operators register the relations they read on first use, so a
+        runtime manages every base relation it is handed.  ``name``
+        overrides the relation's own display name — the serving
         layer passes its catalog name so tier counters, popularity and
         placement spans read in catalog terms.
 
@@ -137,10 +134,10 @@ class TieredRuntime:
         replaces one.
 
         Those indexes are not bounded: they live until the relation is
-        invalidated, which for a relation registered automatically (an
-        ad hoc scan under ``auto_register``) is never.  A join index
-        holds about 8 bytes per output row (two int32 positions below
-        2^31 rows), a group index 4 bytes per row plus its distinct keys.
+        invalidated, which for a relation an operator registered (an ad
+        hoc scan) is never.  A join index holds about 8 bytes per output
+        row (two int32 positions below 2^31 rows), a group index 4 bytes
+        per row plus its distinct keys.
         """
         existing = self._by_id.get(id(relation))
         if existing is not None:
@@ -154,12 +151,6 @@ class TieredRuntime:
         segrel = SegmentedRelation(relation, self.segment_rows, name=name)
         self._by_id[id(relation)] = segrel
         self._names[name] = id(relation)
-        return segrel
-
-    def segmented(self, relation: Relation) -> Optional[SegmentedRelation]:
-        segrel = self._by_id.get(id(relation))
-        if segrel is None and self.auto_register:
-            segrel = self.register(relation)
         return segrel
 
     def invalidate_relation(self, relation_or_name) -> int:
@@ -190,9 +181,7 @@ class TieredRuntime:
     def note_plan(self, plan, weight: float = 1.0) -> None:
         """Fold one arrival of *plan* into relation popularity (serve feed)."""
         for relation in _scan_relations(plan):
-            segrel = self.segmented(relation)
-            if segrel is not None:
-                self.policy.note_popularity(segrel.name, weight)
+            self.policy.note_popularity(self.register(relation).name, weight)
 
     # -- pressure ------------------------------------------------------------
 
@@ -310,7 +299,7 @@ class TieredRuntime:
                     cache.evict(victim)
             placed = []
             for key, column in missing:
-                if cache.admit(key, segrel.column_slice(column, index)):
+                if cache.admit(key, segrel.segment_nbytes(column, index)):
                     policy.note_admitted(key)
                     placed.append(key)
                 else:
@@ -325,7 +314,7 @@ class TieredRuntime:
                 protect.update(placed)
                 fresh.update(placed)
                 admitted += len(placed)
-                admitted_bytes += sum(cache._resident[key].nbytes for key in placed)
+                admitted_bytes += bundle_bytes
         evicted = cache.evictions - before_evicted
         accounting = {
             "admitted": float(admitted),
@@ -403,15 +392,9 @@ class TieredRuntime:
         return resident
 
     def _begin_op(self, session: Optional[TraceSession], fault_plan):
-        """The operator's session, with the cache's pool and capacity set."""
+        """The operator's session, with the cache's capacity set."""
         if session is None:
             session = current_session()
-        # The cache's private DeviceMemory predates any session, so its
-        # pool sink is wired per operator call — before the placement
-        # pass, so first-call admissions show up as pool.* metrics
-        # alongside the tier.* counters.
-        if session is not None and self.cache.memory.pool is not None:
-            self.cache.memory.pool.sink = session
         if fault_plan is not None and fault_plan.capacity_frac is not None:
             self.apply_capacity_pressure(fault_plan.capacity_frac, session)
         elif self.cache.pressure_capacity_bytes is not None:
@@ -461,19 +444,15 @@ class TieredRuntime:
         session: Optional[TraceSession] = None,
         fault_plan=None,
         seed: Optional[int] = None,
-    ) -> Optional[OperatorRun]:
+    ) -> OperatorRun:
         """Tier-split inner join (left = build, right = probe).
 
-        Returns ``None`` when either side is not under tier management
-        (the executor falls back to the single-device path).  The output
-        relation is in canonical s-major match order — identical for
-        every placement, and exactly the order of
+        The output relation is in canonical s-major match order —
+        identical for every placement, and exactly the order of
         :func:`~repro.relational.validation.reference_join`.
         """
-        segR = self.segmented(left)
-        segS = self.segmented(right)
-        if segR is None or segS is None:
-            return None
+        segR = self.register(left)
+        segS = self.register(right)
         config = config or JoinConfig()
         session = self._begin_op(session, fault_plan)
         r_cols = left.column_names
@@ -637,7 +616,7 @@ class TieredRuntime:
         session: Optional[TraceSession] = None,
         fault_plan=None,
         seed: Optional[int] = None,
-    ) -> Optional[OperatorRun]:
+    ) -> OperatorRun:
         """Tier-split grouped aggregation over a managed base relation.
 
         Hot row ranges are charged to the GPU, cold ranges to the CPU;
@@ -645,9 +624,7 @@ class TieredRuntime:
         relation, so they are bit-identical to ``execute()`` for every
         placement.
         """
-        segrel = self.segmented(child)
-        if segrel is None:
-            return None
+        segrel = self.register(child)
         session = self._begin_op(session, fault_plan)
         needed: List[str] = [group_column]
         for spec in aggregates:
@@ -780,7 +757,6 @@ class TieredRuntime:
             cpu_device=self.cpu_device,
             segment_rows=self.segment_rows,
             capacity_bytes=self.capacity_bytes,
-            auto_register=True,
             min_admit_weight=self.min_admit_weight,
         )
 

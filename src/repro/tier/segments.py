@@ -4,16 +4,18 @@ The tiering layer (Mordred-style; see SNIPPETS.md snippet 2) manages
 device residency at the granularity of *column segments*: each column of
 a relation is split into fixed-size runs of ``segment_rows`` rows, and
 placement decisions are taken per ``(relation, column, segment)`` key.
-A row range is *hot* for an operator only when **all** the columns that
-operator reads are resident for that range — the same rule Mordred's
-``segment_group`` bitmap encodes — so the executor can split one
-operator into a GPU part over hot ranges and a CPU part over cold ones
-without ever mixing tiers inside a row.
+A segment is metadata only — a key, a row range and a byte count; the
+cache holds a bytes-only reservation per resident segment and no copy of
+its data.  A row range is *hot* for an operator only when **all** the
+columns that operator reads are resident for that range — the same rule
+Mordred's ``segment_group`` bitmap encodes — so the executor can split
+one operator into a GPU part over hot ranges and a CPU part over cold
+ones without ever mixing tiers inside a row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +37,9 @@ class SegmentKey(NamedTuple):
 class SegmentedRelation:
     """A relation viewed as fixed-size column segments, plus its indexes.
 
-    The backing :class:`~repro.relational.relation.Relation` stays the
-    host-side source of truth; the cache copies segment slices onto the
-    simulated device when the placement policy admits them.  Beside the
+    The backing :class:`~repro.relational.relation.Relation` is the only
+    copy of the data; the cache reserves a segment's bytes on the
+    simulated device when the placement policy admits it.  Beside the
     view it memoises per-column group indexes (:meth:`groups`), which
     depend only on the column's values.  Registered relations are never
     mutated in place, so an index lives exactly as long as this object:
@@ -81,11 +83,6 @@ class SegmentedRelation:
     def segment_key(self, column: str, index: int) -> SegmentKey:
         return SegmentKey(self.name, column, index)
 
-    def column_slice(self, column: str, index: int) -> np.ndarray:
-        """The host-side data of one column segment (a view, no copy)."""
-        start, stop = self.row_range(index)
-        return self.relation.column(column)[start:stop]
-
     def segment_nbytes(self, column: str, index: int) -> int:
         start, stop = self.row_range(index)
         return (stop - start) * int(self.relation.column(column).dtype.itemsize)
@@ -97,12 +94,6 @@ class SegmentedRelation:
     def keys_for(self, columns: Sequence[str], index: int) -> List[SegmentKey]:
         """Segment keys an operator reading *columns* needs for range *index*."""
         return [self.segment_key(column, index) for column in columns]
-
-    def iter_keys(self, columns: Sequence[str]) -> Iterable[SegmentKey]:
-        """All segment keys of *columns*, segment-major."""
-        for index in range(self.num_segments):
-            for column in columns:
-                yield self.segment_key(column, index)
 
     def groups(self, column: str) -> Tuple[np.ndarray, np.ndarray]:
         """Memoised :func:`group_identify` of *column*: (group keys, inverse).

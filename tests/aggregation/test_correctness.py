@@ -127,7 +127,6 @@ def test_property_sum(rows, strategy):
     assert np.array_equal(result.output["sum_v"], expected["sum_v"])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("shards", [1, 2], ids=lambda s: f"shards{s}")
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_nan_keys_form_one_group(strategy, shards):

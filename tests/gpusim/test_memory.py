@@ -42,13 +42,6 @@ class TestAllocFree:
         with pytest.raises(AllocationError, match="not owned"):
             mem_b.free(arr)
 
-    def test_from_host_copies(self):
-        mem = DeviceMemory()
-        host = np.arange(5)
-        dev = mem.from_host(host, "copy")
-        host[0] = 99
-        assert dev.data[0] == 0
-
     def test_adopt_does_not_copy(self):
         mem = DeviceMemory()
         host = np.arange(5)

@@ -13,10 +13,10 @@ from repro.relational.relation import Relation
 def test_pool_counters_flow_to_sink():
     session = TraceSession("pool")
     mem = DeviceMemory(pool=BufferPool(sink=session))
-    a = mem.from_host(np.arange(1024, dtype=np.int64))
+    a = mem.alloc(1024, np.int64)
     a.free()  # recycled into the pool
-    b = mem.from_host(np.arange(1024, dtype=np.int64))  # pool hit
-    c = mem.from_host(np.arange(2048, dtype=np.int64))  # pool miss
+    b = mem.alloc(1024, np.int64)  # pool hit
+    c = mem.alloc(2048, np.int64)  # pool miss
     b.free()
     c.free()
     m = session.metrics
@@ -30,10 +30,10 @@ def test_pool_drop_and_clear_are_counted():
     session = TraceSession("pool")
     pool = BufferPool(max_bytes=4096, sink=session)
     mem = DeviceMemory(pool=pool)
-    big = mem.from_host(np.arange(4096, dtype=np.int64))  # 32 KiB > max
+    big = mem.alloc(4096, np.int64)  # 32 KiB > max
     big.free()
     assert session.metrics.value("pool.dropped") == 1.0
-    small = mem.from_host(np.arange(64, dtype=np.int64))
+    small = mem.alloc(64, np.int64)
     small.free()
     pool.clear()
     assert session.metrics.value("pool.cleared_bytes") == 64 * 8

@@ -1,6 +1,5 @@
 """Segment cache: residency, counters, pressure, accounting invariant."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,36 +10,36 @@ from repro.tier import PlacementPolicy, SegmentCache, SegmentKey
 K = lambda i, col="c", rel="R": SegmentKey(rel, col, i)  # noqa: E731
 
 
-def seg_data(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64)
+def seg_bytes(n: int) -> int:
+    """Bytes of an n-row int64 column segment."""
+    return 8 * n
 
 
 def make_cache(capacity=None, mem_capacity=None):
     return SegmentCache(DeviceMemory(mem_capacity), capacity_bytes=capacity)
 
 
-def test_admit_then_get_round_trips_data():
+def test_admit_reserves_bytes_without_a_copy():
     cache = make_cache()
-    data = seg_data(100)
-    assert cache.admit(K(0), data)
-    got = cache.get(K(0))
-    np.testing.assert_array_equal(got, data)
-    assert got is not data  # a device copy, not the host view
+    assert cache.admit(K(0), seg_bytes(100))
     assert cache.is_resident(K(0))
-    assert cache.resident_bytes == data.nbytes
-    assert cache.memory.current_bytes == data.nbytes
+    assert cache.resident_bytes == 800
+    memory = cache.memory
+    assert memory.current_bytes == memory.reserved_bytes == 800
+    assert memory.live_allocations() == [("tier:R.c[0]", 800)]
+    assert memory.alloc_count == 0  # no DeviceArray backs a segment
 
 
 def test_admit_is_idempotent():
     cache = make_cache()
-    assert cache.admit(K(0), seg_data(10))
-    assert cache.admit(K(0), seg_data(10))
+    assert cache.admit(K(0), seg_bytes(10))
+    assert cache.admit(K(0), seg_bytes(10))
     assert cache.admissions == 1
 
 
 def test_budget_decline_leaves_segment_cold():
     cache = make_cache(capacity=100)
-    assert not cache.admit(K(0), seg_data(100))  # 800 bytes > 100
+    assert not cache.admit(K(0), seg_bytes(100))  # 800 bytes > 100
     assert cache.declined == 1
     assert not cache.is_resident(K(0))
     assert cache.resident_bytes == 0
@@ -49,7 +48,7 @@ def test_budget_decline_leaves_segment_cold():
 def test_memory_oom_decline_is_graceful():
     cache = make_cache(mem_capacity=100)
     assert cache.can_fit(80)
-    assert not cache.admit(K(0), seg_data(100))
+    assert not cache.admit(K(0), seg_bytes(100))
     assert cache.declined == 1
     assert cache.memory.current_bytes == 0
 
@@ -58,20 +57,20 @@ def test_reservations_compete_with_segments():
     memory = DeviceMemory(1000)
     cache = SegmentCache(memory)
     reservation = memory.reserve(900, label="admission")
-    assert not cache.admit(K(0), seg_data(50))  # 400 bytes do not fit
+    assert not cache.admit(K(0), seg_bytes(50))  # 400 bytes do not fit
     reservation.free()
-    assert cache.admit(K(0), seg_data(50))
+    assert cache.admit(K(0), seg_bytes(50))
 
 
 def test_evict_frees_device_bytes():
     cache = make_cache()
-    cache.admit(K(0), seg_data(10))
+    cache.admit(K(0), seg_bytes(10))
     freed = cache.evict(K(0))
     assert freed == 80
     assert cache.evictions == 1
     assert cache.resident_bytes == 0
     assert cache.memory.current_bytes == 0
-    assert cache.get(K(0)) is None
+    assert cache.memory.live_count == 0
     assert cache.evict(K(0)) == 0  # double evict is a no-op
 
 
@@ -79,7 +78,7 @@ def test_demote_bytes_cheapest_first_with_policy():
     cache = make_cache()
     policy = PlacementPolicy()
     for i in range(3):
-        cache.admit(K(i), seg_data(10))
+        cache.admit(K(i), seg_bytes(10))
     for _ in range(5):
         policy.note_access(K(2))
     policy.note_access(K(1))
@@ -92,7 +91,7 @@ def test_demote_bytes_cheapest_first_with_policy():
 def test_apply_pressure_demotes_to_cap_and_lifts():
     cache = make_cache()
     for i in range(4):
-        cache.admit(K(i), seg_data(10))  # 320 bytes resident
+        cache.admit(K(i), seg_bytes(10))  # 320 bytes resident
     freed = cache.apply_pressure(150)
     assert freed >= 170
     assert cache.resident_bytes <= 150
@@ -111,8 +110,8 @@ def test_hit_ratio_is_byte_weighted():
 
 def test_evict_relation_and_clear():
     cache = make_cache()
-    cache.admit(K(0, rel="A"), seg_data(10))
-    cache.admit(K(0, rel="B"), seg_data(10))
+    cache.admit(K(0, rel="A"), seg_bytes(10))
+    cache.admit(K(0, rel="B"), seg_bytes(10))
     assert cache.evict_relation("A") == 80
     assert not cache.is_resident(K(0, rel="A"))
     assert cache.is_resident(K(0, rel="B"))
@@ -145,7 +144,7 @@ def test_accounting_invariant_across_interleavings(ops, capacity):
     for op, idx, length in ops:
         if op == "admit":
             policy.note_access(K(idx))
-            cache.admit(K(idx), seg_data(length))
+            cache.admit(K(idx), seg_bytes(length))
         elif op == "evict":
             cache.evict(K(idx))
         elif op == "demote":
@@ -159,6 +158,7 @@ def test_accounting_invariant_across_interleavings(ops, capacity):
             n for _, n in cache.resident_items()
         )
         assert memory.current_bytes == cache.resident_bytes
+        assert memory.reserved_bytes == cache.resident_bytes
         cap = cache.effective_capacity_bytes
         if cap is not None:
             assert cache.resident_bytes <= cap

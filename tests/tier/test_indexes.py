@@ -159,7 +159,7 @@ def test_fork_cold_shares_no_index(spy):
     ex.execute(group_plan(s))
     fork = runtime.fork_cold()
     assert fork._join_indexes == {}
-    assert fork.segmented(s) is not runtime.segmented(s)
+    assert fork.register(s) is not runtime.register(s)
     cold = QueryExecutor(tiering=fork)
     cold.execute(join_plan(r, s))
     cold.execute(group_plan(s))

@@ -38,14 +38,6 @@ def test_last_segment_is_short():
     assert seg.segment_nbytes("pay", 2) == (10_000 - 8192) * 4
 
 
-def test_column_slice_is_a_view_not_a_copy():
-    rel = make_relation(10_000)
-    seg = SegmentedRelation(rel, 4096)
-    view = seg.column_slice("key", 1)
-    assert view.base is rel.column("key")
-    np.testing.assert_array_equal(view, np.arange(4096, 8192))
-
-
 def test_range_nbytes_sums_columns():
     seg = SegmentedRelation(make_relation(10_000), 4096)
     assert seg.range_nbytes(["key", "pay"], 0) == 4096 * (8 + 4)
@@ -56,10 +48,9 @@ def test_segment_keys_identity_and_iteration():
     key = seg.segment_key("pay", 1)
     assert key == SegmentKey("S", "pay", 1)
     assert key.describe() == "S.pay[1]"
-    keys = list(seg.iter_keys(["key", "pay"]))
-    assert len(keys) == seg.num_segments * 2
-    assert keys[0] == SegmentKey("S", "key", 0)
-    assert keys[1] == SegmentKey("S", "pay", 0)
+    assert seg.keys_for(["key", "pay"], 0) == [
+        SegmentKey("S", "key", 0), SegmentKey("S", "pay", 0)
+    ]
 
 
 def test_out_of_range_and_bad_segment_rows_raise():
@@ -79,4 +70,3 @@ def test_empty_relation_has_no_segments():
     )
     seg = SegmentedRelation(rel, 4096)
     assert seg.num_segments == 0
-    assert list(seg.iter_keys(["key"])) == []
