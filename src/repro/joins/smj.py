@@ -22,7 +22,7 @@ from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
 from ..primitives.gather import gather
 from ..primitives.merge_path import match_bounds
-from ..primitives.sort_pairs import sort_pairs
+from ..primitives.sort_pairs import argsort_cost_only, sort_pairs
 from ..relational.relation import Relation
 from .base import (
     MATCH,
@@ -191,17 +191,24 @@ class SortMergeJoinOM(JoinAlgorithm):
                     continue
                 # Lazily transform this payload column with the keys
                 # (Algorithm 1, lines 5 and 8), then gather clustered.
-                # The stable permutation from the transform-phase sort of
-                # the same keys is reused host-side.
+                # The device sorts the (key, column) pairs in full; the
+                # host reuses the transform-phase permutation of the same
+                # keys and gathers only the column, since the re-sorted
+                # keys are discarded unread — their bytes are reserved.
+                column = rel.column(source)
                 temp = ctx.mem.alloc(_sort_temp_bytes(rel.num_rows), np.uint8, "sort_temp")
-                tk, (tcol,) = sort_pairs(
-                    ctx, rel.key_values, [rel.column(source)], phase=MATERIALIZE, label=out_name,
-                    order=key_orders[side],
+                argsort_cost_only(
+                    ctx, rel.num_rows, rel.key_values.dtype.itemsize,
+                    column.dtype.itemsize, phase=MATERIALIZE, label=out_name,
                 )
                 ctx.mem.free(temp)
-                a_tk = ctx.mem.adopt(tk, f"keys_resorted_{out_name}")
-                a_tcol = ctx.mem.adopt(tcol, f"payload_sorted_{out_name}")
-                ctx.mem.free(a_tk)  # the re-sorted key column is not needed
+                resorted_keys = ctx.mem.reserve(
+                    rel.key_values.nbytes, f"keys_resorted_{out_name}"
+                )
+                a_tcol = ctx.mem.adopt(
+                    column[key_orders[side]], f"payload_sorted_{out_name}"
+                )
+                resorted_keys.free()
                 columns.append(
                     (out_name, gather(ctx, a_tcol.data, vids, phase=MATERIALIZE, label=out_name))
                 )

@@ -21,9 +21,18 @@ pins that across hot/cold/mixed placements, eviction mid-query, and
 fault-injected capacity pressure.
 
 Keys change only on ``update()``, so the host work that does not depend
-on placement is done once per relation version: the runtime keeps each
-relation pair's join index and each column's group index
-(:meth:`SegmentedRelation.groups`) until the relation is invalidated.
+on placement is done once per relation version and kept until the
+relation is invalidated:
+
+* the segment table (:meth:`SegmentedRelation.table`): each segment's
+  row count, and per columns tuple its keys and byte counts, which the
+  placement pass, the hot/cold split and the charges iterate;
+* each column's group index (:meth:`SegmentedRelation.groups`) and each
+  ``(group column, value column, op)`` fold
+  (:meth:`SegmentedRelation.fold`), handed out as copies;
+* each relation pair's join index, with ``intp`` positions that gather
+  without a cast.
+
 The simulated clock still charges every kernel on every call.
 """
 
@@ -34,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..aggregation.base import AggSpec, segmented_aggregate
+from ..aggregation.base import AggSpec
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
@@ -135,9 +144,9 @@ class TieredRuntime:
 
         Those indexes are not bounded: they live until the relation is
         invalidated, which for a relation an operator registered (an ad
-        hoc scan) is never.  A join index holds about 8 bytes per output
-        row (two int32 positions below 2^31 rows), a group index 4 bytes
-        per row plus its distinct keys.
+        hoc scan) is never.  A join index holds 16 bytes per output row
+        (two ``intp`` positions), a group index 4 bytes per row plus its
+        distinct keys, and each memoised fold 8 bytes per group.
         """
         existing = self._by_id.get(id(relation))
         if existing is not None:
@@ -243,14 +252,15 @@ class TieredRuntime:
         candidates = []
         protect: Set[SegmentKey] = set()
         for segrel, columns in wants:
-            for index in range(segrel.num_segments):
-                keys = segrel.keys_for(columns, index)
-                nbytes = segrel.range_nbytes(columns, index)
+            table = segrel.table(columns)
+            for index, (keys, column_nbytes, nbytes) in enumerate(
+                zip(table.keys, table.column_nbytes, table.nbytes)
+            ):
                 for key in keys:
                     policy.note_access(key)
                 missing = [
-                    (key, column)
-                    for key, column in zip(keys, columns)
+                    (key, key_nbytes)
+                    for key, key_nbytes in zip(keys, column_nbytes)
                     if not cache.is_resident(key)
                 ]
                 if not missing:
@@ -277,9 +287,7 @@ class TieredRuntime:
             if weight < threshold:
                 declined += 1
                 continue
-            bundle_bytes = sum(
-                segrel.segment_nbytes(column, index) for _, column in missing
-            )
+            bundle_bytes = sum(key_nbytes for _, key_nbytes in missing)
             if not cache.can_fit(bundle_bytes):
                 cap = cache.effective_capacity_bytes
                 headroom = (
@@ -298,8 +306,8 @@ class TieredRuntime:
                     policy.note_evicted(victim)
                     cache.evict(victim)
             placed = []
-            for key, column in missing:
-                if cache.admit(key, segrel.segment_nbytes(column, index)):
+            for key, key_nbytes in missing:
+                if cache.admit(key, key_nbytes):
                     policy.note_admitted(key)
                     placed.append(key)
                 else:
@@ -356,20 +364,21 @@ class TieredRuntime:
         operator's own placement pass (*fresh*) — first-touch data runs
         on the GPU but its bytes were shipped this query.
         """
+        cache = self.cache
+        table = segrel.table(columns)
         hot: Set[int] = set()
         hot_rows = cold_rows = 0
-        for index in range(segrel.num_segments):
-            start, stop = segrel.row_range(index)
-            nbytes = segrel.range_nbytes(columns, index)
-            keys = segrel.keys_for(columns, index)
-            if all(self.cache.is_resident(key) for key in keys):
+        for index, (keys, nbytes, rows) in enumerate(
+            zip(table.keys, table.nbytes, segrel.segment_row_counts)
+        ):
+            if all(cache.is_resident(key) for key in keys):
                 hot.add(index)
-                hot_rows += stop - start
+                hot_rows += rows
                 hit = not any(key in fresh for key in keys)
-                self.cache.record_access(hit, nbytes)
+                cache.record_access(hit, nbytes)
             else:
-                cold_rows += stop - start
-                self.cache.record_access(False, nbytes)
+                cold_rows += rows
+                cache.record_access(False, nbytes)
         return hot, hot_rows, cold_rows
 
     def _count_build_residency(
@@ -379,16 +388,16 @@ class TieredRuntime:
         fresh: Set[SegmentKey],
     ) -> int:
         """Resident bytes of the build side (access-counted)."""
+        cache = self.cache
         resident = 0
-        for index in range(segrel.num_segments):
-            for column in columns:
-                key = segrel.segment_key(column, index)
-                nbytes = segrel.segment_nbytes(column, index)
-                if self.cache.is_resident(key):
+        table = segrel.table(columns)
+        for keys, column_nbytes in zip(table.keys, table.column_nbytes):
+            for key, nbytes in zip(keys, column_nbytes):
+                if cache.is_resident(key):
                     resident += nbytes
-                    self.cache.record_access(key not in fresh, nbytes)
+                    cache.record_access(key not in fresh, nbytes)
                 else:
-                    self.cache.record_access(False, nbytes)
+                    cache.record_access(False, nbytes)
         return resident
 
     def _begin_op(self, session: Optional[TraceSession], fault_plan):
@@ -464,6 +473,7 @@ class TieredRuntime:
         hot, hot_rows, cold_rows = self._split(segS, s_cols, fresh)
         r_resident = self._count_build_residency(segR, r_cols, fresh)
         r_missing = left.total_bytes - r_resident
+        s_bytes = segS.table(s_cols).nbytes
 
         r_idx, s_idx, per_segment = self._join_index(
             segR, segS, config.unique_build_keys
@@ -491,16 +501,14 @@ class TieredRuntime:
                 ),
                 phase="tier-gpu",
             )
-            probe_stats = []
-            for index in sorted(hot):
-                start, stop = segS.row_range(index)
-                probe_stats.append(
-                    KernelStats(
-                        name="tier_probe",
-                        items=stop - start,
-                        seq_read_bytes=segS.range_nbytes(s_cols, index),
-                    )
+            probe_stats = [
+                KernelStats(
+                    name="tier_probe",
+                    items=segS.segment_row_counts[index],
+                    seq_read_bytes=s_bytes[index],
                 )
+                for index in sorted(hot)
+            ]
             gpu_ctx.submit_many(probe_stats, phase="tier-gpu")
             gpu_ctx.submit(
                 KernelStats(
@@ -523,9 +531,7 @@ class TieredRuntime:
                 phase="tier-cpu",
             )
             cold_bytes = sum(
-                segS.range_nbytes(s_cols, index)
-                for index in range(segS.num_segments)
-                if index not in hot
+                nbytes for index, nbytes in enumerate(s_bytes) if index not in hot
             )
             cpu_ctx.submit(
                 KernelStats(
@@ -584,7 +590,9 @@ class TieredRuntime:
 
         Keyed by the ``unique_build_keys`` hint as given, so a wrong
         ``True`` hint never shares an entry with auto-detection.
-        Positions are read-only, int32 whenever both row counts allow.
+        Positions are read-only ``intp``: numpy converts an index of
+        any other dtype on every gather, and with int32 positions that
+        conversion made materialisation about twice as slow.
         """
         pair = (segR.name, segS.name, unique_hint)
         index = self._join_indexes.get(pair)
@@ -595,12 +603,11 @@ class TieredRuntime:
         if unique is None:
             unique = detect_unique_keys(r_keys)
         r_idx, s_idx = match_positions(r_keys, segS.relation.key_values, unique)
+        r_idx = r_idx.astype(np.intp, copy=False)
+        s_idx = s_idx.astype(np.intp, copy=False)
         per_segment = np.bincount(
             s_idx // segS.segment_rows, minlength=segS.num_segments
         )
-        if max(segR.num_rows, segS.num_rows) < 2**31:
-            r_idx = r_idx.astype(np.int32)
-            s_idx = s_idx.astype(np.int32)
         for array in (r_idx, s_idx, per_segment):
             array.flags.writeable = False
         index = self._join_indexes[pair] = (r_idx, s_idx, per_segment)
@@ -639,10 +646,9 @@ class TieredRuntime:
         output: "OrderedDict[str, np.ndarray]" = OrderedDict()
         output["group_key"] = group_keys.copy()
         for spec in aggregates:
-            values = child.column(spec.column) if spec.op != "count" else None
-            output[spec.output_name] = segmented_aggregate(
-                inverse, groups, values, spec.op
-            )
+            output[spec.output_name] = segrel.fold(
+                group_column, spec.column, spec.op
+            ).copy()
         # Each tier writes one partial per distinct group among its rows.
         hot_idx = sorted(hot)
         cold_idx = [i for i in range(segrel.num_segments) if i not in hot]
@@ -658,8 +664,9 @@ class TieredRuntime:
         mixed = hot_rows > 0 and cold_rows > 0
         gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed, placement)
         partial_bytes = 8 * (1 + len(aggregates))
+        range_bytes = segrel.table(needed).nbytes
         if hot_rows:
-            hot_bytes = sum(segrel.range_nbytes(needed, i) for i in hot_idx)
+            hot_bytes = sum(range_bytes[i] for i in hot_idx)
             gpu_ctx.submit(
                 KernelStats(
                     name="tier_fold",
@@ -671,7 +678,7 @@ class TieredRuntime:
                 phase="tier-gpu",
             )
         if cold_rows:
-            cold_bytes = sum(segrel.range_nbytes(needed, i) for i in cold_idx)
+            cold_bytes = sum(range_bytes[i] for i in cold_idx)
             cpu_ctx.submit(
                 KernelStats(
                     name="tier_fold",

@@ -209,6 +209,35 @@ def test_tier_repeat_join_throughput():
     )
 
 
+def test_tier_repeat_groupby_throughput():
+    """A tiered 2^16-row group-by repeated on a warm runtime (group-bys/s).
+
+    The relation keeps its segment table, group index and folds, so a
+    repeat pays placement, pricing and one copy per output column.
+    """
+    rng = np.random.default_rng(3)
+    n = 1 << 16
+    s = Relation.from_key_payloads(
+        rng.integers(0, 1 << 14, n).astype(np.int32),
+        [rng.integers(0, 1 << 20, n).astype(np.int32)],
+        payload_prefix="s",
+    )
+    aggregates = [AggSpec("s1", "sum"), AggSpec("s1", "max"), AggSpec("key", "count")]
+    runtime = TieredRuntime()
+    reps = 10
+
+    def group_bys():
+        for _ in range(reps):
+            runtime.run_group_by(s, "key", aggregates)
+
+    seconds = best_seconds(group_bys)
+    throughput = reps / seconds
+    assert throughput >= floor("tier_repeat_groupby_per_s"), (
+        f"repeated tier group-by at {throughput:.0f} group-bys/s, "
+        f"floor {floor('tier_repeat_groupby_per_s'):.0f}/s"
+    )
+
+
 def test_dense_group_identify_throughput():
     """Direct-address grouping: 2^20 int32 keys over 2^18 values (keys/s)."""
     rng = np.random.default_rng(3)
