@@ -24,7 +24,7 @@ from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
 from ..primitives.gather import gather
 from ..primitives.grouping import groups_from_sorted
-from ..primitives.sort_pairs import sort_pairs
+from ..primitives.sort_pairs import argsort_cost_only, sort_pairs
 from ..relational.types import id_dtype
 from .base import (
     AGGREGATE,
@@ -131,12 +131,15 @@ class SortGroupBy(GroupByAlgorithm):
                     )
                 else:
                     # Lazily re-sort (key, column): Algorithm 1 for
-                    # aggregations — sequential passes only.  The stable
-                    # permutation is the one the transform sort computed.
-                    _, (sorted_col,) = sort_pairs(
-                        ctx, keys, [column], phase=MATERIALIZE, label=spec.column,
-                        order=key_order,
+                    # aggregations — sequential passes only.  The device
+                    # re-sorts the keys too, but only the column is
+                    # read, so the host reuses the transform's stable
+                    # permutation and moves the column alone.
+                    argsort_cost_only(
+                        ctx, n, keys.itemsize, column.itemsize,
+                        phase=MATERIALIZE, label=spec.column,
                     )
+                    sorted_col = column[key_order]
                 output[spec.output_name] = segmented_aggregate(
                     inverse_sorted, num_groups, sorted_col, spec.op
                 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable
 
 from .harness import ExperimentResult
 
@@ -31,10 +30,6 @@ def save_result(result: ExperimentResult) -> Path:
     path = results_dir() / f"{result.experiment_id}.txt"
     path.write_text(result.render() + "\n")
     return path
-
-
-def save_results(results: Iterable[ExperimentResult]) -> list:
-    return [save_result(r) for r in results]
 
 
 def print_and_save(result: ExperimentResult) -> Path:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .costmodel import CostModel
 from .device import SECTOR_BYTES, WARP_SIZE, DeviceSpec
 from .kernel import KernelRecord, KernelStats
 
@@ -93,7 +92,6 @@ class Profiler:
 
     def __init__(self, device: DeviceSpec):
         self.device = device
-        self._cost = CostModel(device)
         self._records: List[KernelRecord] = []
 
     def record(self, record: KernelRecord) -> None:
@@ -120,13 +118,3 @@ class Profiler:
             for r in self._records
             if name_filter is None or name_filter in r.stats.name
         )
-
-    def profile_kernel(self, stats: KernelStats) -> ProfileCounters:
-        """One-off counters for a single kernel without recording it."""
-        record = KernelRecord(stats=stats, seconds=self._cost.time(stats))
-        saved = self._records
-        self._records = [record]
-        try:
-            return self.counters()
-        finally:
-            self._records = saved

@@ -10,6 +10,7 @@ The paper structures every join into three phases (Section 2.2):
     identifier arrays (physical IDs under GFUR, virtual IDs under GFTR).
 ``materialize``
     Gather the payload columns of matching tuples into the output.
+    Every wide join shares one materializer, :func:`materialize`.
 
 A :class:`JoinResult` carries the real materialized output relation plus
 the simulated phase times, traffic profile and memory peaks.
@@ -24,8 +25,8 @@ separately, so ``peak_total_bytes = input + output + peak_aux``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +34,10 @@ from ..errors import JoinConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
+from ..gpusim.memory import DeviceArray, MemoryReservation
 from ..relational.relation import Relation
 from ..primitives.direct_address import dense_span
+from ..primitives.gather import gather_stats_only
 from ..primitives.grouping import count_distinct
 from ..relational.types import id_dtype
 
@@ -124,12 +127,6 @@ class JoinResult:
             return float("inf")
         return (self.r_rows + self.s_rows) / self.total_seconds
 
-    @property
-    def throughput_bytes_per_s(self) -> float:
-        if self.total_seconds == 0:
-            return float("inf")
-        return self.input_bytes / self.total_seconds
-
     def phase_fraction(self, phase: str) -> float:
         total = self.total_seconds
         return self.phase_seconds.get(phase, 0.0) / total if total else 0.0
@@ -180,6 +177,96 @@ def output_column_names(
     ]
 
 
+#: What a join's match phase hands :func:`materialize` for one side: the
+#: device-resident map its simulated gathers read (virtual IDs under
+#: GFTR, physical IDs under GFUR), the permutation its transform applied
+#: to the base relation (``None`` when the map holds physical IDs), and
+#: the first payload column transformed eagerly with the keys, held as
+#: ``(column name, reservation)``, if any.
+SideMap = Tuple[
+    DeviceArray, Optional[np.ndarray], Optional[Tuple[str, MemoryReservation]]
+]
+
+#: Algorithm 1's lazy per-column transform of a GFTR join:
+#: ``transform(ctx, rel, column, out_name)`` charges transforming one
+#: payload column with the keys and returns the reservation holding the
+#: transformed column's bytes.
+LazyTransform = Callable[[GPUContext, Relation, np.ndarray, str], MemoryReservation]
+
+
+def materialize(
+    ctx: GPUContext,
+    r: Relation,
+    s: Relation,
+    projection: Optional[Tuple[str, ...]],
+    out_key: np.ndarray,
+    sides: Dict[str, SideMap],
+    transform: Optional[LazyTransform] = None,
+) -> List[Tuple[str, np.ndarray]]:
+    """The materialization phase of every wide join; returns the output.
+
+    Under GFTR each payload column is transformed with the keys (the
+    first one eagerly, the rest lazily through *transform*) and then
+    GATHERed through its side's virtual IDs; under GFUR it is GATHERed
+    from the base relation through physical IDs.  Either way the
+    simulated gather is charged on the side's map, while the host reads
+    the same values once from the base relation through
+    ``order[map]``, computed once per side.  A gather's traffic depends
+    only on its map and the column's item size, so the sector analysis
+    runs once per (side, item size) and later columns re-submit those
+    stats under their own name.  Frees every transformed column and
+    both maps.
+    """
+    columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
+    sources: Dict[str, np.ndarray] = {}
+    charged: Dict[Tuple[str, int], KernelStats] = {}
+    with ctx.phase(MATERIALIZE):
+        for side, source, out_name in output_column_names(r, s, projection):
+            if out_name == "key":
+                continue
+            rel = r if side == "r" else s
+            index_map, order, eager = sides[side]
+            column = rel.column(source)
+            if eager is not None and eager[0] == source:
+                held = eager[1]
+            else:
+                held = transform(ctx, rel, column, out_name) if transform else None
+            item_bytes = column.dtype.itemsize
+            stats = charged.get((side, item_bytes))
+            if stats is None:
+                charged[side, item_bytes] = gather_stats_only(
+                    ctx, index_map.data, item_bytes, index_map.size * item_bytes,
+                    phase=MATERIALIZE, label=out_name,
+                )
+            else:
+                ctx.submit(replace(stats, name=f"gather:{out_name}"), phase=MATERIALIZE)
+            if side not in sources:
+                ids = index_map.data if order is None else order[index_map.data]
+                sources[side] = ids.astype(np.intp, copy=False)
+            columns.append((out_name, column[sources[side]]))
+            if held is not None:
+                held.free()
+        # A projection may skip the eagerly transformed first payloads.
+        for _, _, eager in sides.values():
+            if eager is not None and not eager[1].freed:
+                eager[1].free()
+        for index_map, _, _ in sides.values():
+            index_map.free()
+    return columns
+
+
+def hold_first_payload(
+    ctx: GPUContext, rel: Relation, label: str
+) -> Optional[Tuple[str, MemoryReservation]]:
+    """Reserve *rel*'s first payload column, transformed eagerly with the
+    keys under GFTR; the third :data:`SideMap` entry (``None`` if *rel*
+    has no payload)."""
+    first = rel.payload_names[:1]
+    if not first:
+        return None
+    return first[0], ctx.mem.reserve(rel.column(first[0]).nbytes, label)
+
+
 def init_tuple_ids(
     ctx: GPUContext, n: int, phase: str, label: str, dtype=None
 ) -> np.ndarray:
@@ -221,9 +308,10 @@ def detect_unique_keys(keys: np.ndarray) -> bool:
 class JoinAlgorithm(ABC):
     """Base class for the five join implementations.
 
-    Subclasses implement :meth:`_execute`, producing the match index
-    arrays and charging phase-attributed kernels on the context; the base
-    class handles validation, context setup and result assembly.
+    Subclasses implement :meth:`_execute`, running the transform and
+    match phases and charging their kernels on the context; the base
+    class handles validation, context setup, the shared
+    :func:`materialize` phase and result assembly.
     """
 
     #: Short name, e.g. "SMJ-OM"; set by subclasses.
@@ -271,7 +359,10 @@ class JoinAlgorithm(ABC):
             if is_narrow and narrow_exec is not None and self.config.projection is None:
                 output_columns = narrow_exec(ctx, r, s, unique)
             else:
-                output_columns = self._execute(ctx, r, s, unique)
+                out_key, sides, transform = self._execute(ctx, r, s, unique)
+                output_columns = materialize(
+                    ctx, r, s, self.config.projection, out_key, sides, transform
+                )
 
         output = Relation(output_columns, key="key", name=self.config.output_name)
         ctx.count("join_matches", output.num_rows)
@@ -295,8 +386,13 @@ class JoinAlgorithm(ABC):
     @abstractmethod
     def _execute(
         self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool
-    ) -> List[Tuple[str, np.ndarray]]:
-        """Run the join; return the output columns (name, array) in order."""
+    ) -> Tuple[np.ndarray, Dict[str, SideMap], Optional[LazyTransform]]:
+        """Run the transform and match phases.
+
+        Returns the output keys, each side's :data:`SideMap` keyed
+        ``"r"``/``"s"``, and the lazy per-column transform (``None``
+        under GFUR) for :func:`materialize`.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, pattern={self.pattern!r})"

@@ -24,7 +24,7 @@ from ..primitives.merge_path import match_bounds
 from ..primitives.radix_partition import radix_partition
 from ..primitives.sort_pairs import sort_pairs
 from ..relational.relation import Relation
-from .base import MATCH, TRANSFORM, JoinConfig
+from .base import MATCH, TRANSFORM, JoinConfig, output_column_names
 from .matching import expand_bounds, match_positions
 
 
@@ -44,14 +44,11 @@ def _emit_output(
     out_key = s_keys_t[s_pos]
     columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
     written = out_key.nbytes
-    if r_payload_t is not None:
-        name = r.payload_names[0]
-        columns.append((name, gather(ctx, r_payload_t, r_pos, phase=MATCH, label=name)))
-    if s_payload_t is not None:
-        name = s.payload_names[0]
-        out_name = name if name not in dict(columns) else f"{name}_s"
+    payloads = {"r": (r_payload_t, r_pos), "s": (s_payload_t, s_pos)}
+    for side, _, out_name in output_column_names(r, s)[1:]:
+        payload_t, pos = payloads[side]
         columns.append(
-            (out_name, gather(ctx, s_payload_t, s_pos, phase=MATCH, label=out_name))
+            (out_name, gather(ctx, payload_t, pos, phase=MATCH, label=out_name))
         )
     ctx.submit(
         KernelStats(name="write_matches", items=int(out_key.size),

@@ -15,13 +15,10 @@ than *-UM since materializing the probe table is clustered").
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather
 from ..primitives.hash_table import (
     SLOT_BYTES,
     build_table,
@@ -30,7 +27,7 @@ from ..primitives.hash_table import (
 )
 from ..primitives.sector_analysis import analyze_indices
 from ..relational.relation import Relation
-from .base import MATCH, MATERIALIZE, JoinAlgorithm, output_column_names
+from .base import MATCH, JoinAlgorithm
 
 
 def _charge_table_traffic(
@@ -66,9 +63,7 @@ class NonPartitionedHashJoin(JoinAlgorithm):
     name = "NPJ"
     pattern = "gfur"
 
-    def _execute(
-        self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool
-    ) -> List[Tuple[str, np.ndarray]]:
+    def _execute(self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool):
         del unique_build_keys  # the table handles duplicates uniformly
         capacity = table_capacity(r.num_rows)
 
@@ -104,16 +99,4 @@ class NonPartitionedHashJoin(JoinAlgorithm):
             a_id_s = ctx.mem.adopt(id_s.astype(np.int32, copy=False), "match_ids_s")
             ctx.mem.free(table)
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = a_id_r.data if side == "r" else a_id_s.data
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None

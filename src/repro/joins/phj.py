@@ -22,7 +22,7 @@ low-match-ratio workloads too (end of Section 4.3).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,11 @@ from ..errors import JoinConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
 from ..primitives.gather import gather
-from ..primitives.radix_partition import radix_partition
+from ..primitives.radix_partition import (
+    charge_radix_partition,
+    partition_layout,
+    radix_partition,
+)
 from ..relational.relation import Relation
 from .base import (
     MATCH,
@@ -38,8 +42,8 @@ from .base import (
     TRANSFORM,
     JoinAlgorithm,
     JoinConfig,
+    hold_first_payload,
     init_tuple_ids,
-    output_column_names,
 )
 from .matching import match_positions
 from .narrow import narrow_partitioned_hash
@@ -135,29 +139,52 @@ class PartitionedHashJoin(JoinAlgorithm):
 
     # -- helpers -----------------------------------------------------------
 
-    def _partition(
-        self, ctx: GPUContext, rel: Relation, payloads, bits, phase, label,
-        like=None,
-    ):
+    def _partition(self, ctx: GPUContext, rel: Relation, bits, label, ids=None):
+        """Partition *rel*'s keys with its tuple *ids* (GFUR) or with its
+        first payload column (GFTR).  The first payload is priced but not
+        moved: :func:`~repro.joins.base.materialize` reads payloads from
+        the base relation through the layout's ``order``.
+        """
         temp = ctx.mem.alloc((1 << bits) * 8 * 2, np.uint8, "partition_temp")
-        part = radix_partition(
-            ctx,
-            rel.key_values,
-            payloads,
-            total_bits=bits,
-            phase=phase,
-            hashed=self.config.hashed_partitioning,
-            label=label,
-            like=like,
-        )
+        hashed = self.config.hashed_partitioning
+        if ids is not None:
+            part = radix_partition(
+                ctx, rel.key_values, [ids], total_bits=bits,
+                phase=TRANSFORM, hashed=hashed, label=label,
+            )
+        else:
+            part = partition_layout(rel.key_values, bits, hashed)
+            charge_radix_partition(
+                ctx, rel.num_rows, int(rel.key_values.nbytes),
+                sum(int(rel.column(name).nbytes) for name in rel.payload_names[:1]),
+                bits, phase=TRANSFORM, label=label,
+            )
         ctx.mem.free(temp)
         return part
 
+    def _hash_match(self, ctx, pr, ps, unique_build_keys, tuple_bytes):
+        """Co-partitioned hash match; returns the output keys and the
+        matched layout positions of each side."""
+        charge_load_balancing(ctx, ps.num_partitions)
+        pos_r, pos_s = match_positions(pr.keys, ps.keys, unique_build_keys)
+        out_key = ps.keys[pos_s]
+        charge_hash_match(
+            ctx,
+            pr.counts,
+            ps.counts,
+            build_tuple_bytes=tuple_bytes,
+            probe_tuple_bytes=tuple_bytes,
+            matches=int(out_key.size),
+            key_bytes=pr.keys.dtype.itemsize,
+            tuples_per_partition=self.config.tuples_per_partition,
+            load_balanced=self.config.load_balance,
+            num_execution_units=ctx.device.num_execution_units,
+        )
+        return out_key, pos_r, pos_s
+
     # -- execution -----------------------------------------------------------
 
-    def _execute(
-        self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool
-    ) -> List[Tuple[str, np.ndarray]]:
+    def _execute(self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool):
         bits = derive_partition_bits(
             r.num_rows, self.config.tuples_per_partition, self.config.partition_bits
         )
@@ -175,76 +202,38 @@ class PartitionedHashJoin(JoinAlgorithm):
 
     def _execute_gftr(self, ctx, r, s, unique_build_keys, bits):
         parts = {}
-        first_payload = {}
+        eager = {}
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
-                names = rel.payload_names
-                first = names[0] if names else None
-                payloads = [rel.column(first)] if first else []
-                part = self._partition(ctx, rel, payloads, bits, TRANSFORM, side)
-                parts[side] = part
+                parts[side] = part = self._partition(ctx, rel, bits, side)
                 ctx.mem.adopt(part.keys, f"part_keys_{side}")
-                if first:
-                    first_payload[side] = (first, ctx.mem.adopt(part.payloads[0], f"part_payload1_{side}"))
+                eager[side] = hold_first_payload(ctx, rel, f"part_payload1_{side}")
 
         with ctx.phase(MATCH):
             pr, ps = parts["r"], parts["s"]
-            charge_load_balancing(ctx, ps.num_partitions)
-            vid_r, vid_s = match_positions(pr.keys, ps.keys, unique_build_keys)
-            out_key = ps.keys[vid_s]
-            key_bytes = pr.keys.dtype.itemsize
-            charge_hash_match(
-                ctx,
-                pr.counts,
-                ps.counts,
-                build_tuple_bytes=key_bytes,
-                probe_tuple_bytes=key_bytes,
-                matches=int(out_key.size),
-                key_bytes=key_bytes,
-                tuples_per_partition=self.config.tuples_per_partition,
-                load_balanced=self.config.load_balance,
-                num_execution_units=ctx.device.num_execution_units,
+            out_key, vid_r, vid_s = self._hash_match(
+                ctx, pr, ps, unique_build_keys, pr.keys.dtype.itemsize
             )
             a_vid_r = ctx.mem.adopt(vid_r.astype(np.int32, copy=False), "match_vids_r")
             a_vid_s = ctx.mem.adopt(vid_s.astype(np.int32, copy=False), "match_vids_s")
             ctx.mem.free_by_prefix("part_keys_")
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                vids = a_vid_r.data if side == "r" else a_vid_s.data
-                first = first_payload.get(side)
-                if first and first[0] == source:
-                    transformed = first[1]
-                    columns.append(
-                        (out_name, gather(ctx, transformed.data, vids, phase=MATERIALIZE, label=out_name))
-                    )
-                    ctx.mem.free(transformed)
-                    continue
-                # Lazily partition this payload column with the keys
-                # (Algorithm 1), discard the partitioned keys, gather.
-                # The transform phase's partitioning is reused (stable
-                # partitioner -> identical layout): no boundary pass,
-                # and the payload gather is the only host work.
-                part = self._partition(
-                    ctx, rel, [rel.column(source)], bits, MATERIALIZE, out_name,
-                    like=parts[side],
-                )
-                a_col = ctx.mem.adopt(part.payloads[0], f"part_payload_{out_name}")
-                columns.append(
-                    (out_name, gather(ctx, a_col.data, vids, phase=MATERIALIZE, label=out_name))
-                )
-                ctx.mem.free(a_col)
-            # A projection may skip the eagerly transformed first payloads.
-            for _, handle in first_payload.values():
-                if not handle.freed:
-                    ctx.mem.free(handle)
-            ctx.mem.free(a_vid_r)
-            ctx.mem.free(a_vid_s)
-        return columns
+        def transform(ctx, rel, column, out_name):
+            # The stable partitioner reproduces the transform phase's
+            # layout, so the lazy pass needs no boundary kernel.
+            temp = ctx.mem.alloc((1 << bits) * 8 * 2, np.uint8, "partition_temp")
+            charge_radix_partition(
+                ctx, rel.num_rows, int(rel.key_values.nbytes), int(column.nbytes),
+                bits, phase=MATERIALIZE, label=out_name, boundaries=False,
+            )
+            ctx.mem.free(temp)
+            return ctx.mem.reserve(column.nbytes, f"part_payload_{out_name}")
+
+        sides = {
+            "r": (a_vid_r, pr.order, eager["r"]),
+            "s": (a_vid_s, ps.order, eager["s"]),
+        }
+        return out_key, sides, transform
 
     def _execute_gfur(self, ctx, r, s, unique_build_keys, bits):
         parts = {}
@@ -253,30 +242,16 @@ class PartitionedHashJoin(JoinAlgorithm):
             for side, rel in (("r", r), ("s", s)):
                 ids = init_tuple_ids(ctx, rel.num_rows, TRANSFORM, side, dtype=rel.key_values.dtype)
                 a_ids = ctx.mem.adopt(ids, f"ids_{side}")
-                part = self._partition(ctx, rel, [ids], bits, TRANSFORM, side)
+                parts[side] = part = self._partition(ctx, rel, bits, side, ids=ids)
                 ctx.mem.free(a_ids)
-                parts[side] = part
                 ctx.mem.adopt(part.keys, f"part_keys_{side}")
                 part_ids[side] = ctx.mem.adopt(part.payloads[0], f"part_ids_{side}")
 
         with ctx.phase(MATCH):
             pr, ps = parts["r"], parts["s"]
-            charge_load_balancing(ctx, ps.num_partitions)
-            pos_r, pos_s = match_positions(pr.keys, ps.keys, unique_build_keys)
-            out_key = ps.keys[pos_s]
-            key_bytes = pr.keys.dtype.itemsize
             id_bytes = part_ids["r"].data.dtype.itemsize
-            charge_hash_match(
-                ctx,
-                pr.counts,
-                ps.counts,
-                build_tuple_bytes=key_bytes + id_bytes,
-                probe_tuple_bytes=key_bytes + id_bytes,
-                matches=int(out_key.size),
-                key_bytes=key_bytes,
-                tuples_per_partition=self.config.tuples_per_partition,
-                load_balanced=self.config.load_balance,
-                num_execution_units=ctx.device.num_execution_units,
+            out_key, pos_r, pos_s = self._hash_match(
+                ctx, pr, ps, unique_build_keys, pr.keys.dtype.itemsize + id_bytes
             )
             id_r = gather(ctx, part_ids["r"].data, pos_r, phase=MATCH, label="id_r")
             id_s = gather(ctx, part_ids["s"].data, pos_s, phase=MATCH, label="id_s")
@@ -284,16 +259,4 @@ class PartitionedHashJoin(JoinAlgorithm):
             a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
             ctx.mem.free_by_prefix("part_keys_", "part_ids_")
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = a_id_r.data if side == "r" else a_id_s.data
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None

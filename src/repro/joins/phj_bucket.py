@@ -13,22 +13,13 @@ because the tuple IDs travel *with* their keys through the partitioner.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..primitives.bucket_chain import bucket_chain_partition
 from ..primitives.gather import gather
 from ..relational.relation import Relation
-from .base import (
-    MATCH,
-    MATERIALIZE,
-    TRANSFORM,
-    JoinAlgorithm,
-    init_tuple_ids,
-    output_column_names,
-)
+from .base import MATCH, TRANSFORM, JoinAlgorithm, init_tuple_ids
 from .matching import match_positions
 from .narrow import narrow_partitioned_hash
 from .phj import charge_hash_match, charge_load_balancing, derive_partition_bits
@@ -48,9 +39,7 @@ class PartitionedHashJoinUM(JoinAlgorithm):
             ctx, r, s, unique_build_keys, self.config, bits, "bucket"
         )
 
-    def _execute(
-        self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool
-    ) -> List[Tuple[str, np.ndarray]]:
+    def _execute(self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool):
         bits = derive_partition_bits(
             r.num_rows, self.config.tuples_per_partition, self.config.partition_bits
         )
@@ -103,19 +92,7 @@ class PartitionedHashJoinUM(JoinAlgorithm):
             a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
             ctx.mem.free_by_prefix("part_keys_", "part_ids_", "fragmentation_")
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = a_id_r.data if side == "r" else a_id_s.data
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None
 
 
 def demonstrate_gftr_incompatibility(

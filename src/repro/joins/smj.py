@@ -14,13 +14,12 @@ joins.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
 from ..primitives.gather import gather
+from ..primitives.grouping import stable_key_order
 from ..primitives.merge_path import match_bounds
 from ..primitives.sort_pairs import argsort_cost_only, sort_pairs
 from ..relational.relation import Relation
@@ -29,8 +28,8 @@ from .base import (
     MATERIALIZE,
     TRANSFORM,
     JoinAlgorithm,
+    hold_first_payload,
     init_tuple_ids,
-    output_column_names,
 )
 from .matching import expand_bounds
 from .narrow import narrow_sort_merge
@@ -55,6 +54,18 @@ def _charge_match_output(
     )
 
 
+def _merge(ctx, r_keys_sorted, s_keys_sorted, unique_build_keys, config):
+    """Merge Path match finding; returns the matched sorted positions."""
+    lo, hi = match_bounds(
+        ctx,
+        r_keys_sorted,
+        s_keys_sorted,
+        unique_build_keys and not config.double_merge_pass,
+        phase=MATCH,
+    )
+    return expand_bounds(lo, hi)
+
+
 class SortMergeJoinUM(JoinAlgorithm):
     """Sort-merge join with unoptimized materialization (GFUR)."""
 
@@ -64,9 +75,7 @@ class SortMergeJoinUM(JoinAlgorithm):
     def _execute_narrow(self, ctx, r, s, unique_build_keys):
         return narrow_sort_merge(ctx, r, s, unique_build_keys, self.config)
 
-    def _execute(
-        self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool
-    ) -> List[Tuple[str, np.ndarray]]:
+    def _execute(self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool):
         transformed = {}
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
@@ -86,19 +95,12 @@ class SortMergeJoinUM(JoinAlgorithm):
         with ctx.phase(MATCH):
             rk, r_ids = transformed["r"]
             sk, s_ids = transformed["s"]
-            lo, hi = match_bounds(
-                ctx,
-                rk.data,
-                sk.data,
-                unique_build_keys and not self.config.double_merge_pass,
-                phase=MATCH,
-            )
-            r_pos, s_pos = expand_bounds(lo, hi)
+            r_pos, s_pos = _merge(ctx, rk.data, sk.data, unique_build_keys, self.config)
             out_key = sk.data[s_pos]
             # Physical IDs are fetched through the (clustered) match
             # positions — these reads are cheap; the expensive part is the
-            # materialization gathers below that use the *values* fetched
-            # here as maps.
+            # materialization gathers that use the *values* fetched here
+            # as maps.
             id_r = gather(ctx, r_ids.data, r_pos, phase=MATCH, label="id_r")
             id_s = gather(ctx, s_ids.data, s_pos, phase=MATCH, label="id_s")
             _charge_match_output(ctx, out_key.size, rk.data.dtype.itemsize)
@@ -107,19 +109,7 @@ class SortMergeJoinUM(JoinAlgorithm):
             for arr in (rk, r_ids, sk, s_ids):
                 ctx.mem.free(arr)
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = id_r if side == "r" else id_s
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None
 
 
 class SortMergeJoinOM(JoinAlgorithm):
@@ -132,41 +122,32 @@ class SortMergeJoinOM(JoinAlgorithm):
         # Narrow joins coincide with SMJ-UM (nothing extra to sort).
         return narrow_sort_merge(ctx, r, s, unique_build_keys, self.config)
 
-    def _execute(
-        self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool
-    ) -> List[Tuple[str, np.ndarray]]:
-        first_payload = {}
+    def _execute(self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool):
         sorted_keys = {}
-        key_orders = {}
+        orders = {}
+        eager = {}
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
-                payload_names = rel.payload_names
-                first = payload_names[0] if payload_names else None
-                payloads = [rel.column(first)] if first else []
+                keys = rel.key_values
+                first = rel.payload_names[:1]
                 temp = ctx.mem.alloc(_sort_temp_bytes(rel.num_rows), np.uint8, "sort_temp")
-                keys_sorted, payloads_sorted, key_orders[side] = sort_pairs(
-                    ctx, rel.key_values, payloads, phase=TRANSFORM, label=side,
-                    return_order=True,
+                # The first payload column sorts with the keys on the
+                # device only; the materializer reads it from the base
+                # relation through the sort permutation.
+                orders[side] = stable_key_order(keys)
+                argsort_cost_only(
+                    ctx, rel.num_rows, keys.dtype.itemsize,
+                    sum(rel.column(name).dtype.itemsize for name in first),
+                    phase=TRANSFORM, label=side,
                 )
                 ctx.mem.free(temp)
-                sorted_keys[side] = ctx.mem.adopt(keys_sorted, f"keys_sorted_{side}")
-                if first:
-                    first_payload[side] = (
-                        first,
-                        ctx.mem.adopt(payloads_sorted[0], f"payload1_{side}"),
-                    )
+                sorted_keys[side] = ctx.mem.adopt(keys[orders[side]], f"keys_sorted_{side}")
+                eager[side] = hold_first_payload(ctx, rel, f"payload1_{side}")
 
         with ctx.phase(MATCH):
             rk = sorted_keys["r"]
             sk = sorted_keys["s"]
-            lo, hi = match_bounds(
-                ctx,
-                rk.data,
-                sk.data,
-                unique_build_keys and not self.config.double_merge_pass,
-                phase=MATCH,
-            )
-            vid_r, vid_s = expand_bounds(lo, hi)
+            vid_r, vid_s = _merge(ctx, rk.data, sk.data, unique_build_keys, self.config)
             out_key = sk.data[vid_s]
             _charge_match_output(ctx, out_key.size, rk.data.dtype.itemsize)
             a_vid_r = ctx.mem.adopt(vid_r.astype(np.int32, copy=False), "match_vids_r")
@@ -174,49 +155,24 @@ class SortMergeJoinOM(JoinAlgorithm):
             ctx.mem.free(rk)
             ctx.mem.free(sk)
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                vids = a_vid_r.data if side == "r" else a_vid_s.data
-                first = first_payload.get(side)
-                if first and first[0] == source:
-                    transformed = first[1]
-                    columns.append(
-                        (out_name, gather(ctx, transformed.data, vids, phase=MATERIALIZE, label=out_name))
-                    )
-                    ctx.mem.free(transformed)
-                    continue
-                # Lazily transform this payload column with the keys
-                # (Algorithm 1, lines 5 and 8), then gather clustered.
-                # The device sorts the (key, column) pairs in full; the
-                # host reuses the transform-phase permutation of the same
-                # keys and gathers only the column, since the re-sorted
-                # keys are discarded unread — their bytes are reserved.
-                column = rel.column(source)
-                temp = ctx.mem.alloc(_sort_temp_bytes(rel.num_rows), np.uint8, "sort_temp")
-                argsort_cost_only(
-                    ctx, rel.num_rows, rel.key_values.dtype.itemsize,
-                    column.dtype.itemsize, phase=MATERIALIZE, label=out_name,
-                )
-                ctx.mem.free(temp)
-                resorted_keys = ctx.mem.reserve(
-                    rel.key_values.nbytes, f"keys_resorted_{out_name}"
-                )
-                a_tcol = ctx.mem.adopt(
-                    column[key_orders[side]], f"payload_sorted_{out_name}"
-                )
-                resorted_keys.free()
-                columns.append(
-                    (out_name, gather(ctx, a_tcol.data, vids, phase=MATERIALIZE, label=out_name))
-                )
-                ctx.mem.free(a_tcol)
-            # A projection may skip the eagerly transformed first payloads.
-            for _, handle in first_payload.values():
-                if not handle.freed:
-                    ctx.mem.free(handle)
-            ctx.mem.free(a_vid_r)
-            ctx.mem.free(a_vid_s)
-        return columns
+        sides = {
+            "r": (a_vid_r, orders["r"], eager["r"]),
+            "s": (a_vid_s, orders["s"], eager["s"]),
+        }
+        return out_key, sides, _sort_column
+
+
+def _sort_column(ctx: GPUContext, rel: Relation, column: np.ndarray, out_name: str):
+    """Sort ``(key, column)`` pairs on the device (Algorithm 1, lines 5
+    and 8).  The re-sorted keys are discarded unread, so they and the
+    sorted column are bytes-only reservations; returns the column's."""
+    temp = ctx.mem.alloc(_sort_temp_bytes(rel.num_rows), np.uint8, "sort_temp")
+    argsort_cost_only(
+        ctx, rel.num_rows, rel.key_values.dtype.itemsize,
+        column.dtype.itemsize, phase=MATERIALIZE, label=out_name,
+    )
+    ctx.mem.free(temp)
+    resorted_keys = ctx.mem.reserve(rel.key_values.nbytes, f"keys_resorted_{out_name}")
+    held = ctx.mem.reserve(column.nbytes, f"payload_sorted_{out_name}")
+    resorted_keys.free()
+    return held

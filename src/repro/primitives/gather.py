@@ -87,12 +87,15 @@ def gather_stats_only(
     out_bytes: int,
     phase: Optional[str] = None,
     label: str = "",
-) -> None:
-    """Charge gather traffic without moving data.
+) -> KernelStats:
+    """Charge gather traffic without moving data; returns the stats.
 
-    Used when an algorithm has already produced the gathered values as a
-    by-product (e.g. keys written during match finding) but the simulated
-    hardware would still have performed the loads.
+    Used when an algorithm produces the gathered values another way
+    (e.g. keys written during match finding, or a join reading the base
+    relation) but the simulated hardware would still have performed the
+    loads.  The stats depend only on the map and *element_bytes*, so a
+    caller gathering several columns through one map may re-submit them
+    under another name instead of re-analyzing the map.
     """
     stats = KernelStats(
         name=f"gather:{label}" if label else "gather",
@@ -102,3 +105,4 @@ def gather_stats_only(
         **_random_stats_fields(index_map, element_bytes),
     )
     ctx.submit(stats, phase=phase)
+    return stats

@@ -92,8 +92,8 @@ class Partitioned:
     total_bits: int
     hashed: bool
     passes: int
-    #: The stable permutation that produced this layout; a later
-    #: ``radix_partition(..., like=this)`` on the same keys reuses it.
+    #: The stable permutation that produced this layout: row ``i`` of
+    #: the layout is input row ``order[i]``.
     order: np.ndarray
 
     @property
@@ -168,6 +168,38 @@ def charge_radix_partition(
     return len(pass_plan)
 
 
+def partition_layout(
+    keys: np.ndarray, total_bits: int, hashed: bool = False
+) -> Partitioned:
+    """The host half of :func:`radix_partition`, charging nothing.
+
+    Returns the stable ``2**total_bits``-way layout of *keys* alone
+    (``payloads`` empty).  A caller that prices payloads travelling
+    with the keys without moving them pairs this with
+    :func:`charge_radix_partition`; ``order`` maps the layout back to
+    the input rows.
+    """
+    passes = len(plan_passes(total_bits))
+    codes = partition_codes(keys, total_bits, hashed=hashed)
+    # codes < 2**total_bits fit in int32 for any realistic bit budget,
+    # unlocking the packed fast path of stable_key_order.
+    narrow = codes.astype(np.int32, copy=False) if total_bits <= 31 else codes
+    order = stable_key_order(narrow)
+    counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
+    offsets = np.zeros_like(counts)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return Partitioned(
+        keys=keys[order],
+        payloads=[],
+        counts=counts,
+        offsets=offsets,
+        total_bits=total_bits,
+        hashed=hashed,
+        passes=passes,
+        order=order,
+    )
+
+
 def radix_partition(
     ctx: GPUContext,
     keys: np.ndarray,
@@ -176,7 +208,6 @@ def radix_partition(
     phase: Optional[str] = None,
     hashed: bool = False,
     label: str = "",
-    like: Optional[Partitioned] = None,
 ) -> Partitioned:
     """Multi-pass stable radix partitioning into ``2**total_bits`` parts.
 
@@ -190,39 +221,10 @@ def radix_partition(
     of the full digit (each pass is a stable sort by a sub-digit), so
     the data movement runs as a single argsort + gather — the simulated
     per-pass kernels are unchanged, the result is bit-identical.
-
-    ``like`` is an earlier :class:`Partitioned` of the *same* keys with
-    the same bits and hashing — Algorithm 1's lazy per-column
-    transforms.  The partitioner is stable, so the layout is identical:
-    the call reuses ``like``'s permutation, partitioned keys, counts and
-    offsets, skips the boundary pass, and gathers only the payloads.
-    The RADIX-PARTITION kernels are charged as for a full call.
     """
-    if like is not None:
-        if (
-            like.total_bits != total_bits
-            or like.hashed != hashed
-            or like.keys.size != keys.size
-        ):
-            raise ValueError(
-                "like= must be a partitioning of the same keys with the "
-                "same total_bits and hashing"
-            )
-        order, keys_out = like.order, like.keys
-        counts, offsets = like.counts, like.offsets
-    else:
-        codes = partition_codes(keys, total_bits, hashed=hashed)
-        # codes < 2**total_bits fit in int32 for any realistic bit
-        # budget, unlocking the packed fast path of stable_key_order.
-        narrow = codes.astype(np.int32, copy=False) if total_bits <= 31 else codes
-        order = stable_key_order(narrow)
-        keys_out = keys[order]
-        counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
-        offsets = np.zeros_like(counts)
-        np.cumsum(counts[:-1], out=offsets[1:])
-    payloads_out = [p[order] for p in payloads]
-
-    passes = charge_radix_partition(
+    part = partition_layout(keys, total_bits, hashed)
+    part.payloads = [p[part.order] for p in payloads]
+    charge_radix_partition(
         ctx,
         int(keys.size),
         int(keys.nbytes),
@@ -230,15 +232,5 @@ def radix_partition(
         total_bits,
         phase=phase,
         label=label,
-        boundaries=like is None,
     )
-    return Partitioned(
-        keys=keys_out,
-        payloads=payloads_out,
-        counts=counts,
-        offsets=offsets,
-        total_bits=total_bits,
-        hashed=hashed,
-        passes=passes,
-        order=order,
-    )
+    return part

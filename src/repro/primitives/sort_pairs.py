@@ -37,7 +37,6 @@ def sort_pairs(
     phase: Optional[str] = None,
     key_bits: Optional[int] = None,
     label: str = "",
-    order: Optional[np.ndarray] = None,
     return_order: bool = False,
 ) -> tuple:
     """Stably sort *payloads* (and the keys) by *keys*.
@@ -46,19 +45,12 @@ def sort_pairs(
     permutation when ``return_order=True``.  Charges one kernel per
     8-bit LSD pass, each streaming the key and payload arrays once in
     and once out.
-
-    ``order`` supplies a precomputed stable sort permutation of *keys*
-    (from an earlier ``return_order=True`` call on the same keys).  The
-    charged kernels are identical — the simulated GPU still runs the
-    full sort — only the host-side permutation computation is skipped,
-    which is what Algorithm 1's lazy per-column transforms exploit.
     """
     if key_bits is None:
         key_bits = key_bits_for_dtype(keys.dtype)
     passes = max(1, -(-key_bits // MAX_BITS_PER_PASS))
 
-    if order is None:
-        order = stable_key_order(keys)
+    order = stable_key_order(keys)
     keys_sorted = keys[order]
     payloads_sorted: List[np.ndarray] = [p[order] for p in payloads]
 

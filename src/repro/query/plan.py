@@ -160,12 +160,3 @@ def validate_plan(node: PlanNode, is_root: bool = True) -> None:
         validate_plan(node.child, is_root=False)
         return
     raise JoinConfigError(f"unknown plan node {type(node).__name__}")
-
-
-def aggregate_input_columns(node: Aggregate) -> Tuple[str, ...]:
-    """Columns an Aggregate reads from its child."""
-    needed: List[str] = [node.group_column]
-    for spec in node.aggregates:
-        if spec.op != "count" and spec.column not in needed:
-            needed.append(spec.column)
-    return tuple(needed)

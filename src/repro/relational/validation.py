@@ -8,7 +8,7 @@ aggregation algorithm in the library is tested against them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -138,11 +138,3 @@ def assert_join_equal(result: Relation, expected: Relation) -> None:
         )
     if not result.equals_unordered(expected):
         raise AssertionError("join outputs contain different rows")
-
-
-def match_indices_with_counts(
-    r_keys: np.ndarray, s_keys: np.ndarray, unique_build_keys: Optional[bool] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Alias of :func:`join_match_indices` kept for API symmetry."""
-    del unique_build_keys
-    return join_match_indices(r_keys, s_keys)

@@ -298,10 +298,6 @@ class DependentLRU:
             self._remove(oldest)
             self.evictions += 1
 
-    @property
-    def entry_keys(self) -> List[Signature]:
-        return list(self._entries)
-
 
 # -- typed wrappers -----------------------------------------------------------
 

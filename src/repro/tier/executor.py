@@ -48,7 +48,7 @@ from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import DeviceMemory
-from ..joins.base import JoinConfig, detect_unique_keys
+from ..joins.base import JoinConfig, detect_unique_keys, output_column_names
 from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
 from ..query.plan import OperatorRun
@@ -798,13 +798,9 @@ def _materialize_join(
     s_idx: np.ndarray,
     output_name: str,
 ) -> Relation:
-    """Reference-schema join output: key, R payloads, S payloads (_s)."""
-    columns = [("key", left.key_values[r_idx])]
-    for name, array in left.payload_columns().items():
-        columns.append((name, array[r_idx]))
-    taken = {name for name, _ in columns}
-    for name, array in right.payload_columns().items():
-        out_name = name if name not in taken else f"{name}_s"
-        columns.append((out_name, array[s_idx]))
-        taken.add(out_name)
+    """The join output schema of :func:`~repro.joins.base.output_column_names`."""
+    columns = []
+    for side, source, out_name in output_column_names(left, right):
+        rel, idx = (left, r_idx) if side == "r" else (right, s_idx)
+        columns.append((out_name, rel.column(source)[idx]))
     return Relation(columns, key="key", name=output_name)

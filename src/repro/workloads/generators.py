@@ -137,18 +137,6 @@ def rows_for_bytes(total_bytes: int, payload_columns: int, key_type=INT32, paylo
     return max(1, total_bytes // row_bytes)
 
 
-@dataclass
-class ScaledSize:
-    """A paper-scale workload shrunk by ``scale`` for simulation speed."""
-
-    paper_bytes: int
-    scale: float
-
-    @property
-    def scaled_bytes(self) -> int:
-        return max(1, int(self.paper_bytes * self.scale))
-
-
 def gb(x: float) -> int:
     """Bytes of x gigabytes (the paper's 1G/2G/3G shorthand)."""
     return int(x * (1 << 30))

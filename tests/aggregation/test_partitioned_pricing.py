@@ -12,7 +12,10 @@ and out-of-memory failures must all be identical, for every radix
 width a pass plan can take (1-16 bits), plain and under a
 :class:`~repro.faults.FaultPlan`.  GFUR still partitions its
 ``(key, tuple ID)`` pairs but charges its per-column gathers without
-performing them, so it is held to the same frozen copy.
+performing them, so it is held to the same frozen copy.  SORT-AGG/gftr
+likewise prices its lazy ``(key, column)`` re-sorts and moves only the
+column; ``_FrozenSortGroupBy`` is the implementation that re-sorted the
+keys as well.
 """
 
 from collections import OrderedDict
@@ -23,13 +26,15 @@ import pytest
 from repro.aggregation import AggSpec, GroupByConfig
 from repro.aggregation.base import AGGREGATE, MATERIALIZE, TRANSFORM, segmented_aggregate
 from repro.aggregation.partitioned_groupby import PartitionedGroupBy, derive_groupby_bits
+from repro.aggregation.sort_groupby import SortGroupBy, _charge_segmented_reduce
 from repro.errors import DeviceOutOfMemoryError
 from repro.faults import FaultPlan
-from repro.gpusim import GPUContext, KernelStats
+from repro.gpusim import A100, GPUContext, KernelStats
 from repro.obs.session import KERNEL, TraceSession
 from repro.primitives.gather import gather
-from repro.primitives.grouping import group_identify
+from repro.primitives.grouping import group_identify, groups_from_sorted
 from repro.primitives.radix_partition import partition_codes, plan_passes
+from repro.primitives.sort_pairs import sort_pairs
 from repro.relational.types import id_dtype
 
 AGGREGATES = [
@@ -221,3 +226,113 @@ def test_priced_partitions_equal_performed_ones_under_faults(bits, capacity):
     assert (priced[0] == "oom") == (capacity == "oom")
     if capacity != "oom":
         assert any(extra for *_, extra in priced[0])  # some kernel retried
+
+
+def _frozen_sort_pairs(ctx, keys, payloads, order, phase, label):
+    """``sort_pairs`` with a precomputed permutation, as it was: the keys
+    and payloads are both moved, one kernel charged per 8-bit pass."""
+    per_pass_bytes = int(keys.nbytes) + sum(int(p.nbytes) for p in payloads)
+    stats = KernelStats(
+        name=f"sort_pairs:{label}",
+        items=int(keys.size),
+        seq_read_bytes=int(keys.nbytes) + per_pass_bytes,
+        seq_write_bytes=per_pass_bytes,
+        atomic_ops=256,
+    )
+    ctx.submit_many([stats] * keys.dtype.itemsize, phase=phase)
+    return keys[order], [p[order] for p in payloads]
+
+
+class _FrozenSortGroupBy(SortGroupBy):
+    """SORT-AGG as it was: each lazy re-sort moved the keys too."""
+
+    def _execute(self, ctx, keys, values, aggregates):
+        n = int(keys.size)
+        with ctx.phase(TRANSFORM):
+            if self.pattern == "gfur":
+                ids = np.arange(n, dtype=id_dtype(n))
+                ctx.submit(
+                    KernelStats(name="init_ids", items=n, seq_write_bytes=int(ids.nbytes)),
+                    phase=TRANSFORM,
+                )
+                a_ids = ctx.mem.adopt(ids, "ids")
+                keys_sorted, (ids_sorted,) = sort_pairs(ctx, keys, [ids], phase=TRANSFORM)
+                ctx.mem.free(a_ids)
+                a_sorted_ids = ctx.mem.adopt(ids_sorted, "ids_sorted")
+                key_order = None
+            else:
+                keys_sorted, _, key_order = sort_pairs(
+                    ctx, keys, [], phase=TRANSFORM, return_order=True
+                )
+                a_sorted_ids = None
+            a_keys = ctx.mem.adopt(keys_sorted, "keys_sorted")
+        group_keys, inverse_sorted = groups_from_sorted(keys_sorted)
+        num_groups = int(group_keys.size)
+        output = OrderedDict()
+        output["group_key"] = group_keys
+        with ctx.phase(AGGREGATE):
+            ctx.submit(
+                KernelStats(
+                    name="segment_boundaries",
+                    items=n,
+                    seq_read_bytes=int(keys_sorted.nbytes),
+                    seq_write_bytes=num_groups * 8,
+                ),
+                phase=AGGREGATE,
+            )
+        with ctx.phase(MATERIALIZE):
+            for spec in aggregates:
+                if spec.op == "count":
+                    output[spec.output_name] = segmented_aggregate(
+                        inverse_sorted, num_groups, None, "count"
+                    )
+                    _charge_segmented_reduce(
+                        ctx, n, 0, num_groups * 8, f"reduce:{spec.output_name}", MATERIALIZE
+                    )
+                    continue
+                column = values[spec.column]
+                if self.pattern == "gfur":
+                    sorted_col = gather(
+                        ctx, column, a_sorted_ids.data, phase=MATERIALIZE, label=spec.column
+                    )
+                else:
+                    _, (sorted_col,) = _frozen_sort_pairs(
+                        ctx, keys, [column], key_order, MATERIALIZE, spec.column
+                    )
+                output[spec.output_name] = segmented_aggregate(
+                    inverse_sorted, num_groups, sorted_col, spec.op
+                )
+                _charge_segmented_reduce(
+                    ctx, n, int(sorted_col.nbytes), num_groups * 8,
+                    f"reduce:{spec.output_name}", MATERIALIZE,
+                )
+            ctx.mem.free(a_keys)
+            if a_sorted_ids is not None:
+                ctx.mem.free(a_sorted_ids)
+        return output
+
+
+@pytest.mark.parametrize("capacity", ["unbounded", "fits", "oom"])
+@pytest.mark.parametrize("key_dtype", [np.int32, np.int64], ids=["int32", "int64"])
+@pytest.mark.parametrize("pattern", ["gftr", "gfur"])
+def test_sort_agg_prices_its_resorts_as_it_performed_them(pattern, key_dtype, capacity):
+    """``fits`` leaves the device exactly the frozen run's peak, ``oom``
+    one byte less."""
+    keys, values = _inputs(3000, seed=7)
+    keys = keys.astype(key_dtype)
+    frozen = _FrozenSortGroupBy(pattern=pattern)
+    peak = frozen.group_by(keys, values, AGGREGATES, ctx=GPUContext(seed=5)).peak_aux_bytes
+    frac = {
+        "unbounded": None,
+        "fits": (peak + 0.5) / A100.global_mem_bytes,
+        "oom": (peak - 0.5) / A100.global_mem_bytes,
+    }[capacity]
+    plan = FaultPlan(seed=3, kernel_fault_rate=0.3, capacity_frac=frac)
+    priced = _observe(SortGroupBy(pattern=pattern), keys, values, plan)
+    moved = _observe(frozen, keys, values, plan)
+    assert priced == moved
+    assert (priced[0] == "oom") == (capacity == "oom")
+    if capacity != "oom":
+        resorts = [k for k in priced[0] if k[0].startswith("sort_pairs:")]
+        # gftr: one re-sort per non-count aggregate, one pass per key byte.
+        assert len(resorts) == (4 * keys.itemsize if pattern == "gftr" else 0)

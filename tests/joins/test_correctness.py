@@ -133,3 +133,28 @@ def test_property_any_key_multiset(r_keys, s_keys, algorithm):
     expected = reference_join(r, s)
     result = make_algorithm(algorithm).join(r, s, seed=1)
     assert_join_equal(result.output, expected)
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "narrow"])
+@pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS, ids=lambda c: c.name)
+def test_colliding_payload_names_get_the_reference_suffix(algorithm_cls, wide):
+    """S payloads named like an R payload or like ``key`` become ``*_s``."""
+    rng = np.random.default_rng(12)
+    r = Relation(
+        [("id", rng.permutation(300).astype(np.int32)),
+         ("a", rng.integers(0, 9, 300).astype(np.int64))]
+        + ([("b", rng.integers(0, 9, 300).astype(np.int32))] if wide else []),
+        key="id",
+    )
+    s_payloads = [("a", rng.integers(0, 9, 500).astype(np.int32))]
+    if wide:
+        s_payloads.append(("key", rng.integers(0, 9, 500).astype(np.int64)))
+    s = Relation(
+        [("fk", rng.integers(0, 300, 500).astype(np.int32))] + s_payloads, key="fk"
+    )
+    expected = reference_join(r, s)
+    assert expected.column_names == (
+        ["key", "a", "b", "a_s", "key_s"] if wide else ["key", "a", "a_s"]
+    )
+    result = algorithm_cls().join(r, s, seed=13)
+    assert_join_equal(result.output, expected)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from repro.gpusim import A100, GPUContext
 from repro.primitives.radix_partition import (
     MAX_BITS_PER_PASS,
+    charge_radix_partition,
     partition_codes,
+    partition_layout,
     plan_passes,
     radix_partition,
     radix_partition_pass,
@@ -116,13 +118,30 @@ class TestMultiPass:
         assert np.array_equal(np.sort(part.keys), keys)
         assert part.counts.max() < 3 * part.counts.mean()
 
-    def test_like_skips_boundary_kernel(self, ctx):
+    def test_lazy_charge_skips_boundary_kernel(self, ctx):
         keys = np.arange(1024, dtype=np.int32)
-        first = radix_partition(ctx, keys, [], total_bits=4)
-        with_boundaries = ctx.timeline.kernel_count()
+        radix_partition(ctx, keys, [], total_bits=4)
+        full = [rec.stats for rec in ctx.timeline.records()]
         ctx2 = GPUContext(device=A100)
-        radix_partition(ctx2, keys, [], total_bits=4, like=first)
-        assert ctx2.timeline.kernel_count() == with_boundaries - 1
+        charge_radix_partition(ctx2, keys.size, keys.nbytes, 0, 4, boundaries=False)
+        assert full[-1].name == "partition_boundaries"
+        assert [rec.stats for rec in ctx2.timeline.records()] == full[:-1]
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    @pytest.mark.parametrize("bits", [3, 11])
+    def test_layout_matches_a_full_call(self, ctx, bits, hashed):
+        rng = np.random.default_rng(bits)
+        keys = rng.integers(-(1 << 20), 1 << 20, 5000).astype(np.int32)
+        column = rng.integers(0, 1 << 40, keys.size).astype(np.int64)
+        full = radix_partition(ctx, keys, [column], bits, hashed=hashed)
+        layout = partition_layout(keys, bits, hashed)
+        for field in ("keys", "counts", "offsets", "order"):
+            assert np.array_equal(getattr(layout, field), getattr(full, field))
+        assert (layout.total_bits, layout.hashed, layout.passes) == (
+            full.total_bits, full.hashed, full.passes,
+        )
+        assert layout.payloads == []
+        assert np.array_equal(column[layout.order], full.payloads[0])
 
     def test_two_invocations_per_16_bits(self, ctx):
         """The paper's accounting: 15-16 bits -> 2 RADIX-PARTITION calls."""
@@ -145,56 +164,3 @@ def test_partition_is_a_permutation(keys, bits):
     # payload permutation is consistent with the key permutation
     assert np.array_equal(arr[part.payloads[0]], part.keys)
 
-
-class TestLike:
-    """``like=`` reuses an earlier partitioning of the same keys."""
-
-    @staticmethod
-    def _stats(ctx):
-        return [
-            (r.stats, r.seconds, r.phase) for r in ctx.timeline.records()
-        ]
-
-    @pytest.mark.parametrize("hashed", [False, True])
-    @pytest.mark.parametrize("bits", [3, 11])
-    def test_matches_a_full_call(self, hashed, bits):
-        rng = np.random.default_rng(bits)
-        keys = rng.integers(-(1 << 20), 1 << 20, 5000).astype(np.int32)
-        first = rng.integers(0, 100, keys.size).astype(np.int32)
-        column = rng.integers(0, 1 << 40, keys.size).astype(np.int64)
-        earlier = radix_partition(
-            GPUContext(device=A100), keys, [first], bits, hashed=hashed
-        )
-        full_ctx = GPUContext(device=A100)
-        full = radix_partition(
-            full_ctx, keys, [column], bits, phase="materialize",
-            hashed=hashed, label="c",
-        )
-        like_ctx = GPUContext(device=A100)
-        lazy = radix_partition(
-            like_ctx, keys, [column], bits, phase="materialize",
-            hashed=hashed, label="c", like=earlier,
-        )
-        assert np.array_equal(lazy.keys, full.keys)
-        assert lazy.payloads[0].dtype == full.payloads[0].dtype
-        assert np.array_equal(lazy.payloads[0], full.payloads[0])
-        assert np.array_equal(lazy.counts, full.counts)
-        assert np.array_equal(lazy.offsets, full.offsets)
-        assert np.array_equal(lazy.order, full.order)
-        assert (lazy.total_bits, lazy.hashed, lazy.passes) == (
-            full.total_bits, full.hashed, full.passes,
-        )
-        full_stats = self._stats(full_ctx)
-        assert full_stats[-1][0].name == "partition_boundaries"
-        assert self._stats(like_ctx) == full_stats[:-1]
-
-    @pytest.mark.parametrize(
-        "bits, hashed, size", [(5, False, 100), (4, True, 100), (4, False, 99)]
-    )
-    def test_rejects_a_different_partitioning(self, ctx, bits, hashed, size):
-        keys = np.arange(100, dtype=np.int32)
-        earlier = radix_partition(ctx, keys, [], total_bits=4)
-        with pytest.raises(ValueError, match="like="):
-            radix_partition(
-                ctx, keys[:size], [], total_bits=bits, hashed=hashed, like=earlier
-            )

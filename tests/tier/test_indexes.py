@@ -185,3 +185,25 @@ def test_unique_hint_and_auto_detection_do_not_share_an_entry():
     assert hinted.rows == s.num_rows  # the wrong hint keeps one match each
     assert auto.rows == 2 * s.num_rows
     assert_same_output(auto.output, execute(join_plan(r, s)).output)
+
+
+def test_colliding_payload_names_match_execute():
+    """The tier names S payloads that collide with R or ``key`` like execute()."""
+    rng = np.random.default_rng(6)
+    r = Relation(
+        [("id", rng.permutation(400).astype(np.int64)),
+         ("a", rng.integers(0, 100, 400).astype(np.int64))],
+        key="id",
+        name="R",
+    )
+    s = Relation(
+        [("fk", rng.integers(0, 400, 2000).astype(np.int64)),
+         ("a", rng.integers(0, 9, 2000).astype(np.int32)),
+         ("key", rng.integers(0, 9, 2000).astype(np.int64))],
+        key="fk",
+        name="S",
+    )
+    ex = QueryExecutor(tiering=TieredRuntime(segment_rows=SEGMENT_ROWS))
+    tiered = ex.execute(join_plan(r, s)).output
+    assert tiered.column_names == ["key", "a", "a_s", "key_s"]
+    assert_same_output(tiered, execute(join_plan(r, s)).output)
