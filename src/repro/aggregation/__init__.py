@@ -5,7 +5,7 @@ from .base import (
     GroupByAlgorithm,
     GroupByConfig,
     GroupByResult,
-    segmented_aggregate,
+    fold_groups,
 )
 from .hash_groupby import HashGroupBy, atomic_contention
 from .partitioned_groupby import PartitionedGroupBy, derive_groupby_bits
@@ -43,7 +43,7 @@ __all__ = [
     "estimate_groupby_footprint",
     "atomic_contention",
     "derive_groupby_bits",
+    "fold_groups",
     "make_groupby_algorithm",
     "recommend_groupby_algorithm",
-    "segmented_aggregate",
 ]

@@ -22,15 +22,17 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import AggregationConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
-from ..primitives.grouping import stable_key_order
+from ..gpusim.kernel import KernelStats
+from ..primitives.gather import gather_stats_only
+from ..primitives.grouping import group_identify, stable_key_order
 
 #: Canonical group-by phases.
 TRANSFORM, AGGREGATE, MATERIALIZE = "transform", "aggregate", "materialize"
@@ -63,6 +65,17 @@ class AggSpec:
     @property
     def output_name(self) -> str:
         return f"{self.op}_{self.column}"
+
+
+def value_columns(aggregates: Sequence[AggSpec]) -> List[str]:
+    """The value columns *aggregates* read, once each, in first-use order.
+
+    ``count`` reads none.
+
+    >>> value_columns([AggSpec("v", "sum"), AggSpec("w", "count"), AggSpec("v", "max")])
+    ['v']
+    """
+    return list(dict.fromkeys(s.column for s in aggregates if s.op != "count"))
 
 
 @dataclass
@@ -126,52 +139,89 @@ class GroupByResult:
         )
 
 
-def segmented_aggregate(
+def fold_groups(
+    group_keys: np.ndarray,
     inverse: np.ndarray,
-    num_groups: int,
-    values: Optional[np.ndarray],
-    op: str,
-) -> np.ndarray:
-    """Aggregate *values* per group given group codes ``inverse``.
+    values: Dict[str, np.ndarray],
+    aggregates: Sequence[AggSpec],
+) -> "OrderedDict[str, np.ndarray]":
+    """``group_key`` plus one column per aggregate, given group codes ``inverse``.
 
-    The one fold of record, with the :class:`AggSpec` dtype contract:
-    every strategy and the tier compute their values here; traffic is
-    charged by the callers.  ``values`` may be None for ``count``.
+    The one fold of record, with the :class:`AggSpec` dtype contract
+    (zero rows included): every strategy, mode and the tier compute
+    their values here; traffic is charged by the callers.  Each value
+    column is validated, widened, counted and summed once however many
+    aggregates read it; ``min``/``max`` are folded only when asked for.
 
     >>> inverse = np.zeros(2, dtype=np.int64)
     >>> big = np.array([2**53 + 1, 1])
-    >>> int(segmented_aggregate(inverse, 1, big, "sum")[0]) - 2**53
+    >>> out = fold_groups(np.zeros(1), inverse, {"v": big}, [AggSpec("v", "sum")])
+    >>> int(out["sum_v"][0]) - 2**53
     2
     >>> int(big.sum(dtype=np.float64)) - 2**53
     0
     """
-    if op == "count":
-        return np.bincount(inverse, minlength=num_groups).astype(np.int64)
-    if op not in SUPPORTED_OPS:
-        raise AggregationConfigError(f"unsupported aggregate {op!r}")
-    if values is None:
-        raise AggregationConfigError(f"aggregate {op!r} requires a value column")
+    num_groups = int(group_keys.size)
+    counts = None
+    if any(spec.op in ("count", "mean") for spec in aggregates):
+        counts = np.bincount(inverse, minlength=num_groups).astype(np.int64)
+    ops: Dict[str, set] = {}
+    for spec in aggregates:
+        if spec.op != "count":
+            ops.setdefault(spec.column, set()).add(spec.op)
+    folds = {
+        column: _fold_column(inverse, num_groups, values[column], column_ops, counts)
+        for column, column_ops in ops.items()
+    }
+    output: "OrderedDict[str, np.ndarray]" = OrderedDict(group_key=group_keys)
+    counts_taken = False
+    for spec in aggregates:
+        if spec.op != "count":
+            output[spec.output_name] = folds[spec.column][spec.op]
+        elif spec.output_name not in output:
+            # Callers own their output: each count column is its own array.
+            output[spec.output_name] = counts.copy() if counts_taken else counts
+            counts_taken = True
+    return output
+
+
+def _fold_column(
+    inverse: np.ndarray,
+    num_groups: int,
+    values: np.ndarray,
+    ops: set,
+    counts: Optional[np.ndarray],
+) -> Dict[str, np.ndarray]:
+    """The *ops* folds of one value column; ``counts`` serves ``mean``."""
     kind = values.dtype.kind
     if kind not in "biuf":
-        raise AggregationConfigError(f"aggregate {op!r} over {values.dtype} values")
+        raise AggregationConfigError(
+            f"aggregates {sorted(ops)} over {values.dtype} values"
+        )
     if kind == "u" and values.dtype.itemsize == 8 and values.size:
         if int(values.max()) > np.iinfo(np.int64).max:
             raise AggregationConfigError("uint64 values exceed the int64 range")
-    if op in ("min", "max"):
-        wide = values.astype(np.float64 if kind == "f" else np.int64)
+    folds: Dict[str, np.ndarray] = {}
+    wide = None
+    if kind == "f" or ops & {"min", "max"}:
+        wide = values.astype(np.float64 if kind == "f" else np.int64, copy=False)
+    if ops & {"sum", "mean"}:
+        if kind == "f":
+            # A bincount of zero rows is int64 whatever its weights.
+            sums = np.bincount(inverse, weights=wide, minlength=num_groups)
+            sums = sums.astype(np.float64, copy=False)
+        else:
+            ints = values.view(np.uint8) if kind == "b" else values
+            sums = _exact_int_sums(inverse, num_groups, ints)
+        folds["sum"] = sums
+        if "mean" in ops:
+            folds["mean"] = sums / np.maximum(counts, 1)
+    for op in ops & {"min", "max"}:
         lo, hi = (-np.inf, np.inf) if kind == "f" else _INT64_RANGE
         out = np.full(num_groups, hi if op == "min" else lo, dtype=wide.dtype)
         (np.minimum if op == "min" else np.maximum).at(out, inverse, wide)
-        return out
-    if kind == "f":
-        weights = values.astype(np.float64)
-        sums = np.bincount(inverse, weights=weights, minlength=num_groups)
-    else:
-        ints = values.view(np.uint8) if kind == "b" else values
-        sums = _exact_int_sums(inverse, num_groups, ints)
-    if op == "sum":
-        return sums
-    return sums / np.maximum(np.bincount(inverse, minlength=num_groups), 1)
+        folds[op] = out
+    return folds
 
 
 _INT64_RANGE = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
@@ -231,6 +281,63 @@ def merge_disjoint_groups(
     )
 
 
+def charge_column_folds(
+    ctx: GPUContext,
+    rows: int,
+    values: Dict[str, np.ndarray],
+    aggregates: Sequence[AggSpec],
+    num_groups: int,
+    kernel: str,
+    fetch: Callable[[np.ndarray, str], None],
+) -> None:
+    """MATERIALIZE of a strategy that folds transformed columns.
+
+    Per aggregate, ``fetch(column, label)`` charges bringing its value
+    column into the transformed order (``count`` reads none), then one
+    sequential fold ``<kernel>:<output name>`` streams it and writes one
+    8-byte result per group.
+    """
+    for spec in aggregates:
+        value_bytes = 0
+        if spec.op != "count":
+            column = values[spec.column]
+            fetch(column, spec.column)
+            value_bytes = int(column.nbytes)
+        ctx.submit(
+            KernelStats(
+                name=f"{kernel}:{spec.output_name}",
+                items=rows,
+                seq_read_bytes=value_bytes,
+                seq_write_bytes=num_groups * 8,
+            ),
+            phase=MATERIALIZE,
+        )
+
+
+def gather_through(
+    ctx: GPUContext, id_map: np.ndarray
+) -> Callable[[np.ndarray, str], None]:
+    """A ``fetch`` that gathers columns through permuted tuple IDs (GFUR).
+
+    A gather's traffic depends only on the map and the item size, so the
+    map's sectors are analysed once per item size and the stats are
+    re-submitted under each column's name.
+    """
+    charged: Dict[int, KernelStats] = {}
+
+    def fetch(column: np.ndarray, label: str) -> None:
+        stats = charged.get(column.itemsize)
+        if stats is None:
+            charged[column.itemsize] = gather_stats_only(
+                ctx, id_map, column.itemsize, int(column.nbytes),
+                phase=MATERIALIZE, label=label,
+            )
+        else:
+            ctx.submit(replace(stats, name=f"gather:{label}"), phase=MATERIALIZE)
+
+    return fetch
+
+
 class GroupByAlgorithm(ABC):
     """Base class for the three aggregation strategies."""
 
@@ -269,8 +376,10 @@ class GroupByAlgorithm(ABC):
             pattern=self.pattern,
             rows=int(keys.size),
         ):
-            output = self._execute(ctx, keys, values, aggregates)
-        ctx.count("groupby_groups", int(output["group_key"].size))
+            group_keys, inverse = group_identify(keys)
+            self._price(ctx, keys, values, aggregates, inverse, int(group_keys.size))
+            output = fold_groups(group_keys, inverse, values, aggregates)
+        ctx.count("groupby_groups", int(group_keys.size))
 
         input_bytes = int(keys.nbytes) + sum(int(v.nbytes) for v in values.values())
         return GroupByResult(
@@ -280,21 +389,28 @@ class GroupByAlgorithm(ABC):
             device=ctx.device,
             phase_seconds=dict(ctx.timeline.breakdown()),
             rows=int(keys.size),
-            groups=int(output["group_key"].size),
+            groups=int(group_keys.size),
             input_bytes=input_bytes,
             peak_aux_bytes=ctx.mem.peak_bytes,
             kernel_count=ctx.timeline.kernel_count(),
         )
 
     @abstractmethod
-    def _execute(
+    def _price(
         self,
         ctx: GPUContext,
         keys: np.ndarray,
         values: Dict[str, np.ndarray],
         aggregates: List[AggSpec],
-    ) -> "OrderedDict[str, np.ndarray]":
-        """Run the aggregation, charging phase-attributed kernels."""
+        inverse: np.ndarray,
+        num_groups: int,
+    ) -> None:
+        """Charge the strategy's phase-attributed kernels and memory.
+
+        Values are :func:`fold_groups`' job: a strategy only prices the
+        traffic its pattern causes.  ``inverse`` and ``num_groups`` are
+        the group identity of record, from :func:`group_identify`.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, pattern={self.pattern!r})"

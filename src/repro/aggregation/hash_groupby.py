@@ -11,25 +11,23 @@ Performance characteristics (all emergent from the traffic model):
   latency-bound random DRAM access, the group-by analogue of the
   unclustered GATHER.
 
-Value columns are folded one at a time through the same slot map, so
-adding aggregates multiplies the random traffic (the motivation for the
-partitioned strategy's GFTR-style handling of wide aggregations).
+Each aggregate is charged as one more fold pass through the same slot
+map, so adding aggregates multiplies the random traffic (the motivation
+for the partitioned strategy's GFTR-style handling of wide
+aggregations).  Host-side the strategy only prices: the slot map's
+sectors are analysed once, and the values come from the fold of record
+(:func:`~repro.aggregation.base.fold_groups`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List
-
 import numpy as np
 
-from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.grouping import group_identify
 from ..primitives.hash_table import table_capacity
 from ..primitives.hashing import hash_to_slots
 from ..primitives.sector_analysis import analyze_indices
-from .base import AGGREGATE, MATERIALIZE, AggSpec, GroupByAlgorithm, segmented_aggregate
+from .base import AGGREGATE, MATERIALIZE, GroupByAlgorithm
 
 #: Accumulator slot width: key + one 8-byte accumulator.
 SLOT_BYTES = 16
@@ -72,24 +70,14 @@ class HashGroupBy(GroupByAlgorithm):
     name = "HASH-AGG"
     pattern = "gfur"
 
-    def _execute(
-        self,
-        ctx: GPUContext,
-        keys: np.ndarray,
-        values: Dict[str, np.ndarray],
-        aggregates: List[AggSpec],
-    ) -> "OrderedDict[str, np.ndarray]":
-        group_keys, inverse = group_identify(keys)
-        num_groups = int(group_keys.size)
+    def _price(self, ctx, keys, values, aggregates, inverse, num_groups) -> None:
         capacity = table_capacity(num_groups, self.config.table_load_factor)
         table_bytes = capacity * SLOT_BYTES
         privatized = table_bytes <= ctx.device.shared_mem_bytes
         num_blocks = max(1, keys.size // ROWS_PER_BLOCK)
 
         with ctx.phase(AGGREGATE):
-            # Accounting-only scratch: the table's contents are never read
-            # host-side, so skip zero-initialization.
-            table = ctx.mem.alloc(table_bytes, np.uint8, "agg_table", zeroed=False)
+            table = ctx.mem.reserve(table_bytes, "agg_table")
             passes = [("hash_agg_keys", int(keys.nbytes))]
             passes += [
                 (
@@ -134,24 +122,17 @@ class HashGroupBy(GroupByAlgorithm):
                         phase=AGGREGATE,
                     )
 
-        output: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        output["group_key"] = group_keys
         with ctx.phase(MATERIALIZE):
-            for spec in aggregates:
-                data = values.get(spec.column) if spec.op != "count" else None
-                output[spec.output_name] = segmented_aggregate(
-                    inverse, num_groups, data, spec.op
-                )
-            # Compact the table into the dense output columns.
-            out_bytes = sum(int(a.nbytes) for a in output.values())
+            # Compact the table into the dense output columns: the group
+            # keys and one 8-byte column per distinct aggregate name.
+            names = {spec.output_name for spec in aggregates}
             ctx.submit(
                 KernelStats(
                     name="compact_groups",
                     items=num_groups,
                     seq_read_bytes=capacity * SLOT_BYTES,
-                    seq_write_bytes=out_bytes,
+                    seq_write_bytes=num_groups * (keys.itemsize + 8 * len(names)),
                 ),
                 phase=MATERIALIZE,
             )
-            ctx.mem.free(table)
-        return output
+            table.free()

@@ -32,9 +32,9 @@ from ..errors import DeviceOutOfMemoryError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
-from ..primitives.grouping import bucket_rows
+from ..primitives.grouping import bucket_rows, group_identify
 from ..primitives.radix_partition import partition_codes
-from .base import AggSpec, GroupByResult, merge_disjoint_groups
+from .base import AggSpec, GroupByResult, fold_groups, merge_disjoint_groups
 from .planner import make_groupby_algorithm
 
 #: Working-set multiple of the input bytes a block must fit alongside
@@ -202,7 +202,12 @@ class OutOfCoreGroupBy:
             self._charge_transfer(transfer_ctx, out_bytes, f"transfer_out_{block}")
             block_results.append(result)
 
-        output, merge_seconds = self._merge(block_results, aggregates, device)
+        if block_results:
+            output, merge_seconds = self._merge(block_results, device)
+        else:
+            # Zero rows: the fold of record keeps the dtype contract.
+            output = fold_groups(*group_identify(keys), values, aggregates)
+            merge_seconds = 0.0
         return OutOfCoreGroupByResult(
             output=output,
             block_results=block_results,
@@ -223,14 +228,8 @@ class OutOfCoreGroupBy:
             phase="transfer",
         )
 
-    def _merge(self, block_results, aggregates, device):
+    def _merge(self, block_results, device):
         """Merge the per-block outputs (disjoint ascending key sets)."""
-        if not block_results:
-            columns = [("group_key", np.empty(0, dtype=np.int64))]
-            columns += [
-                (spec.output_name, np.empty(0, dtype=np.int64)) for spec in aggregates
-            ]
-            return OrderedDict(columns), 0.0
         output = merge_disjoint_groups([r.output for r in block_results])
         merge_ctx = GPUContext(device=device)
         out_bytes = sum(int(col.nbytes) for col in output.values())

@@ -4,52 +4,41 @@ Sort the rows by key, then reduce equal-key runs with a sequential
 segmented reduction — no random traffic at all, at the price of a full
 radix sort.  The two materialization patterns mirror the join study:
 
-* ``gfur`` — sort ``(key, tuple ID)``, then *gather* each value column
+* ``gfur`` — sort ``(key, tuple ID)``, then fetch each value column
   through the permuted IDs (an unclustered gather, exactly the cost the
   paper attacks) before reducing;
-* ``gftr`` — re-sort ``(key, value column)`` per aggregate and reduce
-  the sorted column sequentially (Algorithm 1's lazy per-column
-  transform, applied to aggregation).
+* ``gftr`` — sort the keys, then lazily sort ``(key, value column)``
+  per aggregate and reduce the sorted column sequentially (Algorithm
+  1's lazy per-column transform, applied to aggregation).
+
+Host-side the strategy only prices: every sort is charged
+(:func:`~repro.primitives.sort_pairs.argsort_cost_only`) with
+bytes-only reservations for its outputs, and the values come from the
+fold of record (:func:`~repro.aggregation.base.fold_groups`).  Only
+GFUR's gathers read real data: the sector analysis of the stably
+sorted tuple IDs.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..errors import AggregationConfigError
-from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather
-from ..primitives.grouping import groups_from_sorted
-from ..primitives.sort_pairs import argsort_cost_only, sort_pairs
+from ..primitives.grouping import stable_key_order
+from ..primitives.sort_pairs import argsort_cost_only
 from ..relational.types import id_dtype
 from .base import (
     AGGREGATE,
     MATERIALIZE,
     TRANSFORM,
-    AggSpec,
     GroupByAlgorithm,
     GroupByConfig,
-    segmented_aggregate,
+    charge_column_folds,
+    gather_through,
 )
-
-
-def _charge_segmented_reduce(
-    ctx: GPUContext, rows: int, value_bytes: int, out_bytes: int, name: str, phase: str
-) -> None:
-    """One sequential pass over the sorted column, writing group results."""
-    ctx.submit(
-        KernelStats(
-            name=name,
-            items=rows,
-            seq_read_bytes=value_bytes,
-            seq_write_bytes=out_bytes,
-        ),
-        phase=phase,
-    )
 
 
 class SortGroupBy(GroupByAlgorithm):
@@ -65,37 +54,32 @@ class SortGroupBy(GroupByAlgorithm):
         self.pattern = pattern
         self.name = "SORT-AGG" if pattern == "gftr" else "SORT-AGG/gfur"
 
-    def _execute(
-        self,
-        ctx: GPUContext,
-        keys: np.ndarray,
-        values: Dict[str, np.ndarray],
-        aggregates: List[AggSpec],
-    ) -> "OrderedDict[str, np.ndarray]":
+    def _price(self, ctx, keys, values, aggregates, inverse, num_groups) -> None:
         n = int(keys.size)
+        held = []
         with ctx.phase(TRANSFORM):
             if self.pattern == "gfur":
-                ids = np.arange(n, dtype=id_dtype(n))
+                id_type = np.dtype(id_dtype(n))
+                id_bytes = n * id_type.itemsize
                 ctx.submit(
-                    KernelStats(name="init_ids", items=n, seq_write_bytes=int(ids.nbytes)),
+                    KernelStats(name="init_ids", items=n, seq_write_bytes=id_bytes),
                     phase=TRANSFORM,
                 )
-                a_ids = ctx.mem.adopt(ids, "ids")
-                keys_sorted, (ids_sorted,) = sort_pairs(ctx, keys, [ids], phase=TRANSFORM)
-                ctx.mem.free(a_ids)
-                a_sorted_ids = ctx.mem.adopt(ids_sorted, "ids_sorted")
-                key_order = None
+                with ctx.mem.reserve(id_bytes, "ids"):
+                    argsort_cost_only(
+                        ctx, n, keys.itemsize, id_type.itemsize, phase=TRANSFORM
+                    )
+                held.append(ctx.mem.reserve(id_bytes, "ids_sorted"))
+                fetch = gather_through(ctx, stable_key_order(keys).astype(id_type))
             else:
-                keys_sorted, _, key_order = sort_pairs(
-                    ctx, keys, [], phase=TRANSFORM, return_order=True
-                )
-                a_sorted_ids = None
-            a_keys = ctx.mem.adopt(keys_sorted, "keys_sorted")
+                argsort_cost_only(ctx, n, keys.itemsize, 0, phase=TRANSFORM)
 
-        group_keys, inverse_sorted = groups_from_sorted(keys_sorted)
-        num_groups = int(group_keys.size)
-        output: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        output["group_key"] = group_keys
+                def fetch(column, label):
+                    argsort_cost_only(
+                        ctx, n, keys.itemsize, column.itemsize,
+                        phase=MATERIALIZE, label=label,
+                    )
+            held.append(ctx.mem.reserve(int(keys.nbytes), "keys_sorted"))
 
         with ctx.phase(AGGREGATE):
             # Flag group boundaries: one sequential pass over sorted keys.
@@ -103,55 +87,13 @@ class SortGroupBy(GroupByAlgorithm):
                 KernelStats(
                     name="segment_boundaries",
                     items=n,
-                    seq_read_bytes=int(keys_sorted.nbytes),
+                    seq_read_bytes=int(keys.nbytes),
                     seq_write_bytes=num_groups * 8,
                 ),
                 phase=AGGREGATE,
             )
 
         with ctx.phase(MATERIALIZE):
-            for spec in aggregates:
-                if spec.op == "count":
-                    output[spec.output_name] = segmented_aggregate(
-                        inverse_sorted, num_groups, None, "count"
-                    )
-                    _charge_segmented_reduce(
-                        ctx, n, 0, num_groups * 8, f"reduce:{spec.output_name}", MATERIALIZE
-                    )
-                    continue
-                column = values[spec.column]
-                if self.pattern == "gfur":
-                    # Unclustered gather through the permuted IDs.
-                    sorted_col = gather(
-                        ctx,
-                        column,
-                        a_sorted_ids.data,
-                        phase=MATERIALIZE,
-                        label=spec.column,
-                    )
-                else:
-                    # Lazily re-sort (key, column): Algorithm 1 for
-                    # aggregations — sequential passes only.  The device
-                    # re-sorts the keys too, but only the column is
-                    # read, so the host reuses the transform's stable
-                    # permutation and moves the column alone.
-                    argsort_cost_only(
-                        ctx, n, keys.itemsize, column.itemsize,
-                        phase=MATERIALIZE, label=spec.column,
-                    )
-                    sorted_col = column[key_order]
-                output[spec.output_name] = segmented_aggregate(
-                    inverse_sorted, num_groups, sorted_col, spec.op
-                )
-                _charge_segmented_reduce(
-                    ctx,
-                    n,
-                    int(sorted_col.nbytes),
-                    num_groups * 8,
-                    f"reduce:{spec.output_name}",
-                    MATERIALIZE,
-                )
-            ctx.mem.free(a_keys)
-            if a_sorted_ids is not None:
-                ctx.mem.free(a_sorted_ids)
-        return output
+            charge_column_folds(ctx, n, values, aggregates, num_groups, "reduce", fetch)
+            for reservation in held:
+                reservation.free()

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
-from ..aggregation.base import AggSpec, GroupByAlgorithm, GroupByResult
+from ..aggregation.base import AggSpec, GroupByAlgorithm, GroupByResult, value_columns
 from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..errors import JoinConfigError
 from ..gpusim.context import GPUContext
@@ -98,10 +96,7 @@ class FusedJoinAggregate:
         pressure propagates to the caller (the executor degrades to the
         unfused resilient path).
         """
-        needed: List[str] = [group_column]
-        for spec in aggregates:
-            if spec.op != "count" and spec.column not in needed:
-                needed.append(spec.column)
+        needed = list(dict.fromkeys([group_column, *value_columns(aggregates)]))
 
         # Run the join with the projection the aggregation needs, on a
         # shallow copy so the caller's algorithm is untouched.
@@ -122,11 +117,7 @@ class FusedJoinAggregate:
             )
 
         keys = joined.column(group_column)
-        values: Dict[str, np.ndarray] = {
-            spec.column: joined.column(spec.column)
-            for spec in aggregates
-            if spec.op != "count"
-        }
+        values = {name: joined.column(name) for name in value_columns(aggregates)}
         groupby_algorithm = self.groupby_algorithm
         if groupby_algorithm is None:
             groupby_algorithm = make_groupby_algorithm(

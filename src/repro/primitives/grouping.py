@@ -31,9 +31,14 @@ from .direct_address import dense_span
 def group_identify(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys plus the inverse mapping.
 
-    Exactly equivalent to ``np.unique(keys, return_inverse=True)``:
-    ``group_keys`` is sorted ascending, has the dtype of *keys*, and
+    Equal to ``np.unique(keys, return_inverse=True)``: ``group_keys``
+    is sorted ascending, has the dtype of *keys*, and
     ``group_keys[inverse] == keys`` (NaN keys form one last group).
+    The group of float zeros is keyed ``-0.0`` when any of its rows is
+    ``-0.0``, the least of the two under IEEE total order: the zeros
+    compare equal, so a sort leaves either first depending on the rows
+    around them, and a fixed rule names the group alike in every subset
+    of its rows (shards, out-of-core blocks).
     Dense integer keys are grouped by direct addressing; otherwise a
     non-stable argsort is safe because the inverse depends only on key
     *values*, never on the order of equal elements.
@@ -63,7 +68,13 @@ def group_identify(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     group_ids -= 1
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = group_ids
-    return sorted_keys[boundaries], inverse
+    group_keys = sorted_keys[boundaries]
+    if keys.dtype.kind == "f":
+        lo = int(np.searchsorted(sorted_keys, 0, side="left"))
+        hi = int(np.searchsorted(sorted_keys, 0, side="right"))
+        if np.signbit(sorted_keys[lo:hi]).any():
+            group_keys[np.searchsorted(group_keys, 0)] = -0.0
+    return group_keys, inverse
 
 
 def groups_from_sorted(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

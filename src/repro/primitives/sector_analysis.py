@@ -168,30 +168,37 @@ def _analyze_sampled(indices: np.ndarray, element_bytes: int) -> SectorStats:
         return _analyze_exact(indices, element_bytes)
 
     # Deterministic stride sample of full warps: exact per-warp analysis
-    # on the sample, scaled to the whole map.  Only the sampled lanes are
-    # materialized — no O(n) transform of the full index array.
+    # on the sample, scaled to the whole map.  The sample is a strided
+    # view of the warp-shaped map, so only the sampled lanes are copied —
+    # no O(n) transform of the full index array.
     stride = max(1, full_warps // SAMPLE_WARPS)
-    warp_starts = np.arange(0, full_warps * WARP_SIZE, stride * WARP_SIZE)
-    lane = np.arange(WARP_SIZE)
-    sample_idx = warp_starts[:, None] + lane[None, :]
-    warp_offsets = indices[sample_idx].astype(np.int64) * element_bytes
-    warp_sectors = np.sort(warp_offsets // SECTOR_BYTES, axis=1)
+    warps = indices[: full_warps * WARP_SIZE].reshape(-1, WARP_SIZE)
+    warp_offsets = np.sort(
+        warps[::stride].astype(np.int64) * element_bytes, axis=1
+    )
+    # Floor division is monotone, so sorted offsets give sorted sectors,
+    # and each warp's span is its last offset minus its first.
+    warp_sectors = warp_offsets // SECTOR_BYTES
 
-    distinct_per_warp = 1 + np.count_nonzero(np.diff(warp_sectors, axis=1), axis=1)
+    sampled = warp_sectors.shape[0]
+    distinct = sampled + int(
+        np.count_nonzero(warp_sectors[:, 1:] != warp_sectors[:, :-1])
+    )
     spans = (
-        warp_offsets.max(axis=1) - warp_offsets.min(axis=1) + element_bytes
+        warp_offsets[:, -1] - warp_offsets[:, 0] + element_bytes
     ).astype(np.float64)
 
-    sector_touches = int(round(float(distinct_per_warp.mean()) * requests))
+    sector_touches = int(round(distinct / sampled * requests))
     sector_touches = min(max(sector_touches, requests), requests * WARP_SIZE)
 
     # Cold sectors: occupancy of the map's sector range under n draws.
     # E[distinct] = R * (1 - (1 - 1/R)^n), computed in log space.  The
-    # range comes from exact min/max reductions over the full map (cheap,
-    # allocation-free); floor division commutes with min/max for a
+    # range comes from exact min/max reductions over the full map
+    # (allocation-free); floor division commutes with min/max for a
     # positive element size.
-    lo = int(indices.min()) * element_bytes // SECTOR_BYTES
-    hi = int(indices.max()) * element_bytes // SECTOR_BYTES
+    lo, hi = _index_range(indices)
+    lo = lo * element_bytes // SECTOR_BYTES
+    hi = hi * element_bytes // SECTOR_BYTES
     sector_range = hi - lo + 1
     if sector_range <= 1:
         cold = 1
@@ -206,6 +213,25 @@ def _analyze_sampled(indices: np.ndarray, element_bytes: int) -> SectorStats:
         cold_sectors=cold,
         mean_warp_span_bytes=float(spans.mean()),
     )
+
+
+#: Elements per block of :func:`_index_range`: 512 KiB of int64, so the
+#: max pass re-reads a block the min pass just left in L2.
+_RANGE_BLOCK = 1 << 16
+
+
+def _index_range(indices: np.ndarray) -> tuple[int, int]:
+    """Exact ``(min, max)`` of *indices* in one sweep over memory.
+
+    Two whole-array reductions would stream a large map from memory
+    twice; taking both per cache-sized block streams it once.
+    """
+    lo = hi = int(indices[0])
+    for start in range(0, indices.size, _RANGE_BLOCK):
+        block = indices[start : start + _RANGE_BLOCK]
+        lo = min(lo, int(block.min()))
+        hi = max(hi, int(block.max()))
+    return lo, hi
 
 
 def sequential_stats(num_items: int, element_bytes: int) -> SectorStats:

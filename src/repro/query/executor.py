@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
+from ..aggregation.base import value_columns
 from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..cancel import current_token
 from ..errors import (
@@ -47,11 +48,7 @@ from .plan import (
 
 def _group_inputs(node: Aggregate, child: Relation):
     keys = child.column(node.group_column)
-    values = {
-        spec.column: child.column(spec.column)
-        for spec in node.aggregates
-        if spec.op != "count"
-    }
+    values = {name: child.column(name) for name in value_columns(node.aggregates)}
     return keys, values
 
 
@@ -477,12 +474,8 @@ class QueryExecutor:
         if self._session is not None:
             self._session.count("faults_injected_oom")
             self._session.count("degraded_operators")
-        needed = [node.group_column] + [
-            spec.column
-            for spec in node.aggregates
-            if spec.op != "count" and spec.column != node.group_column
-        ]
-        config = replace(self.config, projection=tuple(dict.fromkeys(needed)))
+        needed = dict.fromkeys([node.group_column, *value_columns(node.aggregates)])
+        config = replace(self.config, projection=tuple(needed))
         with self._operator_span(
             "FusedJoinAggregate(degraded)", degraded=True
         ) as span:

@@ -11,8 +11,8 @@ columns, by the same single-device code ``execute()`` uses:
 * joins make one :func:`~repro.joins.matching.match_positions` call
   over the whole probe column; the hot and cold tiers are charged for
   the matches that fall in their segments;
-* group-bys fold with ``group_identify`` + ``segmented_aggregate`` (the
-  one fold of record); the hot and cold tiers are charged for the rows
+* group-bys fold with ``group_identify`` + ``fold_groups`` (the one
+  fold of record); the hot and cold tiers are charged for the rows
   and the distinct groups of their segments.
 
 The output is therefore bit-identical to ``execute()`` for every
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..aggregation.base import AggSpec
+from ..aggregation.base import AggSpec, value_columns
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
@@ -633,22 +633,17 @@ class TieredRuntime:
         """
         segrel = self.register(child)
         session = self._begin_op(session, fault_plan)
-        needed: List[str] = [group_column]
-        for spec in aggregates:
-            if spec.op != "count" and spec.column not in needed:
-                needed.append(spec.column)
+        needed = list(dict.fromkeys([group_column, *value_columns(aggregates)]))
         placement, fresh = self._place([(segrel, needed)], session, "group-by")
         before = self.cache.hits, self.cache.misses
         hot, hot_rows, cold_rows = self._split(segrel, needed, fresh)
 
         group_keys, inverse = segrel.groups(group_column)
         groups = int(group_keys.size)
-        output: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        output["group_key"] = group_keys.copy()
-        for spec in aggregates:
-            output[spec.output_name] = segrel.fold(
-                group_column, spec.column, spec.op
-            ).copy()
+        output = OrderedDict(
+            (name, column.copy())
+            for name, column in segrel.fold(group_column, tuple(aggregates)).items()
+        )
         # Each tier writes one partial per distinct group among its rows.
         hot_idx = sorted(hot)
         cold_idx = [i for i in range(segrel.num_segments) if i not in hot]

@@ -20,11 +20,12 @@ byte counts per columns tuple on first use.  Every lookup reads it.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ..aggregation.base import segmented_aggregate
+from ..aggregation.base import AggSpec, fold_groups, value_columns
 from ..primitives.grouping import group_identify
 from ..relational.relation import Relation
 
@@ -65,7 +66,7 @@ class SegmentedRelation:
       item size at construction, and per columns tuple the segment keys
       and range byte counts on first use (:meth:`table`);
     * per-column group indexes (:meth:`groups`);
-    * per-``(group column, value column, op)`` folds (:meth:`fold`).
+    * per-``(group column, aggregates)`` folds (:meth:`fold`).
 
     Registered relations are never mutated in place, so all of it lives
     exactly as long as this object: ``TieredRuntime.invalidate_relation``
@@ -96,7 +97,7 @@ class SegmentedRelation:
         }
         self._tables: Dict[Tuple[str, ...], _Table] = {}
         self._groups: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        self._folds: Dict[Tuple[str, Optional[str], str], np.ndarray] = {}
+        self._folds: Dict[tuple, "OrderedDict[str, np.ndarray]"] = {}
 
     @property
     def total_bytes(self) -> int:
@@ -177,21 +178,21 @@ class SegmentedRelation:
             memo = self._groups[column] = (group_keys, inverse)
         return memo
 
-    def fold(self, group_column: str, column: Optional[str], op: str) -> np.ndarray:
-        """Memoised :func:`segmented_aggregate` of *column* by *group_column*.
+    def fold(
+        self, group_column: str, aggregates: Tuple[AggSpec, ...]
+    ) -> "OrderedDict[str, np.ndarray]":
+        """Memoised :func:`fold_groups` of *aggregates* by *group_column*.
 
-        Read-only; *column* is ignored (and keyed as ``None``) for
-        ``count``.  Callers that hand the values out copy them.
+        Every column is read-only; callers that hand them out copy them.
         """
-        if op == "count":
-            column = None
-        memo_key = (group_column, column, op)
+        memo_key = (group_column, aggregates)
         memo = self._folds.get(memo_key)
         if memo is None:
             group_keys, inverse = self.groups(group_column)
-            values = None if column is None else self.relation.column(column)
-            memo = segmented_aggregate(inverse, int(group_keys.size), values, op)
-            memo.flags.writeable = False
+            values = {c: self.relation.column(c) for c in value_columns(aggregates)}
+            memo = fold_groups(group_keys, inverse, values, aggregates)
+            for column in memo.values():
+                column.flags.writeable = False
             self._folds[memo_key] = memo
         return memo
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregation import AggSpec, make_groupby_algorithm
+from repro.aggregation import AggSpec, OutOfCoreGroupBy, make_groupby_algorithm
 from repro.api import group_by
 from repro.errors import AggregationConfigError
+from repro.faults.recovery import resilient_group_by
 from repro.relational import reference_groupby
 from repro.relational.relation import Relation
 from repro.workloads import GroupByWorkloadSpec, generate_groupby_workload
@@ -151,3 +152,70 @@ def test_nan_keys_form_one_group(strategy, shards):
     ]
     with pytest.raises(KeyError, match="unsupported dtype"):
         Relation([("k", keys)], key="k")
+
+
+_ALL_OPS = [(column, op) for column in ("i", "f", "b")
+            for op in ("sum", "count", "min", "max", "mean")]
+
+
+def _dtype_runs(strategy, keys, values):
+    """Each way to run one strategy: plain, staged out-of-core, sharded
+    and through the recovery ladder."""
+    specs = [AggSpec(column, op) for column, op in _ALL_OPS]
+    return {
+        "plain": make_groupby_algorithm(strategy).group_by(keys, values, specs),
+        "out-of-core": OutOfCoreGroupBy(inner=strategy, min_blocks=2).group_by(
+            keys, values, specs
+        ),
+        "shards=2": group_by(keys, values, _ALL_OPS, algorithm=strategy, shards=2),
+        "resilient": resilient_group_by(keys, values, specs, algorithm=strategy),
+    }
+
+
+@pytest.mark.parametrize("key_dtype", [np.int32, np.float32], ids=["int32", "float32"])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_zero_rows_keep_the_dtype_contract(strategy, key_dtype):
+    """An empty group-by returns the dtypes a non-empty one does."""
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 9, 300).astype(key_dtype)
+    values = {
+        "i": rng.integers(-50, 50, 300).astype(np.int32),
+        "f": rng.standard_normal(300),
+        "b": rng.integers(0, 2, 300).astype(bool),
+    }
+    expected = [
+        (name, column.dtype)
+        for name, column in make_groupby_algorithm(strategy).group_by(
+            keys, values, [AggSpec(c, op) for c, op in _ALL_OPS]
+        ).output.items()
+    ]
+    empty = {name: column[:0] for name, column in values.items()}
+    for mode, result in _dtype_runs(strategy, keys[:0], empty).items():
+        actual = [(name, column.dtype) for name, column in result.output.items()]
+        assert actual == expected, mode
+        assert all(column.size == 0 for column in result.output.values()), mode
+
+
+def test_signed_zero_keys_name_one_group_alike_everywhere():
+    """The ±0.0 group gets the same key bits in every strategy and mode."""
+    keys = np.random.default_rng(0).choice([0.0, -0.0, 1.5], 1000)
+    keys[::9] = np.nan
+    values = {"v": np.arange(keys.size, dtype=np.int64)}
+    specs = [AggSpec("v", "sum")]
+    outputs = {}
+    for strategy in ALL_STRATEGIES:
+        outputs[strategy] = make_groupby_algorithm(strategy).group_by(
+            keys, values, specs
+        ).output
+        outputs[f"{strategy} x4"] = group_by(
+            keys, values, specs, algorithm=strategy, shards=4
+        ).output
+        outputs[f"OOC[{strategy}]"] = OutOfCoreGroupBy(
+            inner=strategy, device_budget_bytes=keys.nbytes // 2
+        ).group_by(keys, values, specs).output
+    bits = {mode: out["group_key"].tobytes() for mode, out in outputs.items()}
+    assert len(set(bits.values())) == 1, bits
+    sums = {mode: out["sum_v"].tobytes() for mode, out in outputs.items()}
+    assert len(set(sums.values())) == 1
+    group_keys = outputs["HASH-AGG"]["group_key"]
+    assert group_keys.size == 3 and np.signbit(group_keys[0]) and group_keys[0] == 0

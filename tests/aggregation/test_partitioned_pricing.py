@@ -15,7 +15,8 @@ width a pass plan can take (1-16 bits), plain and under a
 performing them, so it is held to the same frozen copy.  SORT-AGG/gftr
 likewise prices its lazy ``(key, column)`` re-sorts and moves only the
 column; ``_FrozenSortGroupBy`` is the implementation that re-sorted the
-keys as well.
+keys as well.  Both run under the frozen ``group_by`` driver and
+per-aggregate fold of :mod:`tests.aggregation.frozen`, as they did.
 """
 
 from collections import OrderedDict
@@ -24,9 +25,9 @@ import numpy as np
 import pytest
 
 from repro.aggregation import AggSpec, GroupByConfig
-from repro.aggregation.base import AGGREGATE, MATERIALIZE, TRANSFORM, segmented_aggregate
+from repro.aggregation.base import AGGREGATE, MATERIALIZE, TRANSFORM
 from repro.aggregation.partitioned_groupby import PartitionedGroupBy, derive_groupby_bits
-from repro.aggregation.sort_groupby import SortGroupBy, _charge_segmented_reduce
+from repro.aggregation.sort_groupby import SortGroupBy
 from repro.errors import DeviceOutOfMemoryError
 from repro.faults import FaultPlan
 from repro.gpusim import A100, GPUContext, KernelStats
@@ -36,6 +37,13 @@ from repro.primitives.grouping import group_identify, groups_from_sorted
 from repro.primitives.radix_partition import partition_codes, plan_passes
 from repro.primitives.sort_pairs import sort_pairs
 from repro.relational.types import id_dtype
+
+from .frozen import (
+    FrozenGroupBy,
+    charge_partition_fold,
+    charge_segmented_reduce,
+    frozen_segmented_aggregate as segmented_aggregate,
+)
 
 AGGREGATES = [
     AggSpec("v", "sum"),
@@ -91,8 +99,10 @@ def _frozen_radix_partition(ctx, keys, payloads, total_bits, phase, hashed, labe
     return keys_out, payloads_out, order
 
 
-class _FrozenMovingPartitionedGroupBy(PartitionedGroupBy):
+class _FrozenMovingPartitionedGroupBy(FrozenGroupBy):
     """PART-AGG as it was: every partitioning and gather performed."""
+
+    names = {"gftr": "PART-AGG", "gfur": "PART-AGG/gfur"}
 
     def _execute(self, ctx, keys, values, aggregates):
         n = int(keys.size)
@@ -121,7 +131,7 @@ class _FrozenMovingPartitionedGroupBy(PartitionedGroupBy):
         output = OrderedDict()
         output["group_key"] = group_keys
         with ctx.phase(AGGREGATE):
-            self._charge_partition_fold(
+            charge_partition_fold(
                 ctx, n, int(part[0].nbytes), num_groups * 8, "partition_groups", AGGREGATE
             )
         with ctx.phase(MATERIALIZE):
@@ -130,7 +140,7 @@ class _FrozenMovingPartitionedGroupBy(PartitionedGroupBy):
                     output[spec.output_name] = segmented_aggregate(
                         inverse, num_groups, None, "count"
                     )
-                    self._charge_partition_fold(
+                    charge_partition_fold(
                         ctx, n, 0, num_groups * 8, f"fold:{spec.output_name}", MATERIALIZE
                     )
                     continue
@@ -147,7 +157,7 @@ class _FrozenMovingPartitionedGroupBy(PartitionedGroupBy):
                 output[spec.output_name] = segmented_aggregate(
                     inverse, num_groups, column, spec.op
                 )
-                self._charge_partition_fold(
+                charge_partition_fold(
                     ctx, n, int(folded_input.nbytes), num_groups * 8,
                     f"fold:{spec.output_name}", MATERIALIZE,
                 )
@@ -243,8 +253,10 @@ def _frozen_sort_pairs(ctx, keys, payloads, order, phase, label):
     return keys[order], [p[order] for p in payloads]
 
 
-class _FrozenSortGroupBy(SortGroupBy):
+class _FrozenSortGroupBy(FrozenGroupBy):
     """SORT-AGG as it was: each lazy re-sort moved the keys too."""
+
+    names = {"gftr": "SORT-AGG", "gfur": "SORT-AGG/gfur"}
 
     def _execute(self, ctx, keys, values, aggregates):
         n = int(keys.size)
@@ -286,7 +298,7 @@ class _FrozenSortGroupBy(SortGroupBy):
                     output[spec.output_name] = segmented_aggregate(
                         inverse_sorted, num_groups, None, "count"
                     )
-                    _charge_segmented_reduce(
+                    charge_segmented_reduce(
                         ctx, n, 0, num_groups * 8, f"reduce:{spec.output_name}", MATERIALIZE
                     )
                     continue
@@ -302,7 +314,7 @@ class _FrozenSortGroupBy(SortGroupBy):
                 output[spec.output_name] = segmented_aggregate(
                     inverse_sorted, num_groups, sorted_col, spec.op
                 )
-                _charge_segmented_reduce(
+                charge_segmented_reduce(
                     ctx, n, int(sorted_col.nbytes), num_groups * 8,
                     f"reduce:{spec.output_name}", MATERIALIZE,
                 )

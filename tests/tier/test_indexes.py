@@ -56,7 +56,7 @@ def group_plan(s):
 @pytest.fixture
 def spy(monkeypatch):
     """Counts the tier's calls of its matching, grouping and fold."""
-    calls = {"match_positions": 0, "group_identify": 0, "segmented_aggregate": 0}
+    calls = {"match_positions": 0, "group_identify": 0, "fold_groups": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -69,7 +69,7 @@ def spy(monkeypatch):
 
     counting(tier_executor, "match_positions")
     counting(tier_segments, "group_identify")
-    counting(tier_segments, "segmented_aggregate")
+    counting(tier_segments, "fold_groups")
     return calls
 
 
@@ -87,10 +87,10 @@ def test_repeat_operators_on_unchanged_relations_reuse_indexes(spy):
     ex = QueryExecutor(tiering=TieredRuntime(segment_rows=SEGMENT_ROWS))
     first_join = ex.execute(join_plan(r, s)).output
     first_groups = ex.execute(group_plan(s)).output
-    assert spy == {"match_positions": 1, "group_identify": 1, "segmented_aggregate": 3}
+    assert spy == {"match_positions": 1, "group_identify": 1, "fold_groups": 1}
     second_join = ex.execute(join_plan(r, s)).output
     second_groups = ex.execute(group_plan(s)).output
-    assert spy == {"match_positions": 1, "group_identify": 1, "segmented_aggregate": 3}
+    assert spy == {"match_positions": 1, "group_identify": 1, "fold_groups": 1}
     assert_same_output(second_join, first_join)
     assert_same_output(second_groups, first_groups)
     assert_same_output(second_join, execute(join_plan(r, s)).output)
@@ -118,14 +118,14 @@ def test_server_update_recomputes_and_matches_execute(spy):
     for plan in (join_plan(r, s), group_plan(s), join_plan(r, s), group_plan(s)):
         server.submit(plan, at_s=0.0)
     assert all(o.status == "completed" for o in server.run())
-    assert spy == {"match_positions": 1, "group_identify": 1, "segmented_aggregate": 3}
+    assert spy == {"match_positions": 1, "group_identify": 1, "fold_groups": 1}
 
     _, s2 = make_pair(4)
     server.update("S", s2)
     server.submit(join_plan(r, s2))
     server.submit(group_plan(s2))
     joined, grouped = server.run()[-2:]
-    assert spy == {"match_positions": 2, "group_identify": 2, "segmented_aggregate": 6}
+    assert spy == {"match_positions": 2, "group_identify": 2, "fold_groups": 2}
     assert_same_output(joined.output, execute(join_plan(r, s2)).output)
     assert_same_output(grouped.output, execute(group_plan(s2)).output)
 
@@ -150,7 +150,7 @@ def test_invalidate_relation_drops_its_indexes(spy, by_name):
     assert spy["match_positions"] == 2  # the unrelated pair kept its index
     joined = ex.execute(join_plan(r, s)).output
     grouped = ex.execute(group_plan(s)).output
-    assert spy == {"match_positions": 3, "group_identify": 2, "segmented_aggregate": 6}
+    assert spy == {"match_positions": 3, "group_identify": 2, "fold_groups": 2}
     assert_same_output(joined, execute(join_plan(r, s)).output)
     assert_same_output(grouped, execute(group_plan(s)).output)
 
@@ -167,7 +167,7 @@ def test_fork_cold_shares_no_index(spy):
     cold = QueryExecutor(tiering=fork)
     cold.execute(join_plan(r, s))
     cold.execute(group_plan(s))
-    assert spy == {"match_positions": 2, "group_identify": 2, "segmented_aggregate": 6}
+    assert spy == {"match_positions": 2, "group_identify": 2, "fold_groups": 2}
 
 
 def test_unique_hint_and_auto_detection_do_not_share_an_entry():
