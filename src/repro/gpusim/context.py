@@ -117,7 +117,23 @@ class GPUContext:
         )
         self.timeline = PhaseTimeline(trace=self.trace)
         self.profiler = Profiler(device)
-        self.rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The context RNG, created from ``seed`` on first access.
+
+        Only the bucket-chain partitioner draws from it, and creating a
+        generator costs most of a context's construction.
+        """
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng) -> None:
+        self._rng = rng
 
     # -- kernel submission ---------------------------------------------------
 

@@ -14,12 +14,11 @@ values computed once by the single-device code.
 from .cache import SegmentCache
 from .costmodel import TierCostModel
 from .executor import DEFAULT_SEGMENT_ROWS, TieredRuntime
-from .policy import PlacementDecision, PlacementPolicy, SegmentStats
+from .policy import PlacementPolicy, SegmentStats
 from .segments import SegmentedRelation, SegmentKey
 
 __all__ = [
     "DEFAULT_SEGMENT_ROWS",
-    "PlacementDecision",
     "PlacementPolicy",
     "SegmentCache",
     "SegmentKey",

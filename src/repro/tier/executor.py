@@ -9,11 +9,14 @@ values.  The output is computed once, over the base relation's
 columns, by the same single-device code ``execute()`` uses:
 
 * joins make one :func:`~repro.joins.matching.match_positions` call
-  over the whole probe column; the hot and cold tiers are charged for
-  the matches that fall in their segments;
+  over the whole probe column and gather the output columns from it;
+  the hot and cold tiers are charged for the matches that fall in
+  their segments;
 * group-bys fold with ``group_identify`` + ``fold_groups`` (the one
   fold of record); the hot and cold tiers are charged for the rows
-  and the distinct groups of their segments.
+  and the distinct groups of their segments.  A tier that holds every
+  row holds every group, so only a mixed placement counts groups row
+  by row.
 
 The output is therefore bit-identical to ``execute()`` for every
 placement.  The oracle suite (``tests/oracle/test_tier_oracle.py``)
@@ -30,8 +33,8 @@ relation is invalidated:
 * each column's group index (:meth:`SegmentedRelation.groups`) and each
   ``(group column, value column, op)`` fold
   (:meth:`SegmentedRelation.fold`), handed out as copies;
-* each relation pair's join index, with ``intp`` positions that gather
-  without a cast.
+* each relation pair's join index: the read-only output columns, so a
+  repeat join copies them instead of gathering them again.
 
 The simulated clock still charges every kernel on every call.
 """
@@ -39,7 +42,7 @@ The simulated clock still charges every kernel on every call.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -63,9 +66,16 @@ from .segments import SegmentedRelation, SegmentKey
 #: relation, enough for meaningfully mixed placements).
 DEFAULT_SEGMENT_ROWS = 4096
 
-#: One join index: matching (build, probe) positions, s-major, plus the
-#: match count of each probe segment.
-_JoinIndex = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+class _JoinIndex(NamedTuple):
+    """One memoised join of a build and a probe relation version."""
+
+    #: ``(output name, column)`` per :func:`output_column_names`, in
+    #: s-major match order; every column is read-only
+    columns: Tuple[Tuple[str, np.ndarray], ...]
+    #: the match count of each probe segment
+    per_segment: np.ndarray
+    matches: int
 
 
 class TieredRuntime:
@@ -144,9 +154,10 @@ class TieredRuntime:
 
         Those indexes are not bounded: they live until the relation is
         invalidated, which for a relation an operator registered (an ad
-        hoc scan) is never.  A join index holds 16 bytes per output row
-        (two ``intp`` positions), a group index 4 bytes per row plus its
-        distinct keys, and each memoised fold 8 bytes per group.
+        hoc scan) is never.  A join index holds the join's output, as
+        many bytes per output row as an output row has, a group index 4
+        bytes per row plus its distinct keys, and each memoised fold 8
+        bytes per group.
         """
         existing = self._by_id.get(id(relation))
         if existing is not None:
@@ -244,14 +255,21 @@ class TieredRuntime:
         operator's extras/spans (``_fault_contexts`` charges the admission
         transfer from ``admitted_bytes``) and the keys admitted in this
         pass.
+
+        Entries of *wants* that name one relation (a self-join) are
+        merged, their columns united in first-seen order, so each range
+        is noted, scored and admitted once.
         """
         policy = self.policy
         cache = self.cache
         policy.begin_pass()
         before_evicted = cache.evictions
+        merged: Dict[SegmentedRelation, Dict[str, None]] = {}
+        for segrel, columns in wants:
+            merged.setdefault(segrel, {}).update(dict.fromkeys(columns))
         candidates = []
         protect: Set[SegmentKey] = set()
-        for segrel, columns in wants:
+        for segrel, columns in merged.items():
             table = segrel.table(columns)
             for index, (keys, column_nbytes, nbytes) in enumerate(
                 zip(table.keys, table.column_nbytes, table.nbytes)
@@ -475,14 +493,16 @@ class TieredRuntime:
         r_missing = left.total_bytes - r_resident
         s_bytes = segS.table(s_cols).nbytes
 
-        r_idx, s_idx, per_segment = self._join_index(
-            segR, segS, config.unique_build_keys
+        index = self._join_index(segR, segS, config.unique_build_keys)
+        matches = index.matches
+        hot_matches = int(index.per_segment[sorted(hot)].sum())
+        cold_matches = matches - hot_matches
+        output = Relation(
+            [(name, column.copy()) for name, column in index.columns],
+            key="key",
+            name=config.output_name,
         )
-        hot_matches = int(per_segment[sorted(hot)].sum())
-        cold_matches = int(r_idx.size) - hot_matches
-        output = _materialize_join(left, right, r_idx, s_idx, config.output_name)
 
-        matches = int(r_idx.size)
         out_bytes = output.total_bytes
         hot_out_bytes = int(out_bytes * hot_matches / matches) if matches else 0
         mixed = hot_rows > 0 and cold_rows > 0
@@ -589,28 +609,32 @@ class TieredRuntime:
         """The memoised join index of build *segR* and probe *segS*.
 
         Keyed by the ``unique_build_keys`` hint as given, so a wrong
-        ``True`` hint never shares an entry with auto-detection.
-        Positions are read-only ``intp``: numpy converts an index of
-        any other dtype on every gather, and with int32 positions that
-        conversion made materialisation about twice as slow.
+        ``True`` hint never shares an entry with auto-detection.  It
+        keeps the output columns, not the match positions: a repeat
+        join copies them, which is cheaper than gathering them again.
         """
         pair = (segR.name, segS.name, unique_hint)
         index = self._join_indexes.get(pair)
         if index is not None:
             return index
-        r_keys = segR.relation.key_values
+        left, right = segR.relation, segS.relation
         unique = unique_hint
         if unique is None:
-            unique = detect_unique_keys(r_keys)
-        r_idx, s_idx = match_positions(r_keys, segS.relation.key_values, unique)
-        r_idx = r_idx.astype(np.intp, copy=False)
-        s_idx = s_idx.astype(np.intp, copy=False)
+            unique = detect_unique_keys(left.key_values)
+        r_idx, s_idx = match_positions(left.key_values, right.key_values, unique)
+        columns = []
+        for side, source, out_name in output_column_names(left, right):
+            rel, idx = (left, r_idx) if side == "r" else (right, s_idx)
+            column = rel.column(source)[idx]
+            column.flags.writeable = False
+            columns.append((out_name, column))
         per_segment = np.bincount(
             s_idx // segS.segment_rows, minlength=segS.num_segments
         )
-        for array in (r_idx, s_idx, per_segment):
-            array.flags.writeable = False
-        index = self._join_indexes[pair] = (r_idx, s_idx, per_segment)
+        per_segment.flags.writeable = False
+        index = self._join_indexes[pair] = _JoinIndex(
+            tuple(columns), per_segment, int(s_idx.size)
+        )
         return index
 
     # -- group-by ------------------------------------------------------------
@@ -644,17 +668,11 @@ class TieredRuntime:
             (name, column.copy())
             for name, column in segrel.fold(group_column, tuple(aggregates)).items()
         )
-        # Each tier writes one partial per distinct group among its rows.
         hot_idx = sorted(hot)
         cold_idx = [i for i in range(segrel.num_segments) if i not in hot]
-        segment_is_hot = np.zeros(segrel.num_segments, dtype=bool)
-        segment_is_hot[hot_idx] = True
-        row_is_hot = np.repeat(segment_is_hot, segrel.segment_rows)[: child.num_rows]
-        hot_groups = cold_groups = 0
-        if hot_rows:
-            hot_groups = np.count_nonzero(np.bincount(inverse[row_is_hot]))
-        if cold_rows:
-            cold_groups = np.count_nonzero(np.bincount(inverse[~row_is_hot]))
+        hot_groups, cold_groups = _tier_group_counts(
+            inverse, groups, hot_idx, segrel.num_segments, segrel.segment_rows
+        )
 
         mixed = hot_rows > 0 and cold_rows > 0
         gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed, placement)
@@ -786,16 +804,28 @@ def _scan_relations(plan) -> List[Relation]:
     return found
 
 
-def _materialize_join(
-    left: Relation,
-    right: Relation,
-    r_idx: np.ndarray,
-    s_idx: np.ndarray,
-    output_name: str,
-) -> Relation:
-    """The join output schema of :func:`~repro.joins.base.output_column_names`."""
-    columns = []
-    for side, source, out_name in output_column_names(left, right):
-        rel, idx = (left, r_idx) if side == "r" else (right, s_idx)
-        columns.append((out_name, rel.column(source)[idx]))
-    return Relation(columns, key="key", name=output_name)
+def _tier_group_counts(
+    inverse: np.ndarray,
+    groups: int,
+    hot_idx: Sequence[int],
+    num_segments: int,
+    segment_rows: int,
+) -> Tuple[int, int]:
+    """Distinct groups among the hot rows and among the cold rows.
+
+    Each tier writes one partial per distinct group among its rows.  A
+    tier that holds every row holds all *groups*, so only a mixed
+    placement counts them row by row.  Counts are ``np.int64``, as
+    ``np.count_nonzero`` returns them, so every charge keeps its type.
+    """
+    if not hot_idx:
+        return 0, np.int64(groups)
+    if len(hot_idx) == num_segments:
+        return np.int64(groups), 0
+    segment_is_hot = np.zeros(num_segments, dtype=bool)
+    segment_is_hot[hot_idx] = True
+    row_is_hot = np.repeat(segment_is_hot, segment_rows)[: inverse.size]
+    return (
+        np.count_nonzero(np.bincount(inverse[row_is_hot])),
+        np.count_nonzero(np.bincount(inverse[~row_is_hot])),
+    )

@@ -19,7 +19,7 @@ thrashes its own working set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .segments import SegmentKey
@@ -32,17 +32,6 @@ class SegmentStats:
     accesses: float = 0.0
     last_tick: int = 0
     admitted_tick: int = -1
-
-
-@dataclass
-class PlacementDecision:
-    """Outcome of one admission attempt (for placement-decision spans)."""
-
-    key: SegmentKey
-    admitted: bool
-    score: float
-    evicted: Tuple[SegmentKey, ...] = ()
-    reason: str = ""
 
 
 class PlacementPolicy:

@@ -166,7 +166,9 @@ class SegmentedRelation:
         """Memoised :func:`group_identify` of *column*: (group keys, inverse).
 
         Both arrays are read-only; the inverse is int32 whenever the
-        row count allows.
+        row count allows.  A tier group-by whose rows all sit on one
+        tier charges it ``group_keys.size`` groups; only a mixed
+        placement reads the inverse to count each tier's groups.
         """
         memo = self._groups.get(column)
         if memo is None:

@@ -1,5 +1,6 @@
 """Phase timeline and Nsight-style profiler."""
 
+import numpy as np
 import pytest
 
 from repro.gpusim import A100, GPUContext, KernelStats
@@ -124,3 +125,10 @@ class TestContext:
         a = GPUContext(device=A100, seed=5).rng.integers(0, 100, 10)
         b = GPUContext(device=A100, seed=5).rng.integers(0, 100, 10)
         assert list(a) == list(b)
+
+    def test_rng_is_created_on_first_access_from_the_seed(self):
+        ctx = GPUContext(device=A100, seed=5)
+        assert ctx._rng is None
+        drawn = ctx.rng.integers(0, 100, 10)
+        assert ctx.rng is ctx.rng
+        assert list(drawn) == list(np.random.default_rng(5).integers(0, 100, 10))

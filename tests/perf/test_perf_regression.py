@@ -180,7 +180,8 @@ def test_tier_repeat_join_throughput():
     """A tiered 2^14 x 2^16 join repeated on a warm runtime (joins/s).
 
     The runtime keeps the pair's join index, so a repeat pays placement,
-    pricing and materialisation but not the match search.
+    pricing and one copy per output column, but neither the match
+    search nor the gathers.
     """
     rng = np.random.default_rng(3)
     n_r, n_s = 1 << 14, 1 << 16

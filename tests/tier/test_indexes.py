@@ -108,6 +108,17 @@ def test_group_output_does_not_alias_the_index():
     assert_same_output(again, execute(group_plan(s)).output)
 
 
+def test_join_output_does_not_alias_the_index():
+    """The memoised join output is copied, never handed out."""
+    r, s = make_pair(2)
+    ex = QueryExecutor(tiering=TieredRuntime(segment_rows=SEGMENT_ROWS))
+    out = ex.execute(join_plan(r, s)).output
+    for column in out.columns().values():
+        column[:] = -1  # callers own their output
+    again = ex.execute(join_plan(r, s)).output
+    assert_same_output(again, execute(join_plan(r, s)).output)
+
+
 def test_server_update_recomputes_and_matches_execute(spy):
     r, s = make_pair(3)
     server = QueryServer(

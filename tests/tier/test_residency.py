@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.base import AggSpec
+from repro.obs.session import TraceSession
 from repro.query.executor import QueryExecutor
 from repro.query.plan import Aggregate, Join, Scan
 from repro.relational.relation import Relation
@@ -92,3 +93,30 @@ def test_server_memory_holds_tier_reservations_beside_queries():
     assert_tier_holds_only_reservations(memory, cache, other_reservations=queries)
     server.update("S", make_pair(seed=4)[1])
     assert_tier_holds_only_reservations(memory, cache, other_reservations=queries)
+
+
+@pytest.mark.parametrize("exact_room", [False, True])
+def test_self_join_admits_each_range_once(exact_room):
+    """A self-join names one relation twice; placement notes it once."""
+    rng = np.random.default_rng(9)
+    n = 20_000
+    r = Relation(
+        [
+            ("key", rng.permutation(n).astype(np.int32)),
+            ("pay", rng.integers(0, 9, n).astype(np.int32)),
+        ],
+        key="key",
+        name="R",
+    )
+    runtime = TieredRuntime(capacity_bytes=r.total_bytes if exact_room else None)
+    session = TraceSession()
+    run = runtime.run_join(r, r, session=session)
+    cache = runtime.cache
+    assert cache.admitted_bytes == r.total_bytes
+    assert run.extras["tier_admitted_bytes"] == cache.admitted_bytes
+    assert session.metrics.value("tier.admitted_bytes") == cache.admitted_bytes
+    assert session.metrics.value("tier.admissions") == cache.admissions
+    assert session.metrics.value("tier.declined") == 0
+    assert session.metrics.value("tier.evictions") == 0
+    assert cache.evictions == 0
+    assert_tier_holds_only_reservations(runtime.memory, cache)
