@@ -77,11 +77,12 @@ for label, budget in (
     )
     result = ooc.join(r, s, device=DEVICE, seed=0)
     assert result.matches == full.matches  # identical output, any budget
+    phases = result.phase_seconds  # host-partition only when staged
     print(
         f"   {label:18s} chunks={result.num_chunks:2d} "
-        f"host={result.host_partition_seconds * 1e3:6.3f} ms "
-        f"pcie={result.transfer_seconds * 1e3:6.3f} ms "
-        f"device={result.device_seconds * 1e3:6.3f} ms "
+        f"host={phases.get('host-partition', 0.0) * 1e3:6.3f} ms "
+        f"pcie={phases['transfer'] * 1e3:6.3f} ms "
+        f"device={phases['device'] * 1e3:6.3f} ms "
         f"total={result.total_seconds * 1e3:6.3f} ms"
     )
 print("\nall three patterns verified against the monolithic join's output")

@@ -51,7 +51,7 @@ for interconnect in ("nvlink-mesh", "pcie-host"):
                            num_devices=n, interconnect=interconnect)
         assert res.output.equals_unordered(single.output)  # bit-identical rows
         speedup = single.total_seconds / res.total_seconds
-        shuffle_pct = res.shuffle_seconds / res.total_seconds
+        shuffle_pct = res.cluster.step_seconds("shuffle") / res.total_seconds
         print(f"{interconnect:<14}{n:>8}{res.total_seconds * 1e3:>10.3f}"
               f"{shuffle_pct:>9.0%}{speedup:>9.2f}{speedup / n:>12.2f}")
         if args.trace:

@@ -14,11 +14,7 @@ from .planner import (
     make_groupby_algorithm,
     recommend_groupby_algorithm,
 )
-from .out_of_core import (
-    OutOfCoreGroupBy,
-    OutOfCoreGroupByResult,
-    estimate_groupby_footprint,
-)
+from .out_of_core import OutOfCoreGroupBy, estimate_groupby_footprint
 from .sort_groupby import SortGroupBy
 
 #: The three principal strategies, keyed by their short names.
@@ -37,7 +33,6 @@ __all__ = [
     "GroupByWorkloadProfile",
     "HashGroupBy",
     "OutOfCoreGroupBy",
-    "OutOfCoreGroupByResult",
     "PartitionedGroupBy",
     "SortGroupBy",
     "estimate_groupby_footprint",

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..primitives.gather import gather_stats_only
 from ..primitives.grouping import group_identify, stable_key_order
+
+if TYPE_CHECKING:
+    from ..cluster.context import ClusterContext
+    from ..faults.recovery import Recovery
 
 #: Canonical group-by phases.
 TRANSFORM, AGGREGATE, MATERIALIZE = "transform", "aggregate", "materialize"
@@ -101,7 +105,13 @@ class GroupByConfig:
 
 @dataclass
 class GroupByResult:
-    """Outcome of one simulated grouped aggregation."""
+    """Outcome of one simulated grouped aggregation, in every mode.
+
+    ``phase_seconds`` is the mode's breakdown: the strategy's phases; a
+    sharded run's cluster step groups; a staged run's
+    ``host-partition``/``transfer``/``merge``/``device``; plus
+    ``oom-wasted`` when a fault-plan run degraded.
+    """
 
     output: "OrderedDict[str, np.ndarray]"
     algorithm: str
@@ -113,10 +123,41 @@ class GroupByResult:
     input_bytes: int
     peak_aux_bytes: int
     kernel_count: int
-    extras: Dict[str, float] = field(default_factory=dict)
+    #: The cluster a sharded group-by ran on; its clock is the time of record.
+    cluster: Optional["ClusterContext"] = None
+    #: Block count of a group-by run through the out-of-core stager.
+    num_blocks: Optional[int] = None
+    #: The recovery decisions of a group-by run under a fault plan.
+    recovery: Optional["Recovery"] = None
+
+    @classmethod
+    def combine(
+        cls,
+        parts: List["GroupByResult"],
+        output: "OrderedDict[str, np.ndarray]",
+        keys: np.ndarray,
+        values: Dict[str, np.ndarray],
+        **fields,
+    ) -> "GroupByResult":
+        """One result for a group-by run as several inner ones (shards or
+        blocks): the memory peak is the largest part's, kernels the sum;
+        *fields* gives the rest (algorithm, pattern, device, phases and
+        the mode's detail)."""
+        return cls(
+            output=output,
+            rows=int(keys.size),
+            groups=int(output["group_key"].size),
+            input_bytes=int(keys.nbytes) + sum(int(v.nbytes) for v in values.values()),
+            peak_aux_bytes=max((part.peak_aux_bytes for part in parts), default=0),
+            kernel_count=sum(part.kernel_count for part in parts),
+            **fields,
+        )
 
     @property
     def total_seconds(self) -> float:
+        if self.cluster is not None:
+            # A left-to-right sum over steps, not over the step groups.
+            return self.cluster.total_seconds
         return sum(self.phase_seconds.values())
 
     @property

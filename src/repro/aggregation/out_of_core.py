@@ -22,8 +22,6 @@ same order as the in-memory run, the merged output is **bit-identical**
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -49,41 +47,6 @@ def estimate_groupby_footprint(keys: np.ndarray, values: Dict[str, np.ndarray]) 
     """Bytes an in-memory partitioned aggregation needs on the device."""
     input_bytes = int(keys.nbytes) + sum(int(v.nbytes) for v in values.values())
     return int(input_bytes * WORKING_SET_FACTOR)
-
-
-@dataclass
-class OutOfCoreGroupByResult:
-    """Outcome of a block-staged grouped aggregation."""
-
-    output: "OrderedDict[str, np.ndarray]"
-    block_results: List[GroupByResult]
-    num_blocks: int
-    host_partition_seconds: float
-    transfer_seconds: float
-    merge_seconds: float
-    rows: int
-    algorithm: str
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def groups(self) -> int:
-        return int(self.output["group_key"].size)
-
-    @property
-    def device_seconds(self) -> float:
-        return sum(res.total_seconds for res in self.block_results)
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.host_partition_seconds
-            + self.transfer_seconds
-            + self.merge_seconds
-            + self.device_seconds
-        )
-
-    def column(self, name: str) -> np.ndarray:
-        return self.output[name]
 
 
 class OutOfCoreGroupBy:
@@ -152,7 +115,13 @@ class OutOfCoreGroupBy:
         aggregates: List[AggSpec],
         device: DeviceSpec = A100,
         seed: Optional[int] = None,
-    ) -> OutOfCoreGroupByResult:
+    ) -> GroupByResult:
+        """Aggregate block by block through host memory.
+
+        ``phase_seconds`` holds ``host-partition``, ``transfer``,
+        ``merge`` and ``device`` (the block runs' summed seconds), in
+        the order the total adds them.
+        """
         keys = np.asarray(keys)
         budget = (
             self.device_budget_bytes
@@ -179,6 +148,7 @@ class OutOfCoreGroupBy:
             phase="host_partition",
         )
 
+        strategy = make_groupby_algorithm(self.inner, self.config)
         block_results: List[GroupByResult] = []
         for block, rows in enumerate(bucket_rows(codes, 1 << bits)):
             if rows.size == 0:
@@ -195,7 +165,7 @@ class OutOfCoreGroupBy:
                 fault_plan=self.fault_plan,
                 fault_site=f"gpu/block{block}",
             )
-            result = make_groupby_algorithm(self.inner, self.config).group_by(
+            result = strategy.group_by(
                 block_keys, block_values, list(aggregates), ctx=ctx
             )
             out_bytes = sum(int(col.nbytes) for col in result.output.values())
@@ -208,15 +178,16 @@ class OutOfCoreGroupBy:
             # Zero rows: the fold of record keeps the dtype contract.
             output = fold_groups(*group_identify(keys), values, aggregates)
             merge_seconds = 0.0
-        return OutOfCoreGroupByResult(
-            output=output,
-            block_results=block_results,
+        return GroupByResult.combine(
+            block_results, output, keys, values, algorithm=f"OOC[{self.inner}]",
+            pattern=strategy.pattern, device=device,
+            phase_seconds={
+                "host-partition": host_ctx.elapsed_seconds,
+                "transfer": transfer_ctx.elapsed_seconds,
+                "merge": merge_seconds,
+                "device": sum(res.total_seconds for res in block_results),
+            },
             num_blocks=num_blocks,
-            host_partition_seconds=host_ctx.elapsed_seconds,
-            transfer_seconds=transfer_ctx.elapsed_seconds,
-            merge_seconds=merge_seconds,
-            rows=int(keys.size),
-            algorithm=f"OOC[{self.inner}]",
         )
 
     # -- internals -----------------------------------------------------------

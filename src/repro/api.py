@@ -16,18 +16,16 @@ configs, devices, per-phase inspection, cluster topologies) lives in
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Union
 
 import numpy as np
-
-from .errors import ShardedExecutionWarning
 
 from .aggregation.base import AggSpec, GroupByConfig, GroupByResult
 from .aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from .gpusim.device import A100, DeviceSpec, get_device
 from .joins.base import JoinConfig, JoinResult
 from .joins.planner import make_algorithm, resolve_join_algorithm
+from .query.executor import QueryExecutor
 from .relational.relation import Relation
 
 
@@ -65,19 +63,6 @@ def query_server(device: Union[str, DeviceSpec] = A100, **kwargs):
     return QueryServer(device=_resolve_device(device), **kwargs)
 
 
-def _check_sharded_fault_plan(fault_plan, shards: int) -> None:
-    """Warn when sharding strips a plan's single-device OOM pressure."""
-    if fault_plan is not None and fault_plan.capacity_frac is not None:
-        warnings.warn(
-            ShardedExecutionWarning(
-                f"shards={shards} ignores fault_plan.capacity_frac: "
-                "device-OOM pressure and its graceful degradation are "
-                "single-device mechanisms; transient faults still inject"
-            ),
-            stacklevel=3,
-        )
-
-
 def join(
     r: Relation,
     s: Relation,
@@ -103,9 +88,8 @@ def join(
     ``shards=N`` with ``N > 1`` runs the join sharded across a simulated
     N-device cluster over *interconnect* (``"nvlink-mesh"``,
     ``"pcie-host"``, or an
-    :class:`~repro.cluster.topology.InterconnectSpec`), returning a
-    :class:`~repro.cluster.sharded.ShardedJoinResult` with the same
-    rows and the cluster-clock timing.
+    :class:`~repro.cluster.topology.InterconnectSpec`); the result has
+    the same rows, its ``cluster`` and the cluster-clock timing.
 
     >>> import numpy as np
     >>> r = Relation.from_key_payloads(
@@ -118,21 +102,24 @@ def join(
     >>> result.algorithm, result.matches
     ('PHJ-OM', 300)
     >>> sharded = join(r, s, algorithm="PHJ-OM", seed=0, shards=2)
-    >>> sharded.matches, sharded.num_devices
+    >>> sharded.matches, sharded.cluster.num_devices
     (300, 2)
 
     ``fault_plan=`` injects a :class:`~repro.faults.FaultPlan`: kernels
     retry with simulated backoff, and under the plan's memory pressure
     the join degrades to the staged out-of-core path instead of raising
-    (returning a :class:`~repro.faults.ResilientJoinResult` with the
-    same rows).
+    (the same rows, with the :class:`~repro.faults.Recovery` record in
+    ``recovery``).  ``shards > 1`` with the plan's memory pressure
+    raises :class:`~repro.errors.JoinConfigError`, as in every entry
+    point (:meth:`~repro.query.executor.QueryExecutor.check_modes`).
 
     >>> from repro.faults import FaultPlan
     >>> faulty = join(r, s, algorithm="PHJ-OM", seed=0,
     ...               fault_plan=FaultPlan(seed=1, kernel_fault_rate=0.2))
-    >>> faulty.output.equals_unordered(result.output), faulty.degraded
+    >>> faulty.output.equals_unordered(result.output), faulty.recovery.degraded
     (True, False)
     """
+    QueryExecutor.check_modes(shards, fault_plan)
     spec = _resolve_device(device)
     # Resolved before dispatch, so the hints count in every mode.
     algorithm = resolve_join_algorithm(
@@ -141,7 +128,6 @@ def join(
     if shards > 1:
         from .cluster.sharded import sharded_join
 
-        _check_sharded_fault_plan(fault_plan, shards)
         return sharded_join(
             r,
             s,
@@ -205,8 +191,8 @@ def group_by(
 
     ``shards=N`` with ``N > 1`` shards the aggregation across a
     simulated N-device cluster (groups are shuffled whole, so results
-    stay bit-identical), returning a
-    :class:`~repro.cluster.sharded.ShardedGroupByResult`.
+    stay bit-identical; the result carries the ``cluster``), and
+    ``fault_plan=`` recovers as :func:`join` does.
 
     >>> import numpy as np
     >>> keys = np.array([3, 1, 3, 1, 3], dtype=np.int32)
@@ -218,6 +204,7 @@ def group_by(
     >>> sharded.output["sum_v"].tolist()
     [4, 6]
     """
+    QueryExecutor.check_modes(shards, fault_plan)
     spec = _resolve_device(device)
     agg_specs = _coerce_aggregates(aggregates)
     algorithm = resolve_groupby_algorithm(
@@ -226,7 +213,6 @@ def group_by(
     if shards > 1:
         from .cluster.sharded import sharded_group_by
 
-        _check_sharded_fault_plan(fault_plan, shards)
         return sharded_group_by(
             keys,
             values,

@@ -48,9 +48,9 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 0) -> ExperimentResult:
         result.add_row(
             factor,
             res.num_chunks,
-            res.host_partition_seconds * 1e3,
-            res.transfer_seconds * 1e3,
-            res.device_seconds * 1e3,
+            res.phase_seconds.get("host-partition", 0.0) * 1e3,
+            res.phase_seconds["transfer"] * 1e3,
+            res.phase_seconds["device"] * 1e3,
             res.total_seconds * 1e3,
             res.throughput_tuples_per_s / 1e6,
         )

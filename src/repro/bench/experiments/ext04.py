@@ -114,7 +114,7 @@ def run(
             speedups[("join", interconnect, n)] = speedup
             result.add_row(
                 "join", interconnect, n,
-                res.total_seconds * 1e3, res.shuffle_seconds * 1e3,
+                res.total_seconds * 1e3, res.cluster.step_seconds("shuffle") * 1e3,
                 speedup, speedup / n,
             )
             if trace_dir is not None:
@@ -146,7 +146,7 @@ def run(
             speedups[("group-by", interconnect, n)] = speedup
             result.add_row(
                 "group-by", interconnect, n,
-                res.total_seconds * 1e3, res.shuffle_seconds * 1e3,
+                res.total_seconds * 1e3, res.cluster.step_seconds("shuffle") * 1e3,
                 speedup, speedup / n,
             )
 

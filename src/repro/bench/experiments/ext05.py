@@ -141,7 +141,7 @@ def run(
                             for col in base.output
                         )
                 identical &= same
-                degraded_any |= res.degraded
+                degraded_any |= res.recovery.degraded
                 faults = int(
                     session.metrics.value("faults_injected_kernel")
                     + session.metrics.value("faults_injected_oom")
@@ -149,21 +149,21 @@ def run(
                 retries = int(session.metrics.value("fault_kernel_retries"))
                 recovery_s = sum(
                     session.metrics.value(c) for c in _RECOVERY_SECONDS
-                ) + res.wasted_seconds
+                ) + res.recovery.wasted_seconds
                 overhead = res.total_seconds / base.total_seconds
                 if frac is None:
                     overhead_by_rate[(workload, rate)] = overhead
                 if rate == 0.0 and frac is None:
                     clean_point_exact &= (
                         res.total_seconds == base.total_seconds
-                        and not res.degraded
+                        and not res.recovery.degraded
                     )
                 result.add_row(
                     workload, f"{rate:g}", _frac_label(frac), res.algorithm,
                     faults, retries, recovery_s * 1e3,
                     res.total_seconds * 1e3, overhead, "yes" if same else "NO",
                 )
-                if trace_dir is not None and (res.degraded or retries):
+                if trace_dir is not None and (res.recovery.degraded or retries):
                     write_chrome_trace(
                         session, Path(trace_dir) / f"{name}.trace.json"
                     )

@@ -7,7 +7,11 @@ shared :data:`PCIE_HOST` bridge); the shuffle primitive
 (:mod:`repro.cluster.shuffle`) moves columns between devices with exact
 per-link byte accounting; :func:`sharded_join` and
 :func:`sharded_group_by` run the unchanged single-device algorithms
-per shard and merge the results bit-identically.
+per shard and merge the results bit-identically.  Both return the
+operator's one result type (:class:`~repro.joins.base.JoinResult`,
+:class:`~repro.aggregation.base.GroupByResult`) whose ``cluster`` field
+holds the run's :class:`ClusterContext`: its clock is the result's
+``total_seconds`` and its step groups are the ``phase_seconds``.
 
 Quick tour::
 
@@ -20,12 +24,7 @@ Quick tour::
 """
 
 from .context import ClusterContext, ClusterStepRecord, TransferRecord
-from .sharded import (
-    ShardedGroupByResult,
-    ShardedJoinResult,
-    sharded_group_by,
-    sharded_join,
-)
+from .sharded import sharded_group_by, sharded_join
 from .shuffle import (
     ShuffleResult,
     block_ranges,
@@ -53,8 +52,6 @@ __all__ = [
     "InterconnectSpec",
     "NVLINK_MESH",
     "PCIE_HOST",
-    "ShardedGroupByResult",
-    "ShardedJoinResult",
     "ShuffleResult",
     "TransferRecord",
     "block_ranges",

@@ -24,8 +24,7 @@ merge entirely and reproduces the single-device simulated time exactly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from ..joins.base import JoinConfig, JoinResult
 from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..relational.relation import Relation
 from .context import ClusterContext
-from .shuffle import ShuffleResult, shard_to_relation, shuffle_columns, shuffle_relation
+from .shuffle import shard_to_relation, shuffle_columns, shuffle_relation
 from .topology import InterconnectSpec, NVLINK_MESH
 
 
@@ -66,58 +65,6 @@ def _step_breakdown(cluster: ClusterContext) -> "OrderedDict[str, float]":
     return groups
 
 
-@dataclass
-class ShardedJoinResult:
-    """Outcome of one sharded join execution.
-
-    ``output`` is the logical concatenation of the per-device outputs in
-    device order (the physical rows stay sharded — see ``per_device``);
-    all simulated times live on the cluster clock.
-    """
-
-    output: Relation
-    algorithm: str
-    cluster: ClusterContext
-    per_device: List[JoinResult]
-    r_shuffle: Optional[ShuffleResult]
-    s_shuffle: Optional[ShuffleResult]
-    step_seconds: "OrderedDict[str, float]"
-    matches: int
-    r_rows: int
-    s_rows: int
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def num_devices(self) -> int:
-        return self.cluster.num_devices
-
-    @property
-    def total_seconds(self) -> float:
-        return self.cluster.total_seconds
-
-    @property
-    def shuffle_seconds(self) -> float:
-        return self.cluster.step_seconds("shuffle")
-
-    @property
-    def throughput_tuples_per_s(self) -> float:
-        """(|R| + |S|) / cluster time — the paper's throughput metric."""
-        if self.total_seconds == 0:
-            return float("inf")
-        return (self.r_rows + self.s_rows) / self.total_seconds
-
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{name}={seconds * 1e3:.3f}ms"
-            for name, seconds in self.step_seconds.items()
-        )
-        return (
-            f"{self.algorithm} x{self.num_devices} on "
-            f"{self.cluster.spec.describe()}: {self.matches} matches, "
-            f"total={self.total_seconds * 1e3:.3f}ms ({parts})"
-        )
-
-
 def sharded_join(
     r: Relation,
     s: Relation,
@@ -129,7 +76,7 @@ def sharded_join(
     config: Optional[JoinConfig] = None,
     seed: Optional[int] = None,
     fault_plan=None,
-) -> ShardedJoinResult:
+) -> JoinResult:
     """Inner equi-join ``R ⋈ S`` sharded over a simulated cluster.
 
     Both relations are shuffled on the join key so every device joins a
@@ -147,9 +94,9 @@ def sharded_join(
     ...     np.arange(1000, dtype=np.int32).repeat(2),
     ...     [np.arange(2000, dtype=np.int32)], payload_prefix="s")
     >>> result = sharded_join(r, s, algorithm="PHJ-OM", num_devices=4, seed=0)
-    >>> result.matches, result.num_devices
+    >>> result.matches, result.cluster.num_devices
     (2000, 4)
-    >>> sorted(result.step_seconds) == sorted(
+    >>> sorted(result.phase_seconds) == sorted(
     ...     ["shuffle-partition", "shuffle", "join"])
     True
     """
@@ -162,101 +109,34 @@ def sharded_join(
 
     if cluster.num_devices == 1:
         with cluster.compute_step("join") as step:
-            result = make_algorithm(name, config).join(r, s, ctx=step.contexts[0])
-        return ShardedJoinResult(
-            output=result.output,
-            algorithm=name,
-            cluster=cluster,
-            per_device=[result],
-            r_shuffle=None,
-            s_shuffle=None,
-            step_seconds=_step_breakdown(cluster),
-            matches=result.matches,
-            r_rows=r.num_rows,
-            s_rows=s.num_rows,
-        )
-
-    r_shuffle = shuffle_relation(cluster, r, label="R")
-    s_shuffle = shuffle_relation(cluster, s, label="S")
-
-    per_device: List[JoinResult] = []
-    with cluster.compute_step("join") as step:
-        for d in range(cluster.num_devices):
-            r_shard = shard_to_relation(r_shuffle.shards[d], r, name=f"{r.name}@{d}")
-            s_shard = shard_to_relation(s_shuffle.shards[d], s, name=f"{s.name}@{d}")
-            per_device.append(
-                make_algorithm(name, config).join(
-                    r_shard, s_shard, ctx=step.contexts[d]
+            per_device = [make_algorithm(name, config).join(r, s, ctx=step.contexts[0])]
+        output = per_device[0].output
+    else:
+        r_shuffle = shuffle_relation(cluster, r, label="R")
+        s_shuffle = shuffle_relation(cluster, s, label="S")
+        per_device: List[JoinResult] = []
+        with cluster.compute_step("join") as step:
+            for d in range(cluster.num_devices):
+                r_shard = shard_to_relation(r_shuffle.shards[d], r, name=f"{r.name}@{d}")
+                s_shard = shard_to_relation(s_shuffle.shards[d], s, name=f"{s.name}@{d}")
+                per_device.append(
+                    make_algorithm(name, config).join(
+                        r_shard, s_shard, ctx=step.contexts[d]
+                    )
                 )
-            )
-
-    merged = Relation(
-        [
-            (column, np.concatenate([res.output.column(column) for res in per_device]))
-            for column in per_device[0].output.column_names
-        ],
-        key=per_device[0].output.key,
-        name=per_device[0].output.name,
-    )
-    return ShardedJoinResult(
-        output=merged,
-        algorithm=name,
+        output = Relation(
+            [
+                (column, np.concatenate([res.output.column(column) for res in per_device]))
+                for column in per_device[0].output.column_names
+            ],
+            key=per_device[0].output.key,
+            name=per_device[0].output.name,
+        )
+    return JoinResult.combine(
+        per_device, output, r, s, algorithm=name, pattern=per_device[0].pattern,
+        device=cluster.device, phase_seconds=_step_breakdown(cluster),
         cluster=cluster,
-        per_device=per_device,
-        r_shuffle=r_shuffle,
-        s_shuffle=s_shuffle,
-        step_seconds=_step_breakdown(cluster),
-        matches=merged.num_rows,
-        r_rows=r.num_rows,
-        s_rows=s.num_rows,
     )
-
-
-@dataclass
-class ShardedGroupByResult:
-    """Outcome of one sharded grouped aggregation."""
-
-    output: "OrderedDict[str, np.ndarray]"
-    algorithm: str
-    cluster: ClusterContext
-    per_device: List[GroupByResult]
-    shuffle: Optional[ShuffleResult]
-    step_seconds: "OrderedDict[str, float]"
-    rows: int
-    groups: int
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def num_devices(self) -> int:
-        return self.cluster.num_devices
-
-    @property
-    def total_seconds(self) -> float:
-        return self.cluster.total_seconds
-
-    @property
-    def shuffle_seconds(self) -> float:
-        return self.cluster.step_seconds("shuffle")
-
-    @property
-    def throughput_tuples_per_s(self) -> float:
-        if self.total_seconds == 0:
-            return float("inf")
-        return self.rows / self.total_seconds
-
-    def column(self, name: str) -> np.ndarray:
-        return self.output[name]
-
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{name}={seconds * 1e3:.3f}ms"
-            for name, seconds in self.step_seconds.items()
-        )
-        return (
-            f"{self.algorithm} x{self.num_devices} on "
-            f"{self.cluster.spec.describe()}: {self.groups} groups from "
-            f"{self.rows} rows, total={self.total_seconds * 1e3:.3f}ms ({parts})"
-        )
 
 
 def sharded_group_by(
@@ -271,7 +151,7 @@ def sharded_group_by(
     config=None,
     seed: Optional[int] = None,
     fault_plan=None,
-) -> ShardedGroupByResult:
+) -> GroupByResult:
     """Grouped aggregation sharded over a simulated cluster.
 
     Rows are shuffled on the group key, so each group is aggregated
@@ -297,20 +177,34 @@ def sharded_group_by(
 
     if cluster.num_devices == 1:
         with cluster.compute_step("aggregate") as step:
-            result = make_groupby_algorithm(algorithm, config).group_by(
-                keys, values, list(aggregates), ctx=step.contexts[0]
-            )
-        return ShardedGroupByResult(
-            output=result.output,
-            algorithm=algorithm,
-            cluster=cluster,
-            per_device=[result],
-            shuffle=None,
-            step_seconds=_step_breakdown(cluster),
-            rows=int(keys.size),
-            groups=result.groups,
+            per_device = [
+                make_groupby_algorithm(algorithm, config).group_by(
+                    keys, values, list(aggregates), ctx=step.contexts[0]
+                )
+            ]
+        output = per_device[0].output
+    else:
+        per_device, output = _shuffled_group_by(
+            cluster, keys, values, aggregates, algorithm, config
         )
+    return GroupByResult.combine(
+        per_device, output, keys, values, algorithm=algorithm,
+        pattern=per_device[0].pattern, device=cluster.device,
+        phase_seconds=_step_breakdown(cluster), cluster=cluster,
+    )
 
+
+def _shuffled_group_by(
+    cluster: ClusterContext,
+    keys: np.ndarray,
+    values: Dict[str, np.ndarray],
+    aggregates: List[AggSpec],
+    algorithm: str,
+    config,
+) -> Tuple[List[GroupByResult], "OrderedDict[str, np.ndarray]"]:
+    """Shuffle, per-device aggregation, gather and k-way merge on a
+    multi-device *cluster*; returns the per-device results and the
+    merged output."""
     # Shuffle the key column together with every referenced value column.
     key_column = "__group_key__"
     while key_column in values:
@@ -347,26 +241,15 @@ def sharded_group_by(
 
     # ... and k-way merge them into ascending group-key order.
     merged = merge_disjoint_groups([res.output for res in per_device])
-    groups = int(merged["group_key"].size)
     merged_bytes = sum(int(a.nbytes) for a in merged.values())
     with cluster.compute_step("merge") as step:
         step.contexts[0].submit(
             KernelStats(
                 name="kway_merge",
-                items=groups,
+                items=int(merged["group_key"].size),
                 seq_read_bytes=merged_bytes,
                 seq_write_bytes=merged_bytes,
             ),
             phase="materialize",
         )
-
-    return ShardedGroupByResult(
-        output=merged,
-        algorithm=algorithm,
-        cluster=cluster,
-        per_device=per_device,
-        shuffle=shuffle,
-        step_seconds=_step_breakdown(cluster),
-        rows=int(keys.size),
-        groups=groups,
-    )
+    return per_device, merged

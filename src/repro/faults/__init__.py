@@ -8,20 +8,14 @@ and recover without changing any relational result.  See
 """
 
 from .plan import FAULT_COUNTERS, FaultEvent, FaultInjector, FaultPlan, site_seed
-from .recovery import (
-    ResilientGroupByResult,
-    ResilientJoinResult,
-    resilient_group_by,
-    resilient_join,
-)
+from .recovery import Recovery, resilient_group_by, resilient_join
 
 __all__ = [
     "FAULT_COUNTERS",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
-    "ResilientGroupByResult",
-    "ResilientJoinResult",
+    "Recovery",
     "resilient_group_by",
     "resilient_join",
     "site_seed",

@@ -22,8 +22,12 @@ faults), group-bys bit for bit (ascending group keys, per-group fold
 order preserved).  If the last rung still cannot fit,
 :class:`~repro.errors.GracefulDegradationError` reports every attempt.
 
-The extra work is charged to the simulated clock of the degraded
-execution and surfaced through the ambient
+Both return the one result type of their operator
+(:class:`~repro.joins.base.JoinResult`,
+:class:`~repro.aggregation.base.GroupByResult`) with a :class:`Recovery`
+record: whether the run degraded, the rungs tried, and the simulated
+seconds the OOMed attempts wasted.  Those seconds are charged to the
+result as its ``oom-wasted`` phase and surfaced through the ambient
 :class:`~repro.obs.session.TraceSession` as ``degraded:*`` spans and
 ``faults_injected_oom`` / ``degraded_operators`` /
 ``degraded_extra_passes`` counters.
@@ -31,7 +35,7 @@ execution and surfaced through the ambient
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -41,81 +45,36 @@ from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algori
 from ..errors import DeviceOutOfMemoryError, GracefulDegradationError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
+from ..joins.base import JoinResult
 from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..obs.session import current_session
 from ..relational.relation import Relation
 from .plan import FaultPlan
 
 
+#: The phase a degraded result charges its OOMed attempts to.
+OOM_WASTED = "oom-wasted"
+
+
 @dataclass
-class ResilientJoinResult:
-    """A join outcome plus the recovery decisions that produced it.
+class Recovery:
+    """How a join or group-by run under a fault plan got its result."""
 
-    ``result`` is the inner :class:`~repro.joins.base.JoinResult` (not
-    degraded) or :class:`~repro.joins.out_of_core.OutOfCoreResult`
-    (degraded); the wrapper re-exports the fields the executor and
-    bench read so callers can treat both uniformly.
-    """
-
-    result: object
-    algorithm: str
     degraded: bool
-    attempts: List[str] = field(default_factory=list)
+    #: Every rung tried, in order; the last one produced the result.
+    attempts: List[str]
     #: Simulated seconds spent on execution attempts that OOMed.
     wasted_seconds: float = 0.0
 
-    @property
-    def output(self) -> Relation:
-        return self.result.output
 
-    @property
-    def matches(self) -> int:
-        return self.result.matches
-
-    @property
-    def total_seconds(self) -> float:
-        return self.result.total_seconds + self.wasted_seconds
-
-    @property
-    def extras(self) -> Dict[str, float]:
-        extras: Dict[str, float] = {"degraded": float(self.degraded)}
-        if self.degraded:
-            extras["degraded_chunks"] = float(self.result.num_chunks)
-            extras["oom_wasted_s"] = self.wasted_seconds
-        return extras
-
-
-@dataclass
-class ResilientGroupByResult:
-    """A group-by outcome plus the recovery decisions that produced it."""
-
-    result: object
-    algorithm: str
-    degraded: bool
-    attempts: List[str] = field(default_factory=list)
-    wasted_seconds: float = 0.0
-
-    @property
-    def output(self):
-        return self.result.output
-
-    @property
-    def groups(self) -> int:
-        return self.result.groups
-
-    @property
-    def total_seconds(self) -> float:
-        return self.result.total_seconds + self.wasted_seconds
-
-    @property
-    def extras(self) -> Dict[str, float]:
-        extras: Dict[str, float] = {"degraded": float(self.degraded)}
-        if self.degraded:
-            blocks = getattr(self.result, "num_blocks", 0)
-            if blocks:
-                extras["degraded_blocks"] = float(blocks)
-            extras["oom_wasted_s"] = self.wasted_seconds
-        return extras
+def _degraded(result, attempts: List[str], wasted: float, algorithm=None):
+    """*result* of a degraded rung, charged the attempts that OOMed."""
+    return replace(
+        result,
+        algorithm=algorithm or result.algorithm,
+        phase_seconds={**result.phase_seconds, OOM_WASTED: wasted},
+        recovery=Recovery(True, attempts, wasted),
+    )
 
 
 def _note_oom(ctx: GPUContext, err: DeviceOutOfMemoryError, detail: str) -> None:
@@ -152,7 +111,7 @@ def resilient_join(
     config=None,
     seed: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-) -> ResilientJoinResult:
+) -> JoinResult:
     """``R ⋈ S`` that survives (injected) memory pressure.
 
     Runs the in-memory *algorithm* under the plan's capacity pressure;
@@ -173,9 +132,7 @@ def resilient_join(
     )
     try:
         result = make_algorithm(name, config).join(r, s, ctx=ctx)
-        return ResilientJoinResult(
-            result=result, algorithm=name, degraded=False, attempts=[name]
-        )
+        return replace(result, recovery=Recovery(False, [name]))
     except DeviceOutOfMemoryError as err:
         attempts.append(name)
         wasted += ctx.elapsed_seconds
@@ -195,13 +152,7 @@ def resilient_join(
         result = staged.join(r, s, device=device, seed=seed)
     attempts.append(f"out-of-core[{name}]x{result.num_chunks}")
     _count_degradation(extra_passes=result.num_chunks - 1)
-    return ResilientJoinResult(
-        result=result,
-        algorithm=f"OOC[{name}]",
-        degraded=True,
-        attempts=attempts,
-        wasted_seconds=wasted,
-    )
+    return _degraded(result, attempts, wasted)
 
 
 def resilient_group_by(
@@ -213,7 +164,7 @@ def resilient_group_by(
     config=None,
     seed: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-) -> ResilientGroupByResult:
+) -> GroupByResult:
     """Grouped aggregation that survives (injected) memory pressure.
 
     The ladder is resolved strategy -> ``PART-AGG`` (smallest in-memory
@@ -252,12 +203,10 @@ def resilient_group_by(
                         keys, values, list(aggregates), ctx=ctx
                     )
                 _count_degradation(extra_passes=1)
-            return ResilientGroupByResult(
-                result=result,
-                algorithm=strategy if rung == 0 else f"degraded[{strategy}]",
-                degraded=rung > 0,
-                attempts=attempts + [strategy],
-                wasted_seconds=wasted,
+            if rung == 0:
+                return replace(result, recovery=Recovery(False, [strategy]))
+            return _degraded(
+                result, attempts + [strategy], wasted, f"degraded[{strategy}]"
             )
         except DeviceOutOfMemoryError as err:
             attempts.append(strategy)
@@ -288,10 +237,4 @@ def resilient_group_by(
             ) from err
     attempts.append(f"OOC[PART-AGG]x{result.num_blocks}")
     _count_degradation(extra_passes=result.num_blocks - 1)
-    return ResilientGroupByResult(
-        result=result,
-        algorithm="OOC[PART-AGG]",
-        degraded=True,
-        attempts=attempts,
-        wasted_seconds=wasted,
-    )
+    return _degraded(result, attempts, wasted)

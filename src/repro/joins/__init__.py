@@ -20,7 +20,7 @@ from .cost_planner import (
 from .cpu_radix import CPURadixJoin
 from .fused import FusedJoinAggregate, FusedResult
 from .npj import NonPartitionedHashJoin
-from .out_of_core import OutOfCoreJoin, OutOfCoreResult, estimate_join_footprint
+from .out_of_core import OutOfCoreJoin, estimate_join_footprint
 from .phj import PartitionedHashJoin, derive_partition_bits
 from .phj_bucket import PartitionedHashJoinUM, demonstrate_gftr_incompatibility
 from .pipeline import JoinPipeline, PipelineResult
@@ -48,7 +48,6 @@ __all__ = [
     "FusedJoinAggregate",
     "FusedResult",
     "OutOfCoreJoin",
-    "OutOfCoreResult",
     "estimate_join_footprint",
     "PrimitiveCalibration",
     "calibrate_primitives",

@@ -13,7 +13,8 @@ The paper structures every join into three phases (Section 2.2):
     Every wide join shares one materializer, :func:`materialize`.
 
 A :class:`JoinResult` carries the real materialized output relation plus
-the simulated phase times, traffic profile and memory peaks.
+the simulated phase times, traffic profile and memory peaks, in every
+execution mode (plain, sharded, staged out-of-core, fault-recovered).
 
 Memory accounting convention: the tracking allocator only holds
 *auxiliary* arrays (tuple IDs, transformed columns, match ID arrays,
@@ -25,8 +26,8 @@ separately, so ``peak_total_bytes = input + output + peak_aux``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from ..primitives.direct_address import dense_span
 from ..primitives.gather import gather_stats_only
 from ..primitives.grouping import count_distinct
 from ..relational.types import id_dtype
+
+if TYPE_CHECKING:
+    from ..cluster.context import ClusterContext
+    from ..faults.recovery import Recovery
 
 #: Canonical phase names (order matters for reports).
 TRANSFORM, MATCH, MATERIALIZE = "transform", "match", "materialize"
@@ -95,7 +100,13 @@ class JoinConfig:
 
 @dataclass
 class JoinResult:
-    """Outcome of one simulated join execution."""
+    """Outcome of one simulated join execution, in every mode.
+
+    ``phase_seconds`` is the mode's breakdown: the algorithm's phases;
+    a sharded join's cluster step groups; a staged join's
+    ``host-partition``/``transfer``/``device``; plus ``oom-wasted`` when
+    a fault-plan run degraded.  The optional detail says which mode ran.
+    """
 
     output: Relation
     algorithm: str
@@ -110,10 +121,44 @@ class JoinResult:
     r_rows: int
     s_rows: int
     kernel_count: int
-    extras: Dict[str, float] = field(default_factory=dict)
+    #: The cluster a sharded join ran on; its clock is the time of record.
+    cluster: Optional["ClusterContext"] = None
+    #: Co-chunk count of a join run through the out-of-core stager.
+    num_chunks: Optional[int] = None
+    #: The recovery decisions of a join run under a fault plan.
+    recovery: Optional["Recovery"] = None
+
+    @classmethod
+    def combine(
+        cls, parts: List["JoinResult"], output: Relation, r: Relation, s: Relation,
+        **fields,
+    ) -> "JoinResult":
+        """One result for a join run as several inner joins (shards or
+        chunks): memory peaks are the largest part's, kernels the sum;
+        *fields* gives the rest (algorithm, pattern, device, phases and
+        the mode's detail)."""
+        peaks: Dict[str, int] = {}
+        for part in parts:
+            for phase, nbytes in part.phase_aux_peaks.items():
+                peaks[phase] = max(peaks.get(phase, 0), nbytes)
+        return cls(
+            output=output,
+            input_bytes=r.total_bytes + s.total_bytes,
+            output_bytes=output.total_bytes,
+            peak_aux_bytes=max((part.peak_aux_bytes for part in parts), default=0),
+            phase_aux_peaks=peaks,
+            matches=output.num_rows,
+            r_rows=r.num_rows,
+            s_rows=s.num_rows,
+            kernel_count=sum(part.kernel_count for part in parts),
+            **fields,
+        )
 
     @property
     def total_seconds(self) -> float:
+        if self.cluster is not None:
+            # A left-to-right sum over steps, not over the step groups.
+            return self.cluster.total_seconds
         return sum(self.phase_seconds.values())
 
     @property

@@ -23,8 +23,7 @@ throughput falls off a cliff at the memory boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -45,39 +44,6 @@ WORKING_SET_FACTOR = 3.0
 #: 8 radix bits yields at most 256 co-chunks (matching the device
 #: partitioner's per-pass limit).
 MAX_CHUNKS = 256
-
-
-@dataclass
-class OutOfCoreResult:
-    """Outcome of a (possibly) staged join."""
-
-    output: Relation
-    chunk_results: List[JoinResult]
-    num_chunks: int
-    host_partition_seconds: float
-    transfer_seconds: float
-    r_rows: int
-    s_rows: int
-    staged: bool
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def device_seconds(self) -> float:
-        return sum(res.total_seconds for res in self.chunk_results)
-
-    @property
-    def total_seconds(self) -> float:
-        return self.host_partition_seconds + self.transfer_seconds + self.device_seconds
-
-    @property
-    def matches(self) -> int:
-        return self.output.num_rows
-
-    @property
-    def throughput_tuples_per_s(self) -> float:
-        if self.total_seconds == 0:
-            return float("inf")
-        return (self.r_rows + self.s_rows) / self.total_seconds
 
 
 def estimate_join_footprint(r: Relation, s: Relation) -> int:
@@ -133,7 +99,12 @@ class OutOfCoreJoin:
         s: Relation,
         device: DeviceSpec = A100,
         seed: Optional[int] = None,
-    ) -> OutOfCoreResult:
+    ) -> JoinResult:
+        """Run ``R ⋈ S`` staged through host memory as needed.
+
+        ``phase_seconds`` holds ``host-partition`` (staged runs only),
+        ``transfer`` and ``device`` (the chunk joins' summed seconds).
+        """
         if self.device_budget_bytes is None:
             budget = device.global_mem_bytes
         else:
@@ -145,6 +116,7 @@ class OutOfCoreJoin:
         host_ctx = GPUContext(device=self.host_device, seed=seed)
         transfer_ctx = GPUContext(device=device, seed=seed)
 
+        chunk_results: List[JoinResult] = []
         if num_chunks == 1:
             self._charge_transfer(
                 transfer_ctx, r.total_bytes + s.total_bytes, "transfer_in"
@@ -153,51 +125,37 @@ class OutOfCoreJoin:
                 r, s, ctx=self._chunk_context(device, seed, 0)
             )
             self._charge_transfer(transfer_ctx, result.output.total_bytes, "transfer_out")
-            return OutOfCoreResult(
-                output=result.output,
-                chunk_results=[result],
-                num_chunks=1,
-                host_partition_seconds=0.0,
-                transfer_seconds=transfer_ctx.elapsed_seconds,
-                r_rows=r.num_rows,
-                s_rows=s.num_rows,
-                staged=False,
-            )
-
-        bits = int(math.log2(num_chunks))
-        r_chunks = self._host_partition(host_ctx, r, bits)
-        s_chunks = self._host_partition(host_ctx, s, bits)
-
-        partials: List[Relation] = []
-        chunk_results: List[JoinResult] = []
-        for index, (r_chunk, s_chunk) in enumerate(zip(r_chunks, s_chunks)):
-            if r_chunk.num_rows == 0 or s_chunk.num_rows == 0:
-                continue
-            self._charge_transfer(
-                transfer_ctx,
-                r_chunk.total_bytes + s_chunk.total_bytes,
-                f"transfer_in_{index}",
-            )
-            result = self.inner.join(
-                r_chunk, s_chunk,
-                ctx=self._chunk_context(device, seed, index),
-            )
-            self._charge_transfer(
-                transfer_ctx, result.output.total_bytes, f"transfer_out_{index}"
-            )
             chunk_results.append(result)
-            partials.append(result.output)
-
-        output = _concatenate(partials, r, s)
-        return OutOfCoreResult(
-            output=output,
-            chunk_results=chunk_results,
-            num_chunks=num_chunks,
-            host_partition_seconds=host_ctx.elapsed_seconds,
-            transfer_seconds=transfer_ctx.elapsed_seconds,
-            r_rows=r.num_rows,
-            s_rows=s.num_rows,
-            staged=True,
+            output = result.output
+            phase_seconds = {}
+        else:
+            bits = int(math.log2(num_chunks))
+            r_chunks = self._host_partition(host_ctx, r, bits)
+            s_chunks = self._host_partition(host_ctx, s, bits)
+            for index, (r_chunk, s_chunk) in enumerate(zip(r_chunks, s_chunks)):
+                if r_chunk.num_rows == 0 or s_chunk.num_rows == 0:
+                    continue
+                self._charge_transfer(
+                    transfer_ctx,
+                    r_chunk.total_bytes + s_chunk.total_bytes,
+                    f"transfer_in_{index}",
+                )
+                result = self.inner.join(
+                    r_chunk, s_chunk,
+                    ctx=self._chunk_context(device, seed, index),
+                )
+                self._charge_transfer(
+                    transfer_ctx, result.output.total_bytes, f"transfer_out_{index}"
+                )
+                chunk_results.append(result)
+            output = _concatenate([res.output for res in chunk_results], r, s)
+            phase_seconds = {"host-partition": host_ctx.elapsed_seconds}
+        phase_seconds["transfer"] = transfer_ctx.elapsed_seconds
+        phase_seconds["device"] = sum(res.total_seconds for res in chunk_results)
+        return JoinResult.combine(
+            chunk_results, output, r, s, algorithm=f"OOC[{self.inner.name}]",
+            pattern=self.inner.pattern, device=device,
+            phase_seconds=phase_seconds, num_chunks=num_chunks,
         )
 
     # -- internals -----------------------------------------------------------

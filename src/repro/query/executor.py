@@ -29,7 +29,7 @@ from ..obs.session import TraceSession, current_session
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
-from ..joins.base import JoinConfig
+from ..joins.base import JoinConfig, JoinResult
 from ..joins.fused import FusedJoinAggregate
 from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..relational.relation import Relation
@@ -50,6 +50,32 @@ def _group_inputs(node: Aggregate, child: Relation):
     keys = child.column(node.group_column)
     values = {name: child.column(name) for name in value_columns(node.aggregates)}
     return keys, values
+
+
+def _operator_run(result) -> OperatorRun:
+    """The trace fields of a :class:`JoinResult` or
+    :class:`~repro.aggregation.base.GroupByResult`, in every mode: a
+    sharded run is labelled with its device count and a fault-plan run
+    reports its recovery instead of its phases."""
+    rows = result.matches if isinstance(result, JoinResult) else result.groups
+    label, extras, span_args = result.algorithm, dict(result.phase_seconds), {}
+    if result.cluster is not None:
+        shards = result.cluster.num_devices
+        label, span_args = f"{result.algorithm} x{shards}", {"shards": shards}
+    elif result.recovery is not None:
+        recovery = result.recovery
+        extras = {"degraded": float(recovery.degraded)}
+        span_args = {"degraded": recovery.degraded}
+        if recovery.degraded:
+            if isinstance(result, JoinResult):
+                extras["degraded_chunks"] = float(result.num_chunks)
+            elif result.num_blocks:
+                extras["degraded_blocks"] = float(result.num_blocks)
+            extras["oom_wasted_s"] = recovery.wasted_seconds
+    return OperatorRun(
+        result.output, label, result.total_seconds, rows, result.algorithm,
+        extras=extras, span_args=span_args,
+    )
 
 
 # -- execution modes -----------------------------------------------------------
@@ -73,21 +99,14 @@ class _Plain:
         )
         if ex.join_output_hook is not None and not projected:
             ex.join_output_hook(node, result.output)
-        return OperatorRun(
-            result.output, result.algorithm, result.total_seconds,
-            result.matches, result.algorithm, extras=dict(result.phase_seconds),
-        )
+        return _operator_run(result)
 
     def aggregate(self, ex, node, child) -> OperatorRun:
         keys, values = _group_inputs(node, child)
         algorithm = resolve_groupby_algorithm(node.algorithm, keys, ex.device).algorithm
-        result = make_groupby_algorithm(algorithm).group_by(
+        return _operator_run(make_groupby_algorithm(algorithm).group_by(
             keys, values, list(node.aggregates), device=ex.device, seed=ex.seed
-        )
-        return OperatorRun(
-            result.output, result.algorithm, result.total_seconds,
-            result.groups, result.algorithm, extras=dict(result.phase_seconds),
-        )
+        ))
 
 
 class _Resilient:
@@ -98,29 +117,19 @@ class _Resilient:
     def join(self, ex, node, left, right, config, projected) -> OperatorRun:
         from ..faults import recovery
 
-        result = recovery.resilient_join(
+        return _operator_run(recovery.resilient_join(
             left, right, algorithm=node.algorithm, device=ex.device,
             config=config, seed=ex.seed, fault_plan=ex.fault_plan,
-        )
-        return _resilient_run(result, result.matches)
+        ))
 
     def aggregate(self, ex, node, child) -> OperatorRun:
         from ..faults import recovery
 
         keys, values = _group_inputs(node, child)
-        result = recovery.resilient_group_by(
+        return _operator_run(recovery.resilient_group_by(
             keys, values, list(node.aggregates), algorithm=node.algorithm,
             device=ex.device, seed=ex.seed, fault_plan=ex.fault_plan,
-        )
-        return _resilient_run(result, result.groups)
-
-
-def _resilient_run(result, rows: int) -> OperatorRun:
-    return OperatorRun(
-        result.output, result.algorithm, result.total_seconds, rows,
-        result.algorithm, extras=result.extras,
-        span_args={"degraded": result.degraded},
-    )
+        ))
 
 
 class _Sharded:
@@ -131,32 +140,22 @@ class _Sharded:
     def join(self, ex, node, left, right, config, projected) -> OperatorRun:
         from ..cluster import sharded
 
-        result = sharded.sharded_join(
+        return _operator_run(sharded.sharded_join(
             left, right, algorithm=node.algorithm, device=ex.device,
             num_devices=ex.shards, interconnect=ex.interconnect,
             config=config, seed=ex.seed, fault_plan=ex.fault_plan,
-        )
-        return _sharded_run(result, result.matches, ex.shards)
+        ))
 
     def aggregate(self, ex, node, child) -> OperatorRun:
         from ..cluster import sharded
 
         keys, values = _group_inputs(node, child)
-        result = sharded.sharded_group_by(
+        return _operator_run(sharded.sharded_group_by(
             keys, values, list(node.aggregates), algorithm=node.algorithm,
             device=ex.device, num_devices=ex.shards,
             interconnect=ex.interconnect, seed=ex.seed,
             fault_plan=ex.fault_plan,
-        )
-        return _sharded_run(result, result.groups, ex.shards)
-
-
-def _sharded_run(result, rows: int, shards: int) -> OperatorRun:
-    return OperatorRun(
-        result.output, f"{result.algorithm} x{shards}", result.total_seconds,
-        rows, result.algorithm, extras=dict(result.step_seconds),
-        span_args={"shards": shards},
-    )
+        ))
 
 
 class _Tiered:

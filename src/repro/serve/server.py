@@ -1201,10 +1201,7 @@ class QueryServer:
             result_cache_hit=False,
             subresult_hits=subresult_hits,
             degraded=error is None
-            and any(
-                "degraded" in op.extras or "OOC[" in op.algorithm
-                for op in result.trace
-            ),
+            and any(op.extras.get("degraded", 0.0) == 1.0 for op in result.trace),
             error=error,
             retry_seconds=session.metrics.value("fault_retry_seconds"),
             brownout_degraded=degrade,

@@ -65,7 +65,7 @@ def test_join_time_and_output_identical(relations, setup, name):
         config=setup.config, seed=5,
     )
     assert clustered.total_seconds == single.total_seconds  # bit-identical
-    assert clustered.shuffle_seconds == 0.0
+    assert clustered.cluster.step_seconds("shuffle") == 0.0
     assert clustered.matches == single.matches
     for column in single.output.column_names:
         assert np.array_equal(

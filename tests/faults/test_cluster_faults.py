@@ -80,7 +80,7 @@ def test_cluster_recovery_is_deterministic(relations):
     b = sharded_join(r, s, algorithm="PHJ-OM", num_devices=4, seed=0,
                      fault_plan=ALL_FAULTS)
     assert a.total_seconds == b.total_seconds
-    assert a.shuffle_seconds == b.shuffle_seconds
+    assert a.cluster.step_seconds("shuffle") == b.cluster.step_seconds("shuffle")
 
 
 def test_recovery_mechanisms_surface_in_steps_and_counters(relations):

@@ -14,8 +14,10 @@ import pytest
 from repro import group_by, join
 from repro.aggregation import AggSpec
 from repro.errors import JoinConfigError, ShardedExecutionWarning
-from repro.faults import FaultPlan, ResilientGroupByResult, ResilientJoinResult
+from repro.aggregation import GroupByResult
+from repro.faults import FaultPlan
 from repro.gpusim import A100
+from repro.joins import JoinResult
 from repro.query import Aggregate, Join, Scan, execute
 from repro.workloads import JoinWorkloadSpec, generate_join_workload
 
@@ -95,8 +97,8 @@ class TestApiRoundTrip:
         clean = join(r, s, algorithm="PHJ-OM", device=DEVICE, seed=0)
         res = join(r, s, algorithm="PHJ-OM", device=DEVICE, seed=0,
                    fault_plan=PRESSURE)
-        assert isinstance(res, ResilientJoinResult)
-        assert res.degraded
+        assert type(res) is JoinResult
+        assert res.recovery.degraded
         assert res.output.equals_unordered(clean.output)
 
     def test_group_by_returns_resilient_result(self):
@@ -107,16 +109,20 @@ class TestApiRoundTrip:
         res = group_by(keys, values, {"v": "sum"}, algorithm="HASH-AGG",
                        device=DEVICE, seed=0,
                        fault_plan=FaultPlan(seed=2, kernel_fault_rate=0.3))
-        assert isinstance(res, ResilientGroupByResult)
+        assert type(res) is GroupByResult
         for column in clean.output:
             np.testing.assert_array_equal(res.output[column],
                                           clean.output[column])
 
-    def test_sharded_api_warns_when_capacity_is_stripped(self, relations):
+    def test_sharded_api_rejects_capacity_pressure(self, relations):
         r, s = relations
-        with pytest.warns(ShardedExecutionWarning, match="capacity_frac"):
+        with pytest.raises(JoinConfigError, match="capacity_frac"):
             join(r, s, algorithm="PHJ-OM", seed=0, shards=2,
                  fault_plan=PRESSURE)
+        keys = np.arange(4096, dtype=np.int64) % 256
+        with pytest.raises(JoinConfigError, match="capacity_frac"):
+            group_by(keys, {"v": np.ones(4096, dtype=np.int64)},
+                     {"v": "sum"}, seed=0, shards=2, fault_plan=PRESSURE)
 
     def test_sharded_api_without_capacity_does_not_warn(self, relations):
         r, s = relations

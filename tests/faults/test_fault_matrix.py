@@ -55,7 +55,7 @@ def test_join_matches_fault_free_oracle(relations, fault_seed):
     oracle = resilient_join(r, s, algorithm="PHJ-OM", device=DEVICE, seed=0)
     res = resilient_join(r, s, algorithm="PHJ-OM", device=DEVICE, seed=0,
                          fault_plan=harsh_plan(fault_seed))
-    assert res.degraded  # capacity_frac=0.05 forces the OOC re-plan
+    assert res.recovery.degraded  # capacity_frac=0.05 forces the OOC re-plan
     assert res.output.equals_unordered(oracle.output)
 
 

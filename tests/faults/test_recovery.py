@@ -10,15 +10,10 @@ clock, and account the degradation in the ambient trace session.
 import numpy as np
 import pytest
 
-from repro.aggregation import AggSpec
+from repro.aggregation import AggSpec, GroupByResult
 from repro.errors import GracefulDegradationError
-from repro.faults import (
-    FaultPlan,
-    ResilientGroupByResult,
-    ResilientJoinResult,
-    resilient_group_by,
-    resilient_join,
-)
+from repro.faults import FaultPlan, Recovery, resilient_group_by, resilient_join
+from repro.joins import JoinResult
 from repro.gpusim import A100
 from repro.obs import TraceSession
 from repro.workloads import JoinWorkloadSpec, generate_join_workload
@@ -47,12 +42,12 @@ class TestResilientJoin:
     def test_no_plan_matches_plain_join(self, relations):
         r, s = relations
         res = resilient_join(r, s, algorithm="PHJ-OM", device=DEVICE, seed=0)
-        assert isinstance(res, ResilientJoinResult)
-        assert not res.degraded
+        assert type(res) is JoinResult
+        assert not res.recovery.degraded
         assert res.algorithm == "PHJ-OM"
-        assert res.attempts == ["PHJ-OM"]
+        assert res.recovery.attempts == ["PHJ-OM"]
         assert res.matches == s.num_rows
-        assert res.extras == {"degraded": 0.0}
+        assert res.recovery == Recovery(degraded=False, attempts=["PHJ-OM"])
 
     def test_capacity_pressure_degrades_to_out_of_core(self, relations):
         r, s = relations
@@ -61,14 +56,14 @@ class TestResilientJoin:
         res = resilient_join(
             r, s, algorithm="PHJ-OM", device=DEVICE, seed=0, fault_plan=plan
         )
-        assert res.degraded
+        assert res.recovery.degraded
         assert res.algorithm == "OOC[PHJ-OM]"
-        assert res.attempts[0] == "PHJ-OM"
-        assert res.attempts[1].startswith("out-of-core[PHJ-OM]x")
+        assert res.recovery.attempts[0] == "PHJ-OM"
+        assert res.recovery.attempts[1].startswith("out-of-core[PHJ-OM]x")
         assert res.output.equals_unordered(oracle.output)
         assert res.total_seconds > oracle.total_seconds
-        assert res.extras["degraded"] == 1.0
-        assert res.extras["degraded_chunks"] >= 2
+        assert res.recovery.degraded is True
+        assert res.num_chunks >= 2
 
     def test_degradation_is_deterministic(self, relations):
         r, s = relations
@@ -102,7 +97,7 @@ class TestResilientJoin:
         with TraceSession("chunks") as session:
             res = resilient_join(r, s, algorithm="PHJ-OM", device=DEVICE,
                                  seed=0, fault_plan=plan)
-        assert res.degraded
+        assert res.recovery.degraded
         assert session.metrics.value("fault_kernel_retries") > 0
 
 
@@ -111,8 +106,8 @@ class TestResilientGroupBy:
         keys, values, aggs = groupby_workload
         res = resilient_group_by(keys, dict(values), aggs,
                                  algorithm="HASH-AGG", device=DEVICE, seed=0)
-        assert isinstance(res, ResilientGroupByResult)
-        assert not res.degraded
+        assert type(res) is GroupByResult
+        assert not res.recovery.degraded
         assert res.algorithm == "HASH-AGG"
 
     def test_ladder_degrades_and_stays_bit_identical(self, groupby_workload):
@@ -123,8 +118,8 @@ class TestResilientGroupBy:
         res = resilient_group_by(keys, dict(values), aggs,
                                  algorithm="HASH-AGG", device=DEVICE, seed=0,
                                  fault_plan=plan)
-        assert res.degraded
-        assert res.attempts[0] == "HASH-AGG"
+        assert res.recovery.degraded
+        assert res.recovery.attempts[0] == "HASH-AGG"
         assert set(res.output) == set(oracle.output)
         for column in oracle.output:
             np.testing.assert_array_equal(res.output[column],
@@ -153,4 +148,4 @@ class TestResilientGroupBy:
         assert session.metrics.value("degraded_operators") >= 1
         spans = session.spans(category="degraded")
         assert all(span.name == "degraded:group-by" for _, span in spans)
-        assert res.extras["degraded"] == 1.0
+        assert res.recovery.degraded is True
