@@ -21,7 +21,10 @@ Transitions are driven by a scalar *pressure* — the max of queue
 fullness, stream occupancy and memory fullness — through a hysteresis
 band: the controller enters a level at a high threshold and only leaves
 it at a strictly lower one, so pressure oscillating around a single
-threshold cannot flap the level.  All inputs are simulated-clock
+threshold cannot flap the level.  Memory fullness counts only bytes the
+server cannot reclaim: resident tier-cache segments are left out,
+because admission demotes them whenever a query needs room (the one
+path by which cache bytes go back).  All inputs are simulated-clock
 quantities, so the trajectory is deterministic per seed.
 """
 
@@ -58,12 +61,6 @@ class BrownoutPolicy:
     #: Arrivals with priority <= this are rejected at the door while
     #: shedding; higher-priority work is still queued.
     shed_priority_max: int = 0
-    #: Fraction of the tier cache's resident bytes demoted to the CPU
-    #: tier on each escalation into DEGRADED or SHED (when the server
-    #: has a tiering runtime attached).  Demotion happens *before*
-    #: queued work is shed: giving back cache bytes is cheaper than
-    #: rejecting queries.
-    cache_demote_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         for enter, exit_, name in (
@@ -85,11 +82,6 @@ class BrownoutPolicy:
         if not 0.0 < self.shed_fraction <= 1.0:
             raise ServeConfigError(
                 f"shed_fraction must be in (0, 1], got {self.shed_fraction}"
-            )
-        if not 0.0 <= self.cache_demote_fraction <= 1.0:
-            raise ServeConfigError(
-                f"cache_demote_fraction must be in [0, 1], "
-                f"got {self.cache_demote_fraction}"
             )
 
 
@@ -179,13 +171,13 @@ class BrownoutController:
         new = self.level
         if p >= policy.shed_enter:
             new = SHED
-        elif p >= policy.degrade_enter:
-            new = max(self.level, DEGRADED)
         elif self.level == SHED:
             if p <= policy.degrade_exit:
                 new = NORMAL
             elif p <= policy.shed_exit:
                 new = DEGRADED
+        elif p >= policy.degrade_enter:
+            new = DEGRADED
         elif self.level == DEGRADED and p <= policy.degrade_exit:
             new = NORMAL
         if new != self.level:

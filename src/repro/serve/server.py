@@ -47,7 +47,9 @@ The reliability layer on top (this PR's subject):
 * **Brownout** — a hysteretic
   :class:`~repro.serve.brownout.BrownoutController` degrades service
   under pressure (fusion off, cache population suspended) and sheds
-  low-priority queued work at the highest level.
+  low-priority queued work at the highest level.  Its memory pressure
+  counts only bytes that cannot be reclaimed: resident tier segments
+  are left out, since admission demotes them when a query needs room.
 """
 
 from __future__ import annotations
@@ -321,9 +323,10 @@ class QueryServer:
         ``True`` attaches a :class:`~repro.tier.TieredRuntime` sharing
         this server's device memory (segments compete with admission
         reservations); a pre-built runtime is used as-is.  Submissions
-        feed the placement policy's popularity stats, admission demotes
-        cache segments before blocking on memory, and brownout
-        escalation demotes the cache before shedding queued work.
+        feed the placement policy's popularity stats, and admission
+        demotes cache segments before blocking on memory — the only
+        path by which cache bytes go back.  Brownout pressure leaves
+        resident segments out, as bytes that can be reclaimed.
 
     >>> import numpy as np
     >>> from repro.query.plan import Scan, Join
@@ -936,17 +939,23 @@ class QueryServer:
         try:
             return self.memory.reserve(estimate, label=f"query-{request.query_id}")
         except DeviceOutOfMemoryError:
-            if self.tiering is None or self.tiering.cache.memory is not self.memory:
-                raise
-            cache = self.tiering.cache
             capacity = self.memory.capacity_bytes or 0
             shortfall = estimate - max(0, capacity - self.memory.current_bytes)
-            if shortfall <= 0 or cache.resident_bytes == 0:
+            if shortfall <= 0 or self._reclaimable_bytes() == 0:
                 raise
-            freed = cache.demote_bytes(shortfall, policy=self.tiering.policy)
+            freed = self.tiering.cache.demote_bytes(
+                shortfall, policy=self.tiering.policy
+            )
             if freed:
                 self._count("serve.tier_admission_demoted_bytes", freed)
             return self.memory.reserve(estimate, label=f"query-{request.query_id}")
+
+    def _reclaimable_bytes(self) -> int:
+        """Tier-segment bytes in this server's memory (admission demotes them)."""
+        tiering = self.tiering
+        if tiering is None or tiering.cache.memory is not self.memory:
+            return 0
+        return tiering.cache.resident_bytes
 
     # -- brownout ----------------------------------------------------------
 
@@ -962,34 +971,22 @@ class QueryServer:
         )
         occupancy = self.scheduler.active_count / self.scheduler.num_streams
         capacity = self.memory.capacity_bytes
-        memory_frac = (
-            self.memory.current_bytes / capacity if capacity else 0.0
-        )
+        held = self.memory.current_bytes - self._reclaimable_bytes()
+        memory_frac = held / capacity if capacity else 0.0
         before = ctl.level
         level = ctl.update(self.clock_s, queue_frac, occupancy, memory_frac)
         if level != before:
             self._count("serve.brownout_transitions")
             self._count(f"serve.brownout_to_{LEVEL_NAMES[level]}")
-            if level > before and self.tiering is not None:
-                # Escalation gives back cache bytes before any queued
-                # work is shed — demoted segments just run on the CPU
-                # tier, which beats rejecting queries outright.
-                cache = self.tiering.cache
-                target = int(
-                    cache.resident_bytes * ctl.policy.cache_demote_fraction
-                )
-                if target > 0:
-                    freed = cache.demote_bytes(
-                        target, policy=self.tiering.policy
-                    )
-                    if freed:
-                        self._count("serve.brownout_cache_demoted_bytes", freed)
             if self.session is not None:
                 with self.session.span(
                     f"brownout:{LEVEL_NAMES[before]}->{LEVEL_NAMES[level]}",
                     category="brownout",
                     clock_s=self.clock_s,
                     pressure=ctl.pressure,
+                    queue_frac=queue_frac,
+                    occupancy=occupancy,
+                    memory_frac=memory_frac,
                 ):
                     pass
         self._gauge("serve.brownout_level_peak", level)

@@ -181,7 +181,7 @@ class SegmentCache:
 
         Cheapest-first by policy score when a policy is given, FIFO
         otherwise.  Used by admission interplay (the server frees cache
-        bytes before rejecting a query as oversized), brownout, and
+        bytes before blocking a query or rejecting it as oversized) and
         capacity pressure.  Returns the bytes actually freed.
         """
         protect = protect or set()

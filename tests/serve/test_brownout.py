@@ -1,9 +1,15 @@
 """Brownout load-shedding: the controller state machine and its effect
-on serving (degraded execution, door shedding, hysteretic recovery)."""
+on serving (degraded execution, door shedding, hysteretic recovery), and
+the pressure it reads from a tiered server (resident segments are
+reclaimable, so they never count)."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ServeConfigError
+from repro.gpusim.device import A100
+from repro.obs import TraceSession
 from repro.query import execute
 from repro.query.plan import Join, Scan
 from repro.serve import (
@@ -15,7 +21,7 @@ from repro.serve import (
     QueryServer,
 )
 
-from tests.serve.conftest import SERVE_SEED, assert_bit_identical
+from tests.serve.conftest import SERVE_SEED, assert_bit_identical, make_relation
 
 
 @pytest.fixture
@@ -56,6 +62,21 @@ def test_escalation_is_immediate_recovery_is_stepped():
     # A deep collapse while shedding skips straight to NORMAL.
     ctl.update(4.0, 0.95, 0.0, 0.0)
     assert ctl.update(5.0, 0.1, 0.0, 0.0) == NORMAL
+
+
+def test_shed_steps_down_once_pressure_is_at_shed_exit():
+    # shed_exit (0.7) lies above degrade_enter (0.6): pressure inside
+    # [degrade_enter, shed_exit] has left SHED's band but not DEGRADED's.
+    ctl = BrownoutController(
+        BrownoutPolicy(degrade_enter=0.6, degrade_exit=0.3,
+                       shed_enter=0.9, shed_exit=0.7)
+    )
+    assert ctl.update(0.0, 0.95, 0.0, 0.0) == SHED
+    assert ctl.update(1.0, 0.8, 0.0, 0.0) == SHED  # still above shed_exit
+    assert ctl.update(2.0, 0.65, 0.0, 0.0) == DEGRADED
+    assert ctl.update(3.0, 0.65, 0.0, 0.0) == DEGRADED
+    assert ctl.update(4.0, 0.5, 0.0, 0.0) == DEGRADED  # > degrade_exit
+    assert ctl.update(5.0, 0.7, 0.0, 0.0) == DEGRADED  # below shed_enter
 
 
 def test_hysteresis_band_holds_the_level():
@@ -178,3 +199,98 @@ def test_brownout_true_uses_the_default_policy(plan):
 def test_no_brownout_by_default(plan):
     server = QueryServer(streams=1, seed=SERVE_SEED)
     assert server.brownout is None
+
+
+# -- pressure on a tiered server ----------------------------------------------
+
+
+def tiered_pairs(count: int = 8):
+    """*count* registrable join pairs and the bytes one pair scans."""
+    pairs = [
+        (make_relation(256, seed=100 + i, prefix="r"),
+         make_relation(256, seed=200 + i, prefix="s", fanout=2))
+        for i in range(count)
+    ]
+    return pairs, pairs[0][0].total_bytes + pairs[0][1].total_bytes
+
+
+def tiered_server(pairs, capacity: int, **kwargs):
+    """A tiered, brownout-enabled server with one NPJ plan per pair."""
+    kwargs.setdefault("seed", SERVE_SEED)
+    kwargs.setdefault("brownout", True)
+    server = QueryServer(
+        device=replace(A100, global_mem_bytes=capacity),
+        tiering=True,
+        enable_result_cache=False,
+        **kwargs,
+    )
+    plans = []
+    for i, (r, s) in enumerate(pairs):
+        server.register(f"r{i}", r)
+        server.register(f"s{i}", s)
+        plans.append(Join(Scan(r, f"r{i}"), Scan(s, f"s{i}"), algorithm="NPJ"))
+    return server, plans
+
+
+def test_warm_tier_under_light_load_stays_normal_and_keeps_its_segments():
+    """Resident segments are reclaimable, so they are not pressure.
+
+    One query reserves a quarter of the device and the tier fills half
+    of it: counting the tier, two overlapping queries would read 0.75
+    and cross ``degrade_enter`` (0.70), and the server would degrade and
+    demote because of its own cache."""
+    pairs, pair_bytes = tiered_pairs()
+    capacity = 12 * pair_bytes
+    server, plans = tiered_server(pairs, capacity)
+    assert server.estimate_bytes(plans[0]) == capacity // 4
+    for k in range(32):
+        server.submit(plans[k % 8], at_s=k * 1e-3)
+        server.submit(plans[(k + 1) % 8], at_s=k * 1e-3 + 1e-9)
+    outcomes = server.run()
+    assert all(o.status == "completed" for o in outcomes)
+    assert not any(o.brownout_degraded for o in outcomes)
+    assert server.brownout.transitions == []
+    cache = server.tiering.cache
+    assert cache.demotions == 0
+    assert cache.resident_bytes >= 0.45 * capacity
+
+
+@pytest.mark.parametrize("source", ["memory", "queue"])
+def test_real_pressure_on_a_warm_tier_still_escalates_and_sheds(source):
+    pairs, pair_bytes = tiered_pairs(2)
+    capacity = 12 * pair_bytes
+    session = TraceSession("brownout")
+    server, plans = tiered_server(
+        pairs, capacity, streams=1, queue_depth=2, session=session
+    )
+    server.query(plans[0])  # warm the tier
+    assert server.tiering.cache.resident_bytes > 0
+    if source == "memory":
+        # Bytes no admission can reclaim, above shed_enter (0.90).
+        hog = server.memory.reserve(int(0.91 * capacity), label="hog")
+        ids = [server.submit(plans[1])]
+    else:
+        ids = [server.submit(plans[1]) for _ in range(6)]
+    outcomes = {o.query_id: o for o in server.run()}
+    assert any(
+        outcomes[i].status == "rejected"
+        and outcomes[i].error.reason == "brownout-shed"
+        for i in ids
+    )
+    (_, span), *_ = session.spans("brownout")
+    assert span.name == "brownout:normal->shed"
+    assert span.args["pressure"] == max(
+        span.args[k] for k in ("queue_frac", "occupancy", "memory_frac")
+    )
+    if source == "queue":
+        assert span.args["queue_frac"] > 1.0
+        return
+    # The hog counts; the warm tier's resident segments do not.
+    assert span.args["memory_frac"] == hog.nbytes / capacity
+    assert span.args["pressure"] == span.args["memory_frac"]
+    # Once the bytes are freed the next tick recovers; a priority above
+    # shed_priority_max gets past the door to trigger it.
+    hog.free()
+    server.submit(plans[1], priority=1)
+    assert server.run()[-1].status == "completed"
+    assert server.brownout.level == NORMAL
