@@ -69,14 +69,15 @@ class NonPartitionedHashJoin(JoinAlgorithm):
 
         with ctx.phase(MATCH):
             table = ctx.mem.alloc(capacity, np.int64, "hash_table")
-            build_ids = np.arange(r.num_rows, dtype=np.int64)
+            # Each insert reads its key and one 4-byte build ID.
+            build_ids = np.arange(r.num_rows, dtype=np.int32)
             build = build_table(r.key_values, build_ids, capacity)
             _charge_table_traffic(
                 ctx,
                 build.touched_slots,
                 capacity,
                 items=r.num_rows,
-                extra_seq_read=int(r.key_values.nbytes) + int(build_ids.nbytes // 2),
+                extra_seq_read=int(r.key_values.nbytes) + 4 * r.num_rows,
                 extra_seq_write=0,
                 name="npj_build",
             )

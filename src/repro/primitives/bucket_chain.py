@@ -34,7 +34,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from .grouping import stable_key_order
+from .grouping import packed_order
 from .radix_partition import partition_codes, plan_passes
 
 #: Tuples per fixed-size bucket (keys + one payload column at 4 B each,
@@ -158,15 +158,11 @@ def bucket_chain_partition(
 
 
 def _partition_order(codes: np.ndarray, tie_breaker: np.ndarray) -> np.ndarray:
-    """``np.lexsort((tie_breaker, codes))``, as two cheaper sorts.
+    """``np.lexsort((tie_breaker, codes))``, as one packed sort.
 
-    A quicksort of the tie-breaker followed by a stable radix pass over
-    the codes yields the same permutation whenever the tie-breaker has
-    no duplicates; with duplicates the tie-breaker is sorted stably
-    instead, which is lexsort's own tie rule.
+    :func:`~repro.primitives.grouping.packed_order` sorts one uint64
+    word per row (code, top tie-breaker bits, row id) and re-sorts only
+    the rows whose truncated tie-breakers tie, so the layout is the
+    lexsort's whatever the tie-breaker holds.
     """
-    order = np.argsort(tie_breaker, kind="quicksort")
-    ranked = tie_breaker[order]
-    if ranked.size > 1 and np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(tie_breaker, kind="stable")
-    return order[stable_key_order(codes[order])]
+    return packed_order(codes, tie_breaker)

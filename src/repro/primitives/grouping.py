@@ -16,12 +16,14 @@ Integer keys dense by :func:`~repro.primitives.direct_address.dense_span`
 grouped by direct addressing: a seen-table over ``key - min``, its
 running count as the group rank, and one gather.  Other keys take the
 sort + boundary scan.  :func:`bucket_rows` is the one stable split of
-rows by a small bucket code (shuffles and out-of-core staging).
+rows by a small bucket code (shuffles and out-of-core staging), and
+:func:`packed_order` the one wide stable sort: ``np.lexsort`` of up to
+two keys as a single SIMD sort of packed 64-bit words.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -129,12 +131,9 @@ def stable_key_order(keys: np.ndarray) -> np.ndarray:
     3. keys are a dense permutation of ``[min, min + n)`` (verified by
        histogram) — the stable order is the inverse permutation, one
        O(n) scatter;
-    4. other 4-byte integers — two chained 16-bit radix argsorts, LSD
-       composition of (2) over the low/high halves;
-    5. 8-byte integers whose span fits 32 bits (hash slots, tuple ids)
-       — shift by the minimum into uint32, then the same two-pass
-       radix as (4);
-    6. anything else — numpy's stable argsort.
+    4. anything else — :func:`packed_order`: one SIMD sort of packed
+       ``key - min ‖ row id`` words wherever the span's bits plus the
+       row-id bits fit 64, else numpy's stable argsort.
 
     Every tier returns the *bit-identical* permutation
     ``np.argsort(keys, kind="stable")`` would.  The shifted values in
@@ -160,27 +159,83 @@ def stable_key_order(keys: np.ndarray) -> np.ndarray:
                 order = np.empty(n, dtype=np.intp)
                 order[shifted] = np.arange(n, dtype=np.intp)
                 return order
-        if keys.dtype.itemsize == 4:
-            # LSD radix over two 16-bit digits; the sign bit of the high
-            # half is flipped so unsigned digit order matches signed order.
-            u = keys.view(np.uint32)
-            low = (u & np.uint32(0xFFFF)).astype(np.uint16)
-            high = (u >> np.uint32(16)).astype(np.uint16)
-            if keys.dtype.kind == "i":
-                high ^= np.uint16(0x8000)
-            order = np.argsort(low, kind="stable")
-            order = order[np.argsort(high[order], kind="stable")]
-            return order
-        if span <= 1 << 32:
-            # 8-byte ints whose values span < 2^32 (hash slots, tuple
-            # ids): shift into uint32 and run the same two-pass radix.
-            u = (keys - lo).astype(np.uint32)
-            low = (u & np.uint32(0xFFFF)).astype(np.uint16)
-            high = (u >> np.uint32(16)).astype(np.uint16)
-            order = np.argsort(low, kind="stable")
-            order = order[np.argsort(high[order], kind="stable")]
-            return order
-    return np.argsort(keys, kind="stable")
+    return packed_order(keys)
+
+
+def packed_order(
+    major: np.ndarray, minor: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``np.lexsort((minor, major))`` — or, without *minor*, the stable
+    argsort of *major* — by one sort of packed 64-bit words.
+
+    *major* and *minor* hold integers or non-negative floats.  Each row
+    becomes one uint64 word: ``major - min(major)``, then as many top
+    bits of ``minor - min(minor)`` as fit, then the row id.  The words
+    are distinct, so numpy's unstable (SIMD) sort of them gives the one
+    permutation a stable sort would, and masking out the row ids returns
+    it.  If the minor had to be truncated, the rows whose words agree
+    above the row id are put back in full-minor order by one lexsort of
+    those rows alone.  A major span whose bits plus the row-id bits
+    exceed 64, or a negative or NaN value, falls back to numpy's own
+    stable sort.
+    """
+    n = int(major.size)
+    if n <= 1:
+        return np.arange(n, dtype=np.intp)
+    row_bits = (n - 1).bit_length()
+    major_words = _order_words(major)
+    minor_words = None if minor is None else _order_words(minor)
+    free = -1
+    if major_words is not None and (minor is None or minor_words is not None):
+        free = 64 - row_bits - major_words[1].bit_length()
+    if free < 0:
+        if minor is None:
+            return np.argsort(major, kind="stable")
+        return np.lexsort((minor, major))
+    words = major_words[0]
+    drop = 0
+    if minor_words is not None:
+        low, minor_bits = minor_words[0], minor_words[1].bit_length()
+        drop = max(0, minor_bits - free)
+        words <<= np.uint64(minor_bits - drop)
+        low >>= np.uint64(drop)
+        words |= low
+    words <<= np.uint64(row_bits)
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    order = (words & np.uint64((1 << row_bits) - 1)).view(np.intp)
+    if drop:
+        # Rows whose truncated minors tie, in row order within each run.
+        words >>= np.uint64(row_bits)
+        same = words[1:] == words[:-1]
+        pairs = np.flatnonzero(same)
+        if pairs.size:
+            tied = np.union1d(pairs, pairs + 1)
+            starts = np.ones(tied.size, dtype=bool)
+            starts[1:] = ~same[tied[1:] - 1]
+            rows = order[tied]
+            order[tied] = rows[np.lexsort((minor[rows], np.cumsum(starts)))]
+    return order
+
+
+def _order_words(values: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """Fresh uint64 words ordered as *values*, least word 0, and the
+    largest word; ``None`` unless *values* are integers or non-negative
+    floats.  ``-0.0`` takes ``0.0``'s word: the two compare equal."""
+    if values.dtype.kind in "iu":
+        lo = int(values.min())
+        words = values.astype(np.uint64)
+        if lo:
+            # Two's-complement words minus lo's wrap back into [0, span].
+            words -= np.uint64(lo % (1 << 64))
+        return words, int(values.max()) - lo
+    if values.dtype.kind == "f" and values.dtype.itemsize <= 8 and values.min() >= 0:
+        unsigned = f"u{values.dtype.itemsize}"
+        # A fresh array already when the floats are 8 bytes wide.
+        words = (values + values.dtype.type(0)).view(unsigned).astype(np.uint64, copy=False)
+        words -= words.min()
+        return words, int(words.max())
+    return None
 
 
 def bucket_rows(codes: np.ndarray, num_buckets: int) -> List[np.ndarray]:

@@ -15,7 +15,10 @@ exact random-traffic statistics.
 Host cost is linear per round: each round's first writers claim their
 slots with one ``np.minimum.at`` over a reusable claim table, and when
 no probe hit twice (unique build keys) the hits are put in probe-major
-order by one scatter; only duplicate hits pay the two stable sorts.
+order by one scatter; only duplicate hits pay a sort, one packed
+:func:`~repro.primitives.grouping.packed_order`.  The host table holds
+keys at their own width (:func:`table_key_dtype`) and values at theirs,
+so each round's random slot reads move no more bytes than the keys do.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from typing import List
 import numpy as np
 
 from ..errors import ReproError
-from .grouping import stable_key_order
+from .grouping import packed_order
 from .hashing import hash_to_slots
 
 #: Sentinel for an empty slot; keys must be >= 0 (dictionary-encoded).
-EMPTY = np.int64(-1)
+EMPTY = -1
 
 #: Bytes per slot (packed key + value pair).
 SLOT_BYTES = 8
@@ -68,16 +71,29 @@ class ProbeResult:
     rounds: int
 
 
+def table_key_dtype(key_dtype: np.dtype) -> np.dtype:
+    """The host table's key dtype: the narrowest signed integer that
+    holds every *key_dtype* value and :data:`EMPTY` (``int32`` for
+    ``int32`` keys, ``int64`` for ``uint32``), else ``int64``."""
+    wide = np.promote_types(key_dtype, np.int8)
+    return wide if wide.kind == "i" else np.dtype(np.int64)
+
+
 def build_table(
     keys: np.ndarray, values: np.ndarray, capacity: int
 ) -> BuildResult:
-    """Insert all (key, value) pairs; duplicates occupy separate slots."""
+    """Insert all (key, value) pairs; duplicates occupy separate slots.
+
+    *capacity* is a power of two (:func:`table_capacity`).
+    """
     if keys.size and keys.min() < 0:
         raise ReproError("hash-table keys must be non-negative")
+    if keys.size and keys.dtype.kind == "u" and int(keys.max()) > np.iinfo(np.int64).max:
+        raise ReproError("hash-table keys must be below 2^63")
     if keys.size > capacity:
         raise ReproError(f"cannot insert {keys.size} keys into capacity {capacity}")
-    table_keys = np.full(capacity, EMPTY, dtype=np.int64)
-    table_values = np.zeros(capacity, dtype=np.int64)
+    table_keys = np.full(capacity, EMPTY, dtype=table_key_dtype(keys.dtype))
+    table_values = np.zeros(capacity, dtype=values.dtype)
     # pending inserts in ascending order, each with its current slot
     slots = hash_to_slots(keys, capacity)
     index_dtype = np.int32 if keys.size < 2**31 else np.int64
@@ -94,16 +110,22 @@ def build_table(
             raise ReproError("hash-table insertion did not converge")
         touched.append(slots)
         np.minimum.at(claim, slots, pending)
-        first = np.flatnonzero(claim[slots] == pending)
+        won = np.flatnonzero(claim[slots] == pending)
         claim[slots] = unclaimed
-        won = first[table_keys[slots[first]] == EMPTY]
+        if rounds > 1:
+            # Round 1 skips the read: the table starts empty.
+            won = won[table_keys[slots[won]] == EMPTY]
         winner_slots = slots[won]
-        table_keys[winner_slots] = keys[pending[won]]
-        table_values[winner_slots] = values[pending[won]]
+        # Round 1's pending rows are 0..n-1: a winner's position is its row.
+        winners = won if rounds == 1 else pending[won]
+        table_keys[winner_slots] = keys[winners]
+        table_values[winner_slots] = values[winners]
         lost = np.ones(pending.size, dtype=bool)
         lost[won] = False
         pending = pending[lost]
-        slots = (slots[lost] + 1) % capacity
+        slots = slots[lost]
+        slots += 1
+        slots &= capacity - 1
     all_touched = (
         np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
     )
@@ -142,7 +164,9 @@ def probe_table(
         live = slot_keys != EMPTY
         active = active[live]
         keys = keys[live]
-        slots = (slots[live] + 1) % capacity
+        slots = slots[live]
+        slots += 1
+        slots &= capacity - 1
     if hits_probe:
         probe_idx = np.concatenate(hits_probe)
         build_vals = np.concatenate(hits_value)
@@ -155,15 +179,12 @@ def probe_table(
             probe_idx = np.flatnonzero(hit_once).astype(np.int64, copy=False)
             build_vals = by_probe[probe_idx]
         else:
-            # lexsort((b, a)) as a composition of stable sorts so narrow
-            # integer keys take the radix tiers in stable_key_order.
-            order = stable_key_order(build_vals)
-            order = order[stable_key_order(probe_idx[order])]
+            order = packed_order(probe_idx, build_vals)
             probe_idx = probe_idx[order]
             build_vals = build_vals[order]
     else:
         probe_idx = np.empty(0, dtype=np.int64)
-        build_vals = np.empty(0, dtype=np.int64)
+        build_vals = np.empty(0, dtype=table_values.dtype)
     all_touched = (
         np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
     )

@@ -181,10 +181,7 @@ def partition_layout(
     """
     passes = len(plan_passes(total_bits))
     codes = partition_codes(keys, total_bits, hashed=hashed)
-    # codes < 2**total_bits fit in int32 for any realistic bit budget,
-    # unlocking the packed fast path of stable_key_order.
-    narrow = codes.astype(np.int32, copy=False) if total_bits <= 31 else codes
-    order = stable_key_order(narrow)
+    order = stable_key_order(codes)
     counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
     offsets = np.zeros_like(counts)
     np.cumsum(counts[:-1], out=offsets[1:])

@@ -193,6 +193,13 @@ def _frozen_probe(table_keys, table_values, probe_keys):
     return probe_idx, build_vals, all_touched, rounds
 
 
+def _at_key_width(frozen, key_dtype):
+    """The frozen build with its int64 table keys at the (signed) keys'
+    own width, which the live table stores them at."""
+    table_keys, *rest = frozen
+    return (table_keys.astype(key_dtype), *rest)
+
+
 def _assert_identical(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -230,7 +237,7 @@ def test_build_and_probe_match_frozen_sort_implementation(case):
     built = build_table(build, values, capacity)
     _assert_identical(
         (built.table_keys, built.table_values, built.touched_slots, built.rounds),
-        _frozen_build(build, values, capacity),
+        _at_key_width(_frozen_build(build, values, capacity), build.dtype),
     )
     probed = probe_table(built.table_keys, built.table_values, probe)
     _assert_identical(
@@ -253,10 +260,76 @@ def test_build_and_probe_match_frozen_at_scale(unique):
     built = build_table(build, values, capacity)
     _assert_identical(
         (built.table_keys, built.table_values, built.touched_slots, built.rounds),
-        _frozen_build(build, values, capacity),
+        _at_key_width(_frozen_build(build, values, capacity), build.dtype),
     )
     probed = probe_table(built.table_keys, built.table_values, probe)
     _assert_identical(
         (probed.probe_indices, probed.build_values, probed.touched_slots, probed.rounds),
         _frozen_probe(built.table_keys, built.table_values, probe),
     )
+
+
+# -- widths and edge sizes -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key_dtype,table_dtype",
+    [
+        (np.int8, np.int8), (np.int16, np.int16), (np.int32, np.int32),
+        (np.int64, np.int64), (np.uint8, np.int16), (np.uint16, np.int32),
+        (np.uint32, np.int64), (np.uint64, np.int64),
+    ],
+    ids=lambda d: np.dtype(d).name,
+)
+def test_table_holds_keys_at_their_own_width(key_dtype, table_dtype):
+    """Signed keys keep their dtype; unsigned ones the next signed width
+    that also holds EMPTY; values keep theirs."""
+    top = min(int(np.iinfo(key_dtype).max), int(np.iinfo(np.int64).max))
+    keys = np.array([0, 3, top, 3], dtype=key_dtype)
+    values = np.arange(4, dtype=np.int32)
+    built = build_table(keys, values, table_capacity(4))
+    assert built.table_keys.dtype == table_dtype
+    assert built.table_values.dtype == np.int32
+    stored = built.table_keys[built.table_keys != EMPTY]
+    assert sorted(stored.tolist()) == sorted(keys.tolist())
+    probed = probe_table(built.table_keys, built.table_values, keys)
+    assert probed.build_values.dtype == np.int32
+    assert probed.probe_indices.tolist() == [0, 1, 1, 2, 3, 3]
+    assert probed.build_values.tolist() == [0, 1, 3, 2, 1, 3]
+
+
+@pytest.mark.parametrize("key_dtype", [np.int32, np.int64, np.uint32])
+@pytest.mark.parametrize("rows", [0, 1])
+def test_zero_and_one_row_builds(key_dtype, rows):
+    """Round 1 skips the table read; it must not run on an empty build."""
+    keys = np.arange(rows, dtype=key_dtype) + key_dtype(7)
+    values = np.arange(rows, dtype=np.int32)
+    capacity = table_capacity(rows)
+    built = build_table(keys, values, capacity)
+    frozen_keys, frozen_values, frozen_touched, frozen_rounds = _frozen_build(
+        keys, values, capacity
+    )
+    assert built.rounds == frozen_rounds == rows
+    assert built.touched_slots.dtype == np.int64
+    assert np.array_equal(built.touched_slots, frozen_touched)
+    assert built.touched_slots.size == rows
+    assert np.array_equal(built.table_keys, frozen_keys)
+    assert np.array_equal(built.table_values, frozen_values)
+    probe = np.array([7, 8, 7], dtype=key_dtype)
+    probed = probe_table(built.table_keys, built.table_values, probe)
+    frozen = _frozen_probe(built.table_keys, built.table_values, probe)
+    _assert_identical(
+        (probed.probe_indices, probed.touched_slots, probed.rounds),
+        (frozen[0], frozen[2], frozen[3]),
+    )
+    # Hits carry the table's value dtype, with or without a match.
+    assert probed.build_values.dtype == np.int32
+    assert np.array_equal(probed.build_values, frozen[1])
+    assert probed.probe_indices.tolist() == ([0, 2] if rows else [])
+
+
+def test_uint64_keys_past_int64_refused():
+    """The table stores uint64 keys as int64, where 2^64 - 1 would be EMPTY."""
+    keys = np.array([1, 2**64 - 1], dtype=np.uint64)
+    with pytest.raises(ReproError, match="below 2\\^63"):
+        build_table(keys, np.arange(2), 8)
