@@ -160,3 +160,16 @@ def validate_plan(node: PlanNode, is_root: bool = True) -> None:
         validate_plan(node.child, is_root=False)
         return
     raise JoinConfigError(f"unknown plan node {type(node).__name__}")
+
+
+def plan_relations(node: PlanNode) -> List[Relation]:
+    """Every relation the plan scans, in traversal order."""
+    if isinstance(node, Scan):
+        return [node.relation]
+    if isinstance(node, Project):
+        return plan_relations(node.child)
+    if isinstance(node, Join):
+        return plan_relations(node.left) + plan_relations(node.right)
+    if isinstance(node, Aggregate):
+        return plan_relations(node.child)
+    raise TypeError(f"unknown plan node {type(node).__name__}")

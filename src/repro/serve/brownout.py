@@ -18,13 +18,15 @@ deterministically, in steps, and recover the same way:
   at the door.
 
 Transitions are driven by a scalar *pressure* — the max of queue
-fullness, stream occupancy and memory fullness — through a hysteresis
-band: the controller enters a level at a high threshold and only leaves
-it at a strictly lower one, so pressure oscillating around a single
-threshold cannot flap the level.  Memory fullness counts only bytes the
-server cannot reclaim: resident tier-cache segments are left out,
-because admission demotes them whenever a query needs room (the one
-path by which cache bytes go back).  All inputs are simulated-clock
+fullness and memory fullness — through a hysteresis band: the
+controller enters a level at a high threshold and only leaves it at a
+strictly lower one, so pressure oscillating around a single threshold
+cannot flap the level.  Overload means queued work the streams cannot
+absorb, or device memory the server cannot reclaim.  Busy streams are
+not overload: a query that keeps a stream busy is the device doing its
+job.  Memory fullness leaves out resident tier-cache segments, because
+admission demotes them whenever a query needs room (the one path by
+which cache bytes go back).  All inputs are simulated-clock
 quantities, so the trajectory is deterministic per seed.
 """
 
@@ -45,9 +47,9 @@ LEVEL_NAMES: Tuple[str, ...] = ("normal", "degraded", "shed")
 class BrownoutPolicy:
     """Thresholds and knobs for the brownout state machine.
 
-    Pressure is in ``[0, 1]``-ish units (occupancy and fullness
-    fractions; queue fraction may exceed 1 when the queue is deeper than
-    its soft bound).  Each level's ``*_enter`` must be strictly above
+    Pressure is in ``[0, 1]``-ish units (fullness fractions; queue
+    fraction may exceed 1 when the queue is deeper than its soft
+    bound).  Each level's ``*_enter`` must be strictly above
     its ``*_exit`` — the gap is the hysteresis band.
     """
 
@@ -105,13 +107,13 @@ class BrownoutController:
     """Hysteretic three-level state machine over a scalar pressure signal.
 
     >>> ctl = BrownoutController()
-    >>> ctl.update(0.0, queue_frac=0.2, occupancy=0.5, memory_frac=0.1)
+    >>> ctl.update(0.0, queue_frac=0.2, memory_frac=0.1)
     0
-    >>> ctl.update(1.0, queue_frac=0.95, occupancy=1.0, memory_frac=0.3)
+    >>> ctl.update(1.0, queue_frac=0.95, memory_frac=0.3)
     2
-    >>> ctl.update(2.0, queue_frac=0.55, occupancy=0.5, memory_frac=0.3)
+    >>> ctl.update(2.0, queue_frac=0.55, memory_frac=0.3)
     1
-    >>> ctl.update(3.0, queue_frac=0.1, occupancy=0.2, memory_frac=0.1)
+    >>> ctl.update(3.0, queue_frac=0.1, memory_frac=0.1)
     0
     >>> [t.describe().split(" ", 1)[1].split(" (")[0] for t in ctl.transitions]
     ['normal->shed', 'shed->degraded', 'degraded->normal']
@@ -144,28 +146,19 @@ class BrownoutController:
 
     # -- state machine -----------------------------------------------------
 
-    @staticmethod
-    def pressure_of(queue_frac: float, occupancy: float, memory_frac: float) -> float:
-        """Combined pressure: the worst of the three signals."""
-        return max(queue_frac, occupancy, memory_frac)
-
-    def update(
-        self,
-        clock_s: float,
-        queue_frac: float,
-        occupancy: float,
-        memory_frac: float,
-    ) -> int:
+    def update(self, clock_s: float, queue_frac: float, memory_frac: float) -> int:
         """Feed one observation; returns the (possibly new) level.
 
-        Escalation is immediate (pressure above ``shed_enter`` jumps
-        NORMAL -> SHED in one step — overload does not wait); recovery
-        steps down one level at a time through the exit thresholds.
+        Pressure is the worse of the two signals, queue and memory
+        fullness.  Escalation is immediate (pressure above
+        ``shed_enter`` jumps NORMAL -> SHED in one step — overload does
+        not wait); recovery steps down one level at a time through the
+        exit thresholds.
         """
         if clock_s > self._last_clock_s:
             self.level_seconds[self.level] += clock_s - self._last_clock_s
             self._last_clock_s = clock_s
-        p = self.pressure_of(queue_frac, occupancy, memory_frac)
+        p = max(queue_frac, memory_frac)
         self.pressure = p
         policy = self.policy
         new = self.level

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,19 +87,6 @@ def plan_signature(
             tuple((spec.column, spec.op) for spec in node.aggregates),
             plan_signature(node.child, fingerprint),
         )
-    raise TypeError(f"unknown plan node {type(node).__name__}")
-
-
-def plan_relations(node: PlanNode) -> List[Relation]:
-    """Every relation the plan scans, in traversal order."""
-    if isinstance(node, Scan):
-        return [node.relation]
-    if isinstance(node, Project):
-        return plan_relations(node.child)
-    if isinstance(node, Join):
-        return plan_relations(node.left) + plan_relations(node.right)
-    if isinstance(node, Aggregate):
-        return plan_relations(node.child)
     raise TypeError(f"unknown plan node {type(node).__name__}")
 
 

@@ -47,7 +47,9 @@ The reliability layer on top (this PR's subject):
 * **Brownout** — a hysteretic
   :class:`~repro.serve.brownout.BrownoutController` degrades service
   under pressure (fusion off, cache population suspended) and sheds
-  low-priority queued work at the highest level.  Its memory pressure
+  low-priority queued work at the highest level.  Its pressure is
+  queue fullness or memory fullness, whichever is worse; busy streams
+  are the device doing its job and do not count.  Memory pressure
   counts only bytes that cannot be reclaimed: resident tier segments
   are left out, since admission demotes them when a query needs room.
 """
@@ -77,7 +79,14 @@ from ..joins.base import JoinConfig
 from ..obs.metrics import MetricsRegistry
 from ..obs.session import TraceSession
 from ..query.executor import QueryExecutor
-from ..query.plan import Join, PlanNode, QueryResult, Scan, validate_plan
+from ..query.plan import (
+    Join,
+    PlanNode,
+    QueryResult,
+    Scan,
+    plan_relations,
+    validate_plan,
+)
 from ..relational.relation import Relation
 from .brownout import LEVEL_NAMES, BrownoutController, BrownoutPolicy
 from .cache import (
@@ -86,7 +95,6 @@ from .cache import (
     ResultCache,
     output_nbytes,
     pin_plan,
-    plan_relations,
     plan_signature,
 )
 from .quota import RetryBudget, TenantQuota, TenantState
@@ -291,6 +299,11 @@ class QueryServer:
         ``AdmissionError(reason="queue-full")`` (backpressure).
     mem_overhead:
         Reserved device bytes per scanned input byte.
+    result_cache_bytes / enable_plan_cache / enable_result_cache:
+        The result cache's byte budget, and whether each cache is used.
+        The plan cache holds :class:`~repro.serve.cache.PlanCache`'s
+        default number of entries; a result-cache hit costs one kernel
+        launch on *device*.
     session:
         Optional :class:`~repro.obs.session.TraceSession`: the server
         mirrors its counters into it and opens one ``serve`` span per
@@ -307,7 +320,9 @@ class QueryServer:
         Overload response: ``True`` for a default
         :class:`~repro.serve.brownout.BrownoutController`, a
         :class:`~repro.serve.brownout.BrownoutPolicy` or controller for
-        custom thresholds, ``None`` (default) to disable.
+        custom thresholds, ``None`` (default) to disable.  Pressure is
+        ``max(queue_frac, memory_frac)``: queued work the streams cannot
+        absorb, or device memory that cannot be reclaimed.
     default_deadline_s:
         Relative deadline (simulated seconds after arrival) applied to
         submissions that do not pass their own; ``None`` means no
@@ -357,11 +372,9 @@ class QueryServer:
         interconnect="nvlink-mesh",
         queue_depth: int = 64,
         mem_overhead: float = DEFAULT_MEM_OVERHEAD,
-        plan_cache_entries: int = 256,
         result_cache_bytes: int = 64 << 20,
         enable_plan_cache: bool = True,
         enable_result_cache: bool = True,
-        cache_hit_cost_s: Optional[float] = None,
         session: Optional[TraceSession] = None,
         tenants: Optional[Dict[str, TenantQuota]] = None,
         retry_budget=None,
@@ -388,9 +401,7 @@ class QueryServer:
         # A hit costs one kernel launch on this device (so it scales with
         # scaled-down device geometry like everything else).
         self.cache_hit_cost_s = (
-            cache_hit_cost_s
-            if cache_hit_cost_s is not None
-            else (device.kernel_launch_overhead_s or FALLBACK_CACHE_HIT_COST_S)
+            device.kernel_launch_overhead_s or FALLBACK_CACHE_HIT_COST_S
         )
         self.scheduler = StreamScheduler(streams, interference=interference)
         self.memory = DeviceMemory(capacity_bytes=device.global_mem_bytes)
@@ -403,7 +414,7 @@ class QueryServer:
 
             tiering = TieredRuntime(device=device, memory=self.memory)
         self.tiering = tiering or None
-        self.plan_cache = PlanCache(max_entries=plan_cache_entries)
+        self.plan_cache = PlanCache()
         self.result_cache = ResultCache(max_bytes=result_cache_bytes)
         self.enable_plan_cache = enable_plan_cache
         self.enable_result_cache = enable_result_cache
@@ -969,12 +980,11 @@ class QueryServer:
             if self.queue_depth > 0
             else (1.0 if self._queue else 0.0)
         )
-        occupancy = self.scheduler.active_count / self.scheduler.num_streams
         capacity = self.memory.capacity_bytes
         held = self.memory.current_bytes - self._reclaimable_bytes()
         memory_frac = held / capacity if capacity else 0.0
         before = ctl.level
-        level = ctl.update(self.clock_s, queue_frac, occupancy, memory_frac)
+        level = ctl.update(self.clock_s, queue_frac, memory_frac)
         if level != before:
             self._count("serve.brownout_transitions")
             self._count(f"serve.brownout_to_{LEVEL_NAMES[level]}")
@@ -985,7 +995,6 @@ class QueryServer:
                     clock_s=self.clock_s,
                     pressure=ctl.pressure,
                     queue_frac=queue_frac,
-                    occupancy=occupancy,
                     memory_frac=memory_frac,
                 ):
                     pass

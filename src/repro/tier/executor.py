@@ -54,7 +54,7 @@ from ..gpusim.memory import DeviceMemory
 from ..joins.base import JoinConfig, detect_unique_keys, output_column_names
 from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
-from ..query.plan import OperatorRun
+from ..query.plan import OperatorRun, plan_relations
 from ..relational.relation import Relation
 from .cache import SegmentCache
 from .costmodel import TierCostModel
@@ -200,7 +200,7 @@ class TieredRuntime:
 
     def note_plan(self, plan, weight: float = 1.0) -> None:
         """Fold one arrival of *plan* into relation popularity (serve feed)."""
-        for relation in _scan_relations(plan):
+        for relation in plan_relations(plan):
             self.policy.note_popularity(self.register(relation).name, weight)
 
     # -- pressure ------------------------------------------------------------
@@ -782,26 +782,6 @@ class TieredRuntime:
 
 
 # -- pure helpers ------------------------------------------------------------
-
-
-def _scan_relations(plan) -> List[Relation]:
-    from ..query.plan import Aggregate, Join, Project, Scan
-
-    found: List[Relation] = []
-
-    def walk(node):
-        if isinstance(node, Scan):
-            found.append(node.relation)
-        elif isinstance(node, Project):
-            walk(node.child)
-        elif isinstance(node, Join):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Aggregate):
-            walk(node.child)
-
-    walk(plan)
-    return found
 
 
 def _tier_group_counts(

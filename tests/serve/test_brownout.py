@@ -1,7 +1,7 @@
 """Brownout load-shedding: the controller state machine and its effect
 on serving (degraded execution, door shedding, hysteretic recovery), and
-the pressure it reads from a tiered server (resident segments are
-reclaimable, so they never count)."""
+the pressure it reads from a server (busy streams are not overload, and
+a tiered server's resident segments are reclaimable, so neither counts)."""
 
 from dataclasses import replace
 
@@ -41,11 +41,22 @@ def test_policy_validation():
         BrownoutPolicy(shed_fraction=1.5)
 
 
-def test_pressure_is_the_max_of_the_three_signals():
+def test_pressure_is_the_max_of_queue_and_memory():
+    for queue_frac, memory_frac in ((0.75, 0.2), (0.2, 0.75)):
+        ctl = BrownoutController()
+        ctl.update(0.0, queue_frac=queue_frac, memory_frac=memory_frac)
+        assert ctl.pressure == 0.75
+        assert ctl.level == DEGRADED  # default degrade_enter=0.70
+
+
+def test_busy_streams_with_an_empty_queue_and_low_memory_stay_normal():
+    """Every stream busy is the device doing its job, not overload: with
+    nothing queued and little memory held there is no pressure."""
     ctl = BrownoutController()
-    ctl.update(0.0, queue_frac=0.1, occupancy=0.75, memory_frac=0.2)
-    assert ctl.pressure == 0.75
-    assert ctl.level == DEGRADED  # default degrade_enter=0.70
+    for t in range(4):
+        assert ctl.update(float(t), queue_frac=0.0, memory_frac=0.1) == NORMAL
+    assert ctl.pressure == 0.1
+    assert ctl.transitions == []
 
 
 def test_escalation_is_immediate_recovery_is_stepped():
@@ -54,14 +65,14 @@ def test_escalation_is_immediate_recovery_is_stepped():
                        shed_enter=0.9, shed_exit=0.5)
     )
     # NORMAL -> SHED in a single update: no intermediate dwell.
-    assert ctl.update(0.0, 0.95, 0.0, 0.0) == SHED
+    assert ctl.update(0.0, 0.95, 0.0) == SHED
     # Recovery steps down one level at a time through the exits.
-    assert ctl.update(1.0, 0.45, 0.0, 0.0) == DEGRADED  # <= shed_exit
-    assert ctl.update(2.0, 0.45, 0.0, 0.0) == DEGRADED  # holds: > degrade_exit
-    assert ctl.update(3.0, 0.2, 0.0, 0.0) == NORMAL
+    assert ctl.update(1.0, 0.45, 0.0) == DEGRADED  # <= shed_exit
+    assert ctl.update(2.0, 0.45, 0.0) == DEGRADED  # holds: > degrade_exit
+    assert ctl.update(3.0, 0.2, 0.0) == NORMAL
     # A deep collapse while shedding skips straight to NORMAL.
-    ctl.update(4.0, 0.95, 0.0, 0.0)
-    assert ctl.update(5.0, 0.1, 0.0, 0.0) == NORMAL
+    ctl.update(4.0, 0.95, 0.0)
+    assert ctl.update(5.0, 0.1, 0.0) == NORMAL
 
 
 def test_shed_steps_down_once_pressure_is_at_shed_exit():
@@ -71,32 +82,32 @@ def test_shed_steps_down_once_pressure_is_at_shed_exit():
         BrownoutPolicy(degrade_enter=0.6, degrade_exit=0.3,
                        shed_enter=0.9, shed_exit=0.7)
     )
-    assert ctl.update(0.0, 0.95, 0.0, 0.0) == SHED
-    assert ctl.update(1.0, 0.8, 0.0, 0.0) == SHED  # still above shed_exit
-    assert ctl.update(2.0, 0.65, 0.0, 0.0) == DEGRADED
-    assert ctl.update(3.0, 0.65, 0.0, 0.0) == DEGRADED
-    assert ctl.update(4.0, 0.5, 0.0, 0.0) == DEGRADED  # > degrade_exit
-    assert ctl.update(5.0, 0.7, 0.0, 0.0) == DEGRADED  # below shed_enter
+    assert ctl.update(0.0, 0.95, 0.0) == SHED
+    assert ctl.update(1.0, 0.8, 0.0) == SHED  # still above shed_exit
+    assert ctl.update(2.0, 0.65, 0.0) == DEGRADED
+    assert ctl.update(3.0, 0.65, 0.0) == DEGRADED
+    assert ctl.update(4.0, 0.5, 0.0) == DEGRADED  # > degrade_exit
+    assert ctl.update(5.0, 0.7, 0.0) == DEGRADED  # below shed_enter
 
 
 def test_hysteresis_band_holds_the_level():
     ctl = BrownoutController(
         BrownoutPolicy(degrade_enter=0.6, degrade_exit=0.3)
     )
-    ctl.update(0.0, 0.7, 0.0, 0.0)
+    ctl.update(0.0, 0.7, 0.0)
     # Pressure falls below the enter threshold but stays above the exit:
     # the level must not flap back to NORMAL.
-    assert ctl.update(1.0, 0.5, 0.0, 0.0) == DEGRADED
-    assert ctl.update(2.0, 0.35, 0.0, 0.0) == DEGRADED
-    assert ctl.update(3.0, 0.3, 0.0, 0.0) == NORMAL
+    assert ctl.update(1.0, 0.5, 0.0) == DEGRADED
+    assert ctl.update(2.0, 0.35, 0.0) == DEGRADED
+    assert ctl.update(3.0, 0.3, 0.0) == NORMAL
 
 
 def test_transitions_and_time_in_level_are_recorded():
     ctl = BrownoutController(
         BrownoutPolicy(degrade_enter=0.6, degrade_exit=0.3)
     )
-    ctl.update(0.0, 0.7, 0.0, 0.0)
-    ctl.update(10.0, 0.1, 0.0, 0.0)
+    ctl.update(0.0, 0.7, 0.0)
+    ctl.update(10.0, 0.1, 0.0)
     assert [(t.from_level, t.to_level) for t in ctl.transitions] == [
         (NORMAL, DEGRADED), (DEGRADED, NORMAL)
     ]
@@ -196,6 +207,22 @@ def test_brownout_true_uses_the_default_policy(plan):
     assert server.run()[0].status == "completed"
 
 
+def test_one_stream_server_under_light_load_stays_normal(plan):
+    """One running query keeps the only stream busy; that is not
+    pressure.  Each round's second query queues behind the first, which
+    reads queue_frac = 1/64: far below every threshold."""
+    server = QueryServer(
+        streams=1, seed=SERVE_SEED, brownout=True, enable_result_cache=False
+    )
+    for k in range(8):
+        server.submit(plan, at_s=k * 1e-3)
+        server.submit(plan, at_s=k * 1e-3 + 1e-9)
+    outcomes = server.run()
+    assert [o.status for o in outcomes] == ["completed"] * 16
+    assert server.brownout.transitions == []
+    assert server.metrics.value("serve.rejected_brownout_shed") == 0
+
+
 def test_no_brownout_by_default(plan):
     server = QueryServer(streams=1, seed=SERVE_SEED)
     assert server.brownout is None
@@ -280,7 +307,7 @@ def test_real_pressure_on_a_warm_tier_still_escalates_and_sheds(source):
     (_, span), *_ = session.spans("brownout")
     assert span.name == "brownout:normal->shed"
     assert span.args["pressure"] == max(
-        span.args[k] for k in ("queue_frac", "occupancy", "memory_frac")
+        span.args[k] for k in ("queue_frac", "memory_frac")
     )
     if source == "queue":
         assert span.args["queue_frac"] > 1.0
