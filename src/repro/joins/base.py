@@ -261,9 +261,15 @@ def materialize(
     runs once per (side, item size) and later columns re-submit those
     stats under their own name.  Frees every transformed column and
     both maps.
+
+    The host holds one side's row ids at a time: the output lists every
+    R column before every S column, so a side's ids are dropped when the
+    next side's are computed, and each side's ``order`` is dropped from
+    *sides* once its ids exist.  Device maps are freed at the end, as
+    the simulated device frees them.
     """
     columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-    sources: Dict[str, np.ndarray] = {}
+    ids_side, ids = None, None
     charged: Dict[Tuple[str, int], KernelStats] = {}
     with ctx.phase(MATERIALIZE):
         for side, source, out_name in output_column_names(r, s, projection):
@@ -285,10 +291,13 @@ def materialize(
                 )
             else:
                 ctx.submit(replace(stats, name=f"gather:{out_name}"), phase=MATERIALIZE)
-            if side not in sources:
+            if side != ids_side:
+                ids = None  # the other side's ids go first
                 ids = index_map.data if order is None else order[index_map.data]
-                sources[side] = ids.astype(np.intp, copy=False)
-            columns.append((out_name, column[sources[side]]))
+                ids = ids.astype(np.intp, copy=False)
+                ids_side, order = side, None
+                sides[side] = (index_map, None, eager)
+            columns.append((out_name, column[ids]))
             if held is not None:
                 held.free()
         # A projection may skip the eagerly transformed first payloads.

@@ -38,20 +38,23 @@ def expand_bounds(
     sorted build side and ``s_pos`` positions in the probe side,
     s-major ordered.
     """
-    counts = (hi - lo).astype(np.int64)
-    total = int(counts.sum())
+    counts = hi - lo
+    total = int(counts.sum(dtype=np.int64))
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     if total == np.count_nonzero(counts):
         # Every range holds at most one match (the primary-key case).
         s_pos = np.flatnonzero(counts).astype(np.int64, copy=False)
-        return lo[s_pos].astype(np.int64), s_pos
+        return lo[s_pos].astype(np.int64, copy=False), s_pos
     s_pos = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
-    starts = np.repeat(lo.astype(np.int64), counts)
-    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
-    return starts + within, s_pos
+    # Match j of range i is lo[i] + j: the range's start, less the
+    # matches before it, plus the running match index.
+    first = np.cumsum(counts, dtype=np.int64)
+    first -= counts
+    r_pos = np.repeat(lo - first, counts)
+    r_pos += np.arange(total, dtype=np.int64)
+    return r_pos, s_pos
 
 
 def match_positions(

@@ -139,9 +139,11 @@ def narrow_partitioned_hash(
                     phase=TRANSFORM, hashed=config.hashed_partitioning, label=side,
                 )
                 if part.fragmentation_bytes > 0:
+                    # Nothing reads the slack: the pool hands it out
+                    # uninitialised.
                     handles.append(
                         ctx.mem.alloc(part.fragmentation_bytes, np.uint8,
-                                      f"fragmentation_{side}")
+                                      f"fragmentation_{side}", zeroed=False)
                     )
             parts[side] = part
             handles.append(ctx.mem.adopt(part.keys, f"part_keys_{side}"))

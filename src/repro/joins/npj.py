@@ -11,6 +11,11 @@ are effectively random), but the probe side materializes *clustered*:
 matches stream out in probe order, so probe-side gathers are cheap —
 exactly the nuance Figure 10 notes ("it has a lower materialization cost
 than *-UM since materializing the probe table is clustered").
+
+The device table is priced as a bytes-only reservation of
+``capacity * SLOT_BYTES``: the host table of
+:mod:`~repro.primitives.hash_table` holds the real keys and values, and
+its touched slots are dropped once their traffic is charged.
 """
 
 from __future__ import annotations
@@ -57,6 +62,24 @@ def _charge_table_traffic(
     )
 
 
+def _build(ctx: GPUContext, r: Relation, capacity: int):
+    """Insert R into the table and charge the inserts; returns the host
+    table's keys and values (its touched slots die here)."""
+    # Each insert reads its key and one 4-byte build ID.
+    build_ids = np.arange(r.num_rows, dtype=np.int32)
+    build = build_table(r.key_values, build_ids, capacity)
+    _charge_table_traffic(
+        ctx,
+        build.touched_slots,
+        capacity,
+        items=r.num_rows,
+        extra_seq_read=int(r.key_values.nbytes) + 4 * r.num_rows,
+        extra_seq_write=0,
+        name="npj_build",
+    )
+    return build.table_keys, build.table_values
+
+
 class NonPartitionedHashJoin(JoinAlgorithm):
     """Global-hash-table join in the style of cuDF's default inner join."""
 
@@ -68,20 +91,11 @@ class NonPartitionedHashJoin(JoinAlgorithm):
         capacity = table_capacity(r.num_rows)
 
         with ctx.phase(MATCH):
-            table = ctx.mem.alloc(capacity, np.int64, "hash_table")
-            # Each insert reads its key and one 4-byte build ID.
-            build_ids = np.arange(r.num_rows, dtype=np.int32)
-            build = build_table(r.key_values, build_ids, capacity)
-            _charge_table_traffic(
-                ctx,
-                build.touched_slots,
-                capacity,
-                items=r.num_rows,
-                extra_seq_read=int(r.key_values.nbytes) + 4 * r.num_rows,
-                extra_seq_write=0,
-                name="npj_build",
-            )
-            probe = probe_table(build.table_keys, build.table_values, s.key_values)
+            # The device table's contents are never read back: the host
+            # table below stands in for it, so it is priced, not built.
+            table = ctx.mem.reserve(capacity * SLOT_BYTES, "hash_table")
+            table_keys, table_values = _build(ctx, r, capacity)
+            probe = probe_table(table_keys, table_values, s.key_values)
             id_r = probe.build_values
             id_s = probe.probe_indices
             out_key = s.key_values[id_s]
@@ -98,6 +112,6 @@ class NonPartitionedHashJoin(JoinAlgorithm):
             )
             a_id_r = ctx.mem.adopt(id_r.astype(np.int32, copy=False), "match_ids_r")
             a_id_s = ctx.mem.adopt(id_s.astype(np.int32, copy=False), "match_ids_s")
-            ctx.mem.free(table)
+            table.free()
 
         return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None

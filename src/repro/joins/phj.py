@@ -145,7 +145,7 @@ class PartitionedHashJoin(JoinAlgorithm):
         moved: :func:`~repro.joins.base.materialize` reads payloads from
         the base relation through the layout's ``order``.
         """
-        temp = ctx.mem.alloc((1 << bits) * 8 * 2, np.uint8, "partition_temp")
+        temp = ctx.mem.reserve((1 << bits) * 8 * 2, "partition_temp")
         hashed = self.config.hashed_partitioning
         if ids is not None:
             part = radix_partition(
@@ -159,7 +159,7 @@ class PartitionedHashJoin(JoinAlgorithm):
                 sum(int(rel.column(name).nbytes) for name in rel.payload_names[:1]),
                 bits, phase=TRANSFORM, label=label,
             )
-        ctx.mem.free(temp)
+        temp.free()
         return part
 
     def _hash_match(self, ctx, pr, ps, unique_build_keys, tuple_bytes):
@@ -221,12 +221,12 @@ class PartitionedHashJoin(JoinAlgorithm):
         def transform(ctx, rel, column, out_name):
             # The stable partitioner reproduces the transform phase's
             # layout, so the lazy pass needs no boundary kernel.
-            temp = ctx.mem.alloc((1 << bits) * 8 * 2, np.uint8, "partition_temp")
+            temp = ctx.mem.reserve((1 << bits) * 8 * 2, "partition_temp")
             charge_radix_partition(
                 ctx, rel.num_rows, int(rel.key_values.nbytes), int(column.nbytes),
                 bits, phase=MATERIALIZE, label=out_name, boundaries=False,
             )
-            ctx.mem.free(temp)
+            temp.free()
             return ctx.mem.reserve(column.nbytes, f"part_payload_{out_name}")
 
         sides = {

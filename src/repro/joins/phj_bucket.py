@@ -45,6 +45,7 @@ class PartitionedHashJoinUM(JoinAlgorithm):
         )
         parts = {}
         part_ids = {}
+        fragments = []
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
                 ids = init_tuple_ids(ctx, rel.num_rows, TRANSFORM, side, dtype=rel.key_values.dtype)
@@ -65,7 +66,9 @@ class PartitionedHashJoinUM(JoinAlgorithm):
                 ctx.mem.adopt(part.keys, f"part_keys_{side}")
                 part_ids[side] = ctx.mem.adopt(part.payloads[0], f"part_ids_{side}")
                 if part.fragmentation_bytes > 0:
-                    ctx.mem.alloc(part.fragmentation_bytes, np.uint8, f"fragmentation_{side}")
+                    fragments.append(
+                        ctx.mem.reserve(part.fragmentation_bytes, f"fragmentation_{side}")
+                    )
 
         with ctx.phase(MATCH):
             pr, ps = parts["r"], parts["s"]
@@ -90,7 +93,9 @@ class PartitionedHashJoinUM(JoinAlgorithm):
             id_s = gather(ctx, part_ids["s"].data, pos_s, phase=MATCH, label="id_s")
             a_id_r = ctx.mem.adopt(id_r, "match_ids_r")
             a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
-            ctx.mem.free_by_prefix("part_keys_", "part_ids_", "fragmentation_")
+            ctx.mem.free_by_prefix("part_keys_", "part_ids_")
+            for fragment in fragments:
+                fragment.free()
 
         return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None
 

@@ -23,6 +23,7 @@ from ..primitives.grouping import stable_key_order
 from ..primitives.merge_path import match_bounds
 from ..primitives.sort_pairs import argsort_cost_only, sort_pairs
 from ..relational.relation import Relation
+from ..relational.types import id_dtype
 from .base import (
     MATCH,
     MATERIALIZE,
@@ -81,11 +82,11 @@ class SortMergeJoinUM(JoinAlgorithm):
             for side, rel in (("r", r), ("s", s)):
                 ids = init_tuple_ids(ctx, rel.num_rows, TRANSFORM, side, dtype=rel.key_values.dtype)
                 a_ids = ctx.mem.adopt(ids, f"ids_{side}")
-                temp = ctx.mem.alloc(_sort_temp_bytes(rel.num_rows), np.uint8, "sort_temp")
+                temp = ctx.mem.reserve(_sort_temp_bytes(rel.num_rows), "sort_temp")
                 keys_sorted, (ids_sorted,) = sort_pairs(
                     ctx, rel.key_values, [ids], phase=TRANSFORM, label=side
                 )
-                ctx.mem.free(temp)
+                temp.free()
                 ctx.mem.free(a_ids)
                 transformed[side] = (
                     ctx.mem.adopt(keys_sorted, f"keys_sorted_{side}"),
@@ -130,7 +131,7 @@ class SortMergeJoinOM(JoinAlgorithm):
             for side, rel in (("r", r), ("s", s)):
                 keys = rel.key_values
                 first = rel.payload_names[:1]
-                temp = ctx.mem.alloc(_sort_temp_bytes(rel.num_rows), np.uint8, "sort_temp")
+                temp = ctx.mem.reserve(_sort_temp_bytes(rel.num_rows), "sort_temp")
                 # The first payload column sorts with the keys on the
                 # device only; the materializer reads it from the base
                 # relation through the sort permutation.
@@ -140,8 +141,10 @@ class SortMergeJoinOM(JoinAlgorithm):
                     sum(rel.column(name).dtype.itemsize for name in first),
                     phase=TRANSFORM, label=side,
                 )
-                ctx.mem.free(temp)
+                temp.free()
                 sorted_keys[side] = ctx.mem.adopt(keys[orders[side]], f"keys_sorted_{side}")
+                # Held until materialization: keep it at tuple-ID width.
+                orders[side] = orders[side].astype(id_dtype(rel.num_rows))
                 eager[side] = hold_first_payload(ctx, rel, f"payload1_{side}")
 
         with ctx.phase(MATCH):
@@ -166,12 +169,12 @@ def _sort_column(ctx: GPUContext, rel: Relation, column: np.ndarray, out_name: s
     """Sort ``(key, column)`` pairs on the device (Algorithm 1, lines 5
     and 8).  The re-sorted keys are discarded unread, so they and the
     sorted column are bytes-only reservations; returns the column's."""
-    temp = ctx.mem.alloc(_sort_temp_bytes(rel.num_rows), np.uint8, "sort_temp")
+    temp = ctx.mem.reserve(_sort_temp_bytes(rel.num_rows), "sort_temp")
     argsort_cost_only(
         ctx, rel.num_rows, rel.key_values.dtype.itemsize,
         column.dtype.itemsize, phase=MATERIALIZE, label=out_name,
     )
-    ctx.mem.free(temp)
+    temp.free()
     resorted_keys = ctx.mem.reserve(rel.key_values.nbytes, f"keys_resorted_{out_name}")
     held = ctx.mem.reserve(column.nbytes, f"payload_sorted_{out_name}")
     resorted_keys.free()

@@ -58,7 +58,9 @@ def dense_span(
 
 
 def _index_dtype(rows: int) -> type:
-    """int32 while every position fits, else int64."""
+    """int32 while every position fits, else int64: the rule of
+    :func:`~repro.relational.types.id_dtype`, which this module (imported
+    by ``relational``'s own imports) cannot import."""
     return np.int32 if rows < 2**31 else np.int64
 
 
@@ -90,8 +92,8 @@ def dense_bounds(
     *build_keys* need not be sorted and *span* is its
     :func:`dense_span`.  One ``bincount``/prefix-sum table gives every
     bound: ``starts[k - min]`` build keys are smaller than ``k``.
-    Returns one ``intp`` array per entry of *sides* (``"left"`` or
-    ``"right"``).
+    Returns one array per entry of *sides* (``"left"`` or ``"right"``),
+    at the build rows' :func:`_index_dtype`.
     """
     lo, hi = span
     rows = build_keys.size
@@ -101,7 +103,7 @@ def dense_bounds(
     offsets, outside = _probe_offsets(probe_keys, lo, hi)
     bounds = []
     for side in sides:
-        bound = np.take(starts if side == "left" else starts[1:], offsets).astype(np.intp)
+        bound = np.take(starts if side == "left" else starts[1:], offsets)
         if outside is not None:
             # A key below min finds no build key smaller (or equal), a
             # key above max finds all of them.
@@ -129,6 +131,7 @@ def dense_first_matches(
         return None
     offsets, outside = _probe_offsets(probe_keys, lo, hi)
     build_at = np.take(slots, offsets)
+    slots = None  # spent: free the table before the positions are built
     if outside is not None:
         build_at[outside] = -1
     s_pos = np.flatnonzero(build_at >= 0)

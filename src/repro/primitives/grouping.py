@@ -203,18 +203,22 @@ def packed_order(
     words <<= np.uint64(row_bits)
     words |= np.arange(n, dtype=np.uint64)
     words.sort()
-    order = (words & np.uint64((1 << row_bits) - 1)).view(np.intp)
-    if drop:
-        # Rows whose truncated minors tie, in row order within each run.
-        words >>= np.uint64(row_bits)
-        same = words[1:] == words[:-1]
-        pairs = np.flatnonzero(same)
-        if pairs.size:
-            tied = np.union1d(pairs, pairs + 1)
-            starts = np.ones(tied.size, dtype=bool)
-            starts[1:] = ~same[tied[1:] - 1]
-            rows = order[tied]
-            order[tied] = rows[np.lexsort((minor[rows], np.cumsum(starts)))]
+    row_mask = np.uint64((1 << row_bits) - 1)
+    if not drop:
+        # The words are spent: mask the row ids out in place.
+        words &= row_mask
+        return words.view(np.intp)
+    order = (words & row_mask).view(np.intp)
+    # Rows whose truncated minors tie, in row order within each run.
+    words >>= np.uint64(row_bits)
+    same = words[1:] == words[:-1]
+    pairs = np.flatnonzero(same)
+    if pairs.size:
+        tied = np.union1d(pairs, pairs + 1)
+        starts = np.ones(tied.size, dtype=bool)
+        starts[1:] = ~same[tied[1:] - 1]
+        rows = order[tied]
+        order[tied] = rows[np.lexsort((minor[rows], np.cumsum(starts)))]
     return order
 
 

@@ -19,6 +19,9 @@ order by one scatter; only duplicate hits pay a sort, one packed
 :func:`~repro.primitives.grouping.packed_order`.  The host table holds
 keys at their own width (:func:`table_key_dtype`) and values at theirs,
 so each round's random slot reads move no more bytes than the keys do.
+Row ids (pending inserts, active probes, probe indices) and slots are
+held at :func:`~repro.relational.types.id_dtype` of the row count or
+capacity: 4 bytes below 2^31, the width the joins charge.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import List
 import numpy as np
 
 from ..errors import ReproError
+from ..relational.types import id_dtype
 from .grouping import packed_order
 from .hashing import hash_to_slots
 
@@ -95,8 +99,9 @@ def build_table(
     table_keys = np.full(capacity, EMPTY, dtype=table_key_dtype(keys.dtype))
     table_values = np.zeros(capacity, dtype=values.dtype)
     # pending inserts in ascending order, each with its current slot
-    slots = hash_to_slots(keys, capacity)
-    index_dtype = np.int32 if keys.size < 2**31 else np.int64
+    slot_dtype = id_dtype(capacity)
+    slots = hash_to_slots(keys, capacity).astype(slot_dtype)
+    index_dtype = id_dtype(keys.size)
     pending = np.arange(keys.size, dtype=index_dtype)
     # claim[slot] is the first pending writer of the slot this round;
     # keys.size marks an unclaimed slot.
@@ -126,10 +131,7 @@ def build_table(
         slots = slots[lost]
         slots += 1
         slots &= capacity - 1
-    all_touched = (
-        np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
-    )
-    return BuildResult(table_keys, table_values, all_touched, rounds)
+    return BuildResult(table_keys, table_values, _concat(touched, slot_dtype), rounds)
 
 
 def probe_table(
@@ -143,10 +145,12 @@ def probe_table(
     match per equal-key slot along the way.
     """
     capacity = table_keys.size
+    index_dtype = id_dtype(probe_keys.size)
     # active probes in ascending order, each with its key and current slot
-    active = np.arange(probe_keys.size, dtype=np.int64)
+    active = np.arange(probe_keys.size, dtype=index_dtype)
     keys = probe_keys
-    slots = hash_to_slots(probe_keys, capacity)
+    slot_dtype = id_dtype(capacity)
+    slots = hash_to_slots(probe_keys, capacity).astype(slot_dtype)
     hits_probe: List[np.ndarray] = []
     hits_value: List[np.ndarray] = []
     touched: List[np.ndarray] = []
@@ -176,16 +180,20 @@ def probe_table(
             # No probe hit twice: probe-major order is one scatter.
             by_probe = np.empty(probe_keys.size, dtype=build_vals.dtype)
             by_probe[probe_idx] = build_vals
-            probe_idx = np.flatnonzero(hit_once).astype(np.int64, copy=False)
+            probe_idx = np.flatnonzero(hit_once).astype(index_dtype)
             build_vals = by_probe[probe_idx]
         else:
             order = packed_order(probe_idx, build_vals)
             probe_idx = probe_idx[order]
             build_vals = build_vals[order]
     else:
-        probe_idx = np.empty(0, dtype=np.int64)
+        probe_idx = np.empty(0, dtype=index_dtype)
         build_vals = np.empty(0, dtype=table_values.dtype)
-    all_touched = (
-        np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
-    )
-    return ProbeResult(probe_idx, build_vals, all_touched, rounds)
+    return ProbeResult(probe_idx, build_vals, _concat(touched, slot_dtype), rounds)
+
+
+def _concat(touched: List[np.ndarray], slot_dtype: np.dtype) -> np.ndarray:
+    """Every round's touched slots, in round order."""
+    if not touched:
+        return np.empty(0, dtype=slot_dtype)
+    return np.concatenate(touched)

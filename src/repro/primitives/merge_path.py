@@ -10,7 +10,9 @@ paper's first SMJ optimization (and our ablation abl02).
 
 The host computes each pass's bounds by direct addressing when the keys
 are dense (:mod:`.direct_address`) and by ``np.searchsorted`` otherwise;
-the bounds, and the charged pass, are the same either way.
+the bounds, and the charged pass, are the same either way.  Bounds are
+held at the build rows' :func:`~repro.relational.types.id_dtype`, the
+4 bytes per bound each pass is charged for.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from ..relational.types import id_dtype
 from .direct_address import dense_bounds, dense_span
 
 
@@ -41,10 +44,12 @@ def _merge_pass_stats(
 
 
 def _search(r_keys_sorted: np.ndarray, s_keys: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(r_keys_sorted, s_keys, side)``, direct when dense."""
+    """``np.searchsorted(r_keys_sorted, s_keys, side)``, direct when dense,
+    at the r rows' :func:`~repro.relational.types.id_dtype`."""
     span = dense_span(r_keys_sorted, s_keys)
     if span is None:
-        return np.searchsorted(r_keys_sorted, s_keys, side=side)
+        bounds = np.searchsorted(r_keys_sorted, s_keys, side=side)
+        return bounds.astype(id_dtype(r_keys_sorted.size))
     (bounds,) = dense_bounds(r_keys_sorted, s_keys, span, (side,))
     return bounds
 

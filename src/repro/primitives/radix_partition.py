@@ -21,6 +21,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from ..relational.types import id_dtype
 from .grouping import stable_key_order
 from .hashing import mix_hash, radix_digit
 
@@ -93,7 +94,8 @@ class Partitioned:
     hashed: bool
     passes: int
     #: The stable permutation that produced this layout: row ``i`` of
-    #: the layout is input row ``order[i]``.
+    #: the layout is input row ``order[i]``; held at the input's
+    #: :func:`~repro.relational.types.id_dtype`.
     order: np.ndarray
 
     @property
@@ -193,7 +195,7 @@ def partition_layout(
         total_bits=total_bits,
         hashed=hashed,
         passes=passes,
-        order=order,
+        order=order.astype(id_dtype(keys.size)),
     )
 
 

@@ -32,7 +32,8 @@ is impossible by construction.  Fault-injected queries bypass both
 caches (degraded recovery may permute row order) but still complete —
 faults degrade the one query, never the server.
 
-The reliability layer on top (this PR's subject):
+On top sits a reliability layer that bounds what one query or tenant
+can cost the server and keeps it serving under overload:
 
 * **Deadlines** — a per-query simulated deadline propagates as a
   :class:`~repro.cancel.CancellationToken` through the correctness half

@@ -21,6 +21,7 @@ from repro.joins.base import detect_unique_keys
 from repro.joins.matching import match_positions
 from repro.primitives.direct_address import dense_span
 from repro.primitives.merge_path import lower_bounds, upper_bounds
+from repro.relational.types import id_dtype
 
 
 def _frozen_match_positions(build_keys, probe_keys, unique_build_keys):
@@ -60,6 +61,13 @@ def _frozen_match_positions(build_keys, probe_keys, unique_build_keys):
 
 def _frozen_bounds(r_keys_sorted, s_keys, side):
     return np.searchsorted(r_keys_sorted, s_keys, side=side)
+
+
+def _bounds_at_id_width(bounds, r_rows):
+    """Frozen ``intp`` bounds at the live width: bounds are held at the
+    build rows' :func:`id_dtype`, their values unchanged."""
+    assert bounds.dtype == np.intp
+    return bounds.astype(id_dtype(r_rows))
 
 
 def _assert_same(got, want):
@@ -161,7 +169,8 @@ def test_merge_path_bounds_match_searchsorted(sides, sort_probe):
     s_keys = np.sort(probe, kind="stable") if sort_probe else probe
     ctx = GPUContext()
     for bound, side in ((lower_bounds, "left"), (upper_bounds, "right")):
-        _assert_same((bound(ctx, r_sorted, s_keys),), (_frozen_bounds(r_sorted, s_keys, side),))
+        want = _bounds_at_id_width(_frozen_bounds(r_sorted, s_keys, side), r_sorted.size)
+        _assert_same((bound(ctx, r_sorted, s_keys),), (want,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,7 +202,8 @@ def test_bounds_on_empty_sides(dtype, n_build, n_probe):
     probe = np.arange(n_probe, dtype=dtype)
     ctx = GPUContext()
     for bound, side in ((lower_bounds, "left"), (upper_bounds, "right")):
-        _assert_same((bound(ctx, build, probe),), (_frozen_bounds(build, probe, side),))
+        want = _bounds_at_id_width(_frozen_bounds(build, probe, side), build.size)
+        _assert_same((bound(ctx, build, probe),), (want,))
 
 
 def test_mismatched_or_float_keys_are_not_dense():

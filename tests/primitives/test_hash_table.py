@@ -13,6 +13,7 @@ from repro.primitives.hash_table import (
     probe_table,
     table_capacity,
 )
+from repro.relational.types import id_dtype
 
 
 class TestCapacity:
@@ -193,11 +194,29 @@ def _frozen_probe(table_keys, table_values, probe_keys):
     return probe_idx, build_vals, all_touched, rounds
 
 
-def _at_key_width(frozen, key_dtype):
+def _at_key_width(frozen, key_dtype, capacity):
     """The frozen build with its int64 table keys at the (signed) keys'
-    own width, which the live table stores them at."""
-    table_keys, *rest = frozen
-    return (table_keys.astype(key_dtype), *rest)
+    own width, which the live table stores them at, and its int64
+    touched slots at the table's slot-id width."""
+    table_keys, table_values, touched, rounds = frozen
+    return table_keys.astype(key_dtype), table_values, _at_id_width(touched, capacity), rounds
+
+
+def _at_id_width(ids, count):
+    """Frozen int64 row or slot ids at the live :func:`id_dtype` width:
+    the values are compared as they were, the width is the live one."""
+    assert ids.dtype == np.int64
+    return ids.astype(id_dtype(count))
+
+
+def _probe_at_id_width(frozen, probe_rows, capacity):
+    """The frozen probe with its probe indices and touched slots at the
+    live ID widths."""
+    probe_idx, build_vals, touched, rounds = frozen
+    return (
+        _at_id_width(probe_idx, probe_rows), build_vals,
+        _at_id_width(touched, capacity), rounds,
+    )
 
 
 def _assert_identical(got, want):
@@ -237,12 +256,14 @@ def test_build_and_probe_match_frozen_sort_implementation(case):
     built = build_table(build, values, capacity)
     _assert_identical(
         (built.table_keys, built.table_values, built.touched_slots, built.rounds),
-        _at_key_width(_frozen_build(build, values, capacity), build.dtype),
+        _at_key_width(_frozen_build(build, values, capacity), build.dtype, capacity),
     )
     probed = probe_table(built.table_keys, built.table_values, probe)
     _assert_identical(
         (probed.probe_indices, probed.build_values, probed.touched_slots, probed.rounds),
-        _frozen_probe(built.table_keys, built.table_values, probe),
+        _probe_at_id_width(
+            _frozen_probe(built.table_keys, built.table_values, probe), probe.size, capacity
+        ),
     )
 
 
@@ -260,12 +281,14 @@ def test_build_and_probe_match_frozen_at_scale(unique):
     built = build_table(build, values, capacity)
     _assert_identical(
         (built.table_keys, built.table_values, built.touched_slots, built.rounds),
-        _at_key_width(_frozen_build(build, values, capacity), build.dtype),
+        _at_key_width(_frozen_build(build, values, capacity), build.dtype, capacity),
     )
     probed = probe_table(built.table_keys, built.table_values, probe)
     _assert_identical(
         (probed.probe_indices, probed.build_values, probed.touched_slots, probed.rounds),
-        _frozen_probe(built.table_keys, built.table_values, probe),
+        _probe_at_id_width(
+            _frozen_probe(built.table_keys, built.table_values, probe), probe.size, capacity
+        ),
     )
 
 
@@ -310,14 +333,16 @@ def test_zero_and_one_row_builds(key_dtype, rows):
         keys, values, capacity
     )
     assert built.rounds == frozen_rounds == rows
-    assert built.touched_slots.dtype == np.int64
+    assert built.touched_slots.dtype == id_dtype(capacity) == np.int32
     assert np.array_equal(built.touched_slots, frozen_touched)
     assert built.touched_slots.size == rows
     assert np.array_equal(built.table_keys, frozen_keys)
     assert np.array_equal(built.table_values, frozen_values)
     probe = np.array([7, 8, 7], dtype=key_dtype)
     probed = probe_table(built.table_keys, built.table_values, probe)
-    frozen = _frozen_probe(built.table_keys, built.table_values, probe)
+    frozen = _probe_at_id_width(
+        _frozen_probe(built.table_keys, built.table_values, probe), probe.size, capacity
+    )
     _assert_identical(
         (probed.probe_indices, probed.touched_slots, probed.rounds),
         (frozen[0], frozen[2], frozen[3]),
@@ -326,6 +351,31 @@ def test_zero_and_one_row_builds(key_dtype, rows):
     assert probed.build_values.dtype == np.int32
     assert np.array_equal(probed.build_values, frozen[1])
     assert probed.probe_indices.tolist() == ([0, 2] if rows else [])
+
+
+@pytest.mark.parametrize("capacity", [2**30, 2**31, 2**32], ids=lambda c: f"2^{c.bit_length() - 1}")
+def test_slot_ids_widen_past_2_31_slots(capacity):
+    """Touched slots are int32 ids up to 2^30 slots and int64 from 2^31.
+
+    A read-only all-EMPTY table is one broadcast scalar, so a 2^32-slot
+    table costs no memory: every probe misses in round 1."""
+    table_keys = np.broadcast_to(np.int32(EMPTY), (capacity,))
+    table_values = np.broadcast_to(np.int32(0), (capacity,))
+    probe = np.array([3, 0, 2**31 - 1, 3], dtype=np.int32)
+    probed = probe_table(table_keys, table_values, probe)
+    assert probed.rounds == 1
+    assert probed.probe_indices.size == 0
+    assert probed.probe_indices.dtype == np.int32  # four probe rows
+    assert probed.touched_slots.dtype == (np.int32 if capacity < 2**31 else np.int64)
+    assert np.array_equal(probed.touched_slots, hash_to_slots(probe, capacity))
+
+
+def test_row_ids_widen_at_2_31_rows():
+    """The width rule every table and join applies to row ids: int32 for
+    2^31 - 1 rows (largest id 2^31 - 2), int64 from 2^31 rows."""
+    assert id_dtype(2**31 - 1) == np.int32
+    assert id_dtype(2**31) == np.int64
+    assert id_dtype(0) == np.int32
 
 
 def test_uint64_keys_past_int64_refused():
