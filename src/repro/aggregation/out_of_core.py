@@ -30,6 +30,7 @@ from ..errors import DeviceOutOfMemoryError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
+from ..primitives.gather import host_take
 from ..primitives.grouping import bucket_rows, group_identify
 from ..primitives.radix_partition import partition_codes
 from .base import AggSpec, GroupByResult, fold_groups, merge_disjoint_groups
@@ -153,8 +154,8 @@ class OutOfCoreGroupBy:
         for block, rows in enumerate(bucket_rows(codes, 1 << bits)):
             if rows.size == 0:
                 continue
-            block_keys = keys[rows]
-            block_values = {name: col[rows] for name, col in values.items()}
+            block_keys = host_take(keys, rows)
+            block_values = {name: host_take(col, rows) for name, col in values.items()}
             block_bytes = int(block_keys.nbytes) + sum(
                 int(v.nbytes) for v in block_values.values()
             )

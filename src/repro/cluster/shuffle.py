@@ -31,6 +31,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from ..primitives.gather import host_take
 from ..primitives.grouping import bucket_rows
 from ..primitives.hashing import mix_hash
 from ..relational.relation import Relation
@@ -174,7 +175,7 @@ def shuffle_columns(
             )
             row = []
             for dst, rows in enumerate(bucket_rows(assignment, n)):
-                bucket = {name: columns[name][rows] for name in names}
+                bucket = {name: host_take(columns[name], rows) for name in names}
                 nbytes = sum(int(a.nbytes) for a in bucket.values())
                 matrix[src, dst] = nbytes
                 row.append(bucket)

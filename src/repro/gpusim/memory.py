@@ -35,10 +35,12 @@ class BufferPool:
     Only *simulation-host* cost changes: every allocation served from
     the pool still goes through :meth:`DeviceMemory._register`, so
     ``alloc_count``, current/peak bytes and OOM checks are identical
-    with and without pooling.  A freed buffer is recycled only when the
-    :class:`DeviceArray` held the sole reference (checked by refcount)
-    and owns its memory outright — adopted views or aliased arrays are
-    dropped as before.
+    with and without pooling.  Only buffers that
+    :meth:`DeviceMemory.alloc` produced are recycled, and only when the
+    :class:`DeviceArray` held the sole reference (checked by refcount).
+    Adopted arrays are dropped on free: nothing allocates their shapes
+    again, so holding them would only keep their memory until the
+    context dies.
 
     ``sink`` mirrors the counters into an observability session as
     ``pool.*`` metrics (any object with ``count(name, value)`` and a
@@ -109,14 +111,19 @@ class DeviceArray:
     only the residency accounting is simulated.
     """
 
-    __slots__ = ("_data", "_allocator", "label", "_freed", "nbytes")
+    __slots__ = ("_data", "_allocator", "label", "_freed", "nbytes", "_allocated")
 
-    def __init__(self, data: np.ndarray, allocator: "DeviceMemory", label: str):
+    def __init__(
+        self, data: np.ndarray, allocator: "DeviceMemory", label: str,
+        allocated: bool = False,
+    ):
         self._data = data
         self._allocator = allocator
         self.label = label
         self._freed = False
         self.nbytes = int(data.nbytes)
+        #: The buffer came from :meth:`DeviceMemory.alloc` (may be pooled).
+        self._allocated = allocated
 
     @property
     def data(self) -> np.ndarray:
@@ -241,7 +248,7 @@ class DeviceMemory:
             data = np.zeros(shape, dtype=dtype)
         else:
             data = np.empty(shape, dtype=dtype)
-        return self._register(data, label)
+        return self._register(data, label, allocated=True)
 
     def adopt(self, array: np.ndarray, label: str = "") -> DeviceArray:
         """Register an already-materialized array as device resident.
@@ -251,7 +258,9 @@ class DeviceMemory:
         """
         return self._register(np.ascontiguousarray(array), label)
 
-    def _register(self, data: np.ndarray, label: str) -> DeviceArray:
+    def _register(
+        self, data: np.ndarray, label: str, allocated: bool = False
+    ) -> DeviceArray:
         nbytes = int(data.nbytes)
         if (
             self.capacity_bytes is not None
@@ -264,7 +273,7 @@ class DeviceMemory:
                 label=label,
                 top_live=self.live_allocations(),
             )
-        arr = DeviceArray(data, self, label)
+        arr = DeviceArray(data, self, label, allocated)
         self._live[id(arr)] = arr
         self.current_bytes += nbytes
         self.alloc_count += 1
@@ -327,11 +336,9 @@ class DeviceMemory:
         arr._data = None  # type: ignore[assignment]
         if (
             self.pool is not None
-            and data is not None
-            and data.base is None
-            and data.flags.c_contiguous
+            and arr._allocated
             # arr held the only other reference (local + getrefcount arg
-            # + nothing else) — adopted/aliased buffers are never pooled.
+            # + nothing else): no caller still reads the buffer.
             and sys.getrefcount(data) == 2
         ):
             self.pool.give(data)

@@ -38,7 +38,7 @@ from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import DeviceArray, MemoryReservation
 from ..relational.relation import Relation
 from ..primitives.direct_address import dense_span
-from ..primitives.gather import gather_stats_only
+from ..primitives.gather import gather_stats_only, host_take
 from ..primitives.grouping import count_distinct
 from ..relational.types import id_dtype
 
@@ -293,11 +293,12 @@ def materialize(
                 ctx.submit(replace(stats, name=f"gather:{out_name}"), phase=MATERIALIZE)
             if side != ids_side:
                 ids = None  # the other side's ids go first
-                ids = index_map.data if order is None else order[index_map.data]
+                ids = index_map.data if order is None else host_take(order, index_map.data)
+                # Taken once per column: convert to intp once, not per take.
                 ids = ids.astype(np.intp, copy=False)
                 ids_side, order = side, None
                 sides[side] = (index_map, None, eager)
-            columns.append((out_name, column[ids]))
+            columns.append((out_name, host_take(column, ids)))
             if held is not None:
                 held.free()
         # A projection may skip the eagerly transformed first payloads.

@@ -26,6 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from ..primitives.direct_address import dense_bounds, dense_first_matches, dense_span
+from ..primitives.gather import host_take
 from ..primitives.grouping import stable_key_order
 
 
@@ -46,7 +47,7 @@ def expand_bounds(
     if total == np.count_nonzero(counts):
         # Every range holds at most one match (the primary-key case).
         s_pos = np.flatnonzero(counts).astype(np.int64, copy=False)
-        return lo[s_pos].astype(np.int64, copy=False), s_pos
+        return host_take(lo, s_pos).astype(np.int64, copy=False), s_pos
     s_pos = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
     # Match j of range i is lo[i] + j: the range's start, less the
     # matches before it, plus the running match index.
@@ -88,24 +89,24 @@ def match_positions(
         else:
             lo, hi = dense_bounds(build_keys, probe_keys, span, ("left", "right"))
             sorted_pos, s_pos = expand_bounds(lo, hi)
-            return stable_key_order(build_keys)[sorted_pos], s_pos
+            return host_take(stable_key_order(build_keys), sorted_pos), s_pos
     order = stable_key_order(build_keys)
-    sorted_keys = build_keys[order]
+    sorted_keys = host_take(build_keys, order)
     probe_order = stable_key_order(probe_keys)
-    probe_sorted = probe_keys[probe_order]
+    probe_sorted = host_take(probe_keys, probe_order)
     lo_sorted = np.searchsorted(sorted_keys, probe_sorted, side="left")
     if unique_build_keys:
         clipped = np.minimum(lo_sorted, sorted_keys.size - 1)
         matched = np.empty(probe_keys.size, dtype=bool)
-        matched[probe_order] = sorted_keys[clipped] == probe_sorted
+        matched[probe_order] = host_take(sorted_keys, clipped) == probe_sorted
         build_at = np.empty(probe_keys.size, dtype=order.dtype)
-        build_at[probe_order] = order[clipped]
+        build_at[probe_order] = host_take(order, clipped)
         s_pos = np.flatnonzero(matched)
-        return build_at[s_pos], s_pos
+        return host_take(build_at, s_pos), s_pos
     hi_sorted = np.searchsorted(sorted_keys, probe_sorted, side="right")
     lo = np.empty_like(lo_sorted)
     lo[probe_order] = lo_sorted
     hi = np.empty_like(hi_sorted)
     hi[probe_order] = hi_sorted
     sorted_pos, s_pos = expand_bounds(lo, hi)
-    return order[sorted_pos], s_pos
+    return host_take(order, sorted_pos), s_pos

@@ -19,7 +19,7 @@ import numpy as np
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
 from ..primitives.bucket_chain import bucket_chain_partition
-from ..primitives.gather import gather
+from ..primitives.gather import gather, host_take
 from ..primitives.merge_path import match_bounds
 from ..primitives.radix_partition import radix_partition
 from ..primitives.sort_pairs import sort_pairs
@@ -41,7 +41,7 @@ def _emit_output(
 ) -> List[Tuple[str, np.ndarray]]:
     """Write key + payload columns straight from the transformed inputs."""
     del r_keys_t  # keys are emitted from the probe side
-    out_key = s_keys_t[s_pos]
+    out_key = host_take(s_keys_t, s_pos)
     columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
     written = out_key.nbytes
     payloads = {"r": (r_payload_t, r_pos), "s": (s_payload_t, s_pos)}

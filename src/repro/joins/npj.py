@@ -30,6 +30,7 @@ from ..primitives.hash_table import (
     probe_table,
     table_capacity,
 )
+from ..primitives.gather import host_take
 from ..primitives.sector_analysis import analyze_indices
 from ..relational.relation import Relation
 from .base import MATCH, JoinAlgorithm
@@ -98,7 +99,7 @@ class NonPartitionedHashJoin(JoinAlgorithm):
             probe = probe_table(table_keys, table_values, s.key_values)
             id_r = probe.build_values
             id_s = probe.probe_indices
-            out_key = s.key_values[id_s]
+            out_key = host_take(s.key_values, id_s)
             _charge_table_traffic(
                 ctx,
                 probe.touched_slots,

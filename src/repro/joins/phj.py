@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import JoinConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather
+from ..primitives.gather import gather, host_take
 from ..primitives.radix_partition import (
     charge_radix_partition,
     partition_layout,
@@ -167,7 +167,7 @@ class PartitionedHashJoin(JoinAlgorithm):
         matched layout positions of each side."""
         charge_load_balancing(ctx, ps.num_partitions)
         pos_r, pos_s = match_positions(pr.keys, ps.keys, unique_build_keys)
-        out_key = ps.keys[pos_s]
+        out_key = host_take(ps.keys, pos_s)
         charge_hash_match(
             ctx,
             pr.counts,

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather
+from ..primitives.gather import gather, host_take
 from ..primitives.grouping import stable_key_order
 from ..primitives.merge_path import match_bounds
 from ..primitives.sort_pairs import argsort_cost_only, sort_pairs
@@ -97,7 +97,7 @@ class SortMergeJoinUM(JoinAlgorithm):
             rk, r_ids = transformed["r"]
             sk, s_ids = transformed["s"]
             r_pos, s_pos = _merge(ctx, rk.data, sk.data, unique_build_keys, self.config)
-            out_key = sk.data[s_pos]
+            out_key = host_take(sk.data, s_pos)
             # Physical IDs are fetched through the (clustered) match
             # positions — these reads are cheap; the expensive part is the
             # materialization gathers that use the *values* fetched here
@@ -142,7 +142,7 @@ class SortMergeJoinOM(JoinAlgorithm):
                     phase=TRANSFORM, label=side,
                 )
                 temp.free()
-                sorted_keys[side] = ctx.mem.adopt(keys[orders[side]], f"keys_sorted_{side}")
+                sorted_keys[side] = ctx.mem.adopt(host_take(keys, orders[side]), f"keys_sorted_{side}")
                 # Held until materialization: keep it at tuple-ID width.
                 orders[side] = orders[side].astype(id_dtype(rel.num_rows))
                 eager[side] = hold_first_payload(ctx, rel, f"payload1_{side}")
@@ -151,7 +151,7 @@ class SortMergeJoinOM(JoinAlgorithm):
             rk = sorted_keys["r"]
             sk = sorted_keys["s"]
             vid_r, vid_s = _merge(ctx, rk.data, sk.data, unique_build_keys, self.config)
-            out_key = sk.data[vid_s]
+            out_key = host_take(sk.data, vid_s)
             _charge_match_output(ctx, out_key.size, rk.data.dtype.itemsize)
             a_vid_r = ctx.mem.adopt(vid_r.astype(np.int32, copy=False), "match_vids_r")
             a_vid_s = ctx.mem.adopt(vid_s.astype(np.int32, copy=False), "match_vids_s")

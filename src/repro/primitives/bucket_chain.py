@@ -34,6 +34,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from .gather import host_take
 from .grouping import packed_order
 from .radix_partition import partition_codes, plan_passes
 
@@ -112,8 +113,8 @@ def bucket_chain_partition(
     # Random tie-breaker models the unpredictable atomic completion order.
     tie_breaker = ctx.rng.random(n)
     order = _partition_order(codes, tie_breaker)
-    keys_out = keys[order]
-    payloads_out = [p[order] for p in payloads]
+    keys_out = host_take(keys, order)
+    payloads_out = [host_take(p, order) for p in payloads]
 
     counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
     offsets = np.zeros_like(counts)

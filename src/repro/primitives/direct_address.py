@@ -29,6 +29,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .gather import host_take
+
 
 def dense_span(
     build_keys: np.ndarray, probe_keys: np.ndarray
@@ -103,7 +105,7 @@ def dense_bounds(
     offsets, outside = _probe_offsets(probe_keys, lo, hi)
     bounds = []
     for side in sides:
-        bound = np.take(starts if side == "left" else starts[1:], offsets)
+        bound = host_take(starts if side == "left" else starts[1:], offsets)
         if outside is not None:
             # A key below min finds no build key smaller (or equal), a
             # key above max finds all of them.
@@ -130,9 +132,9 @@ def dense_first_matches(
     if np.count_nonzero(slots >= 0) != rows:
         return None
     offsets, outside = _probe_offsets(probe_keys, lo, hi)
-    build_at = np.take(slots, offsets)
+    build_at = host_take(slots, offsets)
     slots = None  # spent: free the table before the positions are built
     if outside is not None:
         build_at[outside] = -1
     s_pos = np.flatnonzero(build_at >= 0)
-    return build_at[s_pos].astype(np.intp), s_pos
+    return host_take(build_at, s_pos).astype(np.intp), s_pos

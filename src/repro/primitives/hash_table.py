@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..relational.types import id_dtype
+from .gather import host_take
 from .grouping import packed_order
 from .hashing import hash_to_slots
 
@@ -115,16 +116,18 @@ def build_table(
             raise ReproError("hash-table insertion did not converge")
         touched.append(slots)
         np.minimum.at(claim, slots, pending)
-        won = np.flatnonzero(claim[slots] == pending)
+        won = np.flatnonzero(host_take(claim, slots) == pending)
         claim[slots] = unclaimed
+        winner_slots = host_take(slots, won)
         if rounds > 1:
             # Round 1 skips the read: the table starts empty.
-            won = won[table_keys[slots[won]] == EMPTY]
-        winner_slots = slots[won]
+            empty = host_take(table_keys, winner_slots) == EMPTY
+            won = won[empty]
+            winner_slots = winner_slots[empty]
         # Round 1's pending rows are 0..n-1: a winner's position is its row.
-        winners = won if rounds == 1 else pending[won]
-        table_keys[winner_slots] = keys[winners]
-        table_values[winner_slots] = values[winners]
+        winners = won if rounds == 1 else host_take(pending, won)
+        table_keys[winner_slots] = host_take(keys, winners)
+        table_values[winner_slots] = host_take(values, winners)
         lost = np.ones(pending.size, dtype=bool)
         lost[won] = False
         pending = pending[lost]
@@ -160,11 +163,11 @@ def probe_table(
         if rounds > capacity + 1:
             raise ReproError("hash-table probe did not converge")
         touched.append(slots)
-        slot_keys = table_keys[slots]
+        slot_keys = host_take(table_keys, slots)
         hit = slot_keys == keys
         if hit.any():
             hits_probe.append(active[hit])
-            hits_value.append(table_values[slots[hit]])
+            hits_value.append(host_take(table_values, slots[hit]))
         live = slot_keys != EMPTY
         active = active[live]
         keys = keys[live]
@@ -181,11 +184,11 @@ def probe_table(
             by_probe = np.empty(probe_keys.size, dtype=build_vals.dtype)
             by_probe[probe_idx] = build_vals
             probe_idx = np.flatnonzero(hit_once).astype(index_dtype)
-            build_vals = by_probe[probe_idx]
+            build_vals = host_take(by_probe, probe_idx)
         else:
             order = packed_order(probe_idx, build_vals)
-            probe_idx = probe_idx[order]
-            build_vals = build_vals[order]
+            probe_idx = host_take(probe_idx, order)
+            build_vals = host_take(build_vals, order)
     else:
         probe_idx = np.empty(0, dtype=index_dtype)
         build_vals = np.empty(0, dtype=table_values.dtype)

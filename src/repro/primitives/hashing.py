@@ -44,9 +44,10 @@ def multiplicative_hash(keys: np.ndarray) -> np.ndarray:
     the high bits are used; matches the style of hash used by
     shared-memory hash tables in GPU joins.
     """
-    k = _key_words(keys)
+    k = _key_words(keys, copy=True)  # multiplied in place below
     with np.errstate(over="ignore"):
-        return k * FIB_MULT_64
+        k *= FIB_MULT_64
+    return k
 
 
 def mix_hash(keys: np.ndarray) -> np.ndarray:
@@ -75,7 +76,8 @@ def hash_to_slots(keys: np.ndarray, capacity: int) -> np.ndarray:
         raise ValueError(f"capacity must be a positive power of two, got {capacity}")
     bits = int(capacity).bit_length() - 1
     h = multiplicative_hash(keys)
-    return (h >> np.uint64(64 - bits)).astype(np.int64)
+    h >>= np.uint64(64 - bits)
+    return h.view(np.int64)
 
 
 def radix_digit(keys: np.ndarray, start_bit: int, num_bits: int) -> np.ndarray:
@@ -84,8 +86,19 @@ def radix_digit(keys: np.ndarray, start_bit: int, num_bits: int) -> np.ndarray:
     Operates on the two's-complement bit pattern (keys are cast to
     unsigned), matching the RADIX-PARTITION primitive of the paper.
     """
+    return _digit(keys.astype(np.uint64), start_bit, num_bits)
+
+
+def hashed_digit(keys: np.ndarray, start_bit: int, num_bits: int) -> np.ndarray:
+    """``radix_digit(mix_hash(keys), start_bit, num_bits)``."""
+    return _digit(mix_hash(keys), start_bit, num_bits)
+
+
+def _digit(words: np.ndarray, start_bit: int, num_bits: int) -> np.ndarray:
+    """The digit of fresh uint64 *words*, taken in place; as int64."""
     if num_bits <= 0:
         raise ValueError("num_bits must be positive")
-    mask = np.uint64((1 << num_bits) - 1)
-    u = keys.astype(np.uint64, copy=False)
-    return ((u >> np.uint64(start_bit)) & mask).astype(np.int64)
+    if start_bit:
+        words >>= np.uint64(start_bit)
+    words &= np.uint64((1 << num_bits) - 1)
+    return words.view(np.int64)

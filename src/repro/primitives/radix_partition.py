@@ -23,7 +23,8 @@ from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
 from ..relational.types import id_dtype
 from .grouping import stable_key_order
-from .hashing import mix_hash, radix_digit
+from .gather import host_take
+from .hashing import hashed_digit, radix_digit
 
 #: Maximum radix bits a single invocation may use (256 partitions).
 MAX_BITS_PER_PASS = 8
@@ -38,8 +39,8 @@ def partition_codes(
     instead of the raw key bits — used when keys are not uniformly
     distributed across their low bits.
     """
-    base = mix_hash(keys) if hashed else keys
-    return radix_digit(base, start_bit, total_bits)
+    digit = hashed_digit if hashed else radix_digit
+    return digit(keys, start_bit, total_bits)
 
 
 def radix_partition_pass(
@@ -65,9 +66,9 @@ def radix_partition_pass(
             f"{MAX_BITS_PER_PASS} bits, got {num_bits}"
         )
     digit = partition_codes(keys, num_bits, start_bit=start_bit, hashed=hashed)
-    order = np.argsort(digit, kind="stable")
-    keys_out = keys[order]
-    payloads_out = [p[order] for p in payloads]
+    order = stable_key_order(digit)
+    keys_out = host_take(keys, order)
+    payloads_out = [host_take(p, order) for p in payloads]
 
     payload_bytes = sum(int(p.nbytes) for p in payloads)
     stats = KernelStats(
@@ -188,7 +189,7 @@ def partition_layout(
     offsets = np.zeros_like(counts)
     np.cumsum(counts[:-1], out=offsets[1:])
     return Partitioned(
-        keys=keys[order],
+        keys=host_take(keys, order),
         payloads=[],
         counts=counts,
         offsets=offsets,
@@ -222,7 +223,8 @@ def radix_partition(
     per-pass kernels are unchanged, the result is bit-identical.
     """
     part = partition_layout(keys, total_bits, hashed)
-    part.payloads = [p[part.order] for p in payloads]
+    order = part.order.astype(np.intp)  # taken once per payload
+    part.payloads = [host_take(p, order) for p in payloads]
     charge_radix_partition(
         ctx,
         int(keys.size),

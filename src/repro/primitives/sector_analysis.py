@@ -127,33 +127,33 @@ def analyze_indices(indices: np.ndarray, element_bytes: int) -> SectorStats:
 
 
 def _analyze_exact(indices: np.ndarray, element_bytes: int) -> SectorStats:
+    """One int64 copy of the map, worked in place: byte offsets give the
+    per-warp spans, become sector ids, are sorted per warp for the
+    per-warp distinct counts, then sorted whole for the global one."""
     n = int(indices.size)
-    offsets = indices.astype(np.int64, copy=False) * element_bytes
-    sectors = offsets // SECTOR_BYTES
-
     # Pad the final partial warp by repeating its last entry so it adds no
     # spurious distinct sectors or span.
-    pad = (-n) % WARP_SIZE
-    if pad:
-        offsets = np.concatenate([offsets, np.full(pad, offsets[-1])])
-        sectors = np.concatenate([sectors, np.full(pad, sectors[-1])])
+    sectors = np.empty(n + (-n) % WARP_SIZE, dtype=np.int64)
+    sectors[:n] = indices
+    sectors[n:] = sectors[n - 1]
+    sectors *= element_bytes
+    warps = sectors.reshape(-1, WARP_SIZE)
+    spans = (warps.max(axis=1) - warps.min(axis=1) + element_bytes).astype(np.float64)
 
-    warp_offsets = offsets.reshape(-1, WARP_SIZE)
-    warp_sectors = np.sort(sectors.reshape(-1, WARP_SIZE), axis=1)
-
-    distinct_per_warp = 1 + np.count_nonzero(np.diff(warp_sectors, axis=1), axis=1)
-    spans = (
-        warp_offsets.max(axis=1) - warp_offsets.min(axis=1) + element_bytes
-    ).astype(np.float64)
+    sectors //= SECTOR_BYTES
+    warps.sort(axis=1)
+    requests = warps.shape[0]
+    distinct = requests + int(np.count_nonzero(warps[:, 1:] != warps[:, :-1]))
 
     # Globally distinct sectors via sort + boundary count — same integer
-    # as np.unique(sectors).size without the hash-based unique pass.
-    flat = np.sort(sectors, kind="quicksort")
-    cold = 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+    # as np.unique(sectors).size without the hash-based unique pass.  The
+    # per-warp sort leaves the multiset of sector ids as it was.
+    sectors.sort(kind="quicksort")
+    cold = 1 + int(np.count_nonzero(sectors[1:] != sectors[:-1]))
 
     return SectorStats(
-        requests=warp_sectors.shape[0],
-        sector_touches=int(distinct_per_warp.sum()),
+        requests=requests,
+        sector_touches=distinct,
         cold_sectors=cold,
         mean_warp_span_bytes=float(spans.mean()),
     )

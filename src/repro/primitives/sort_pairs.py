@@ -15,6 +15,7 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from .gather import host_take
 from .grouping import stable_key_order
 from .radix_partition import MAX_BITS_PER_PASS
 
@@ -51,8 +52,8 @@ def sort_pairs(
     passes = max(1, -(-key_bits // MAX_BITS_PER_PASS))
 
     order = stable_key_order(keys)
-    keys_sorted = keys[order]
-    payloads_sorted: List[np.ndarray] = [p[order] for p in payloads]
+    keys_sorted = host_take(keys, order)
+    payloads_sorted: List[np.ndarray] = [host_take(p, order) for p in payloads]
 
     payload_bytes = sum(int(p.nbytes) for p in payloads)
     per_pass_bytes = int(keys.nbytes) + payload_bytes

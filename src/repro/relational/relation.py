@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidRelationError
+from ..primitives.gather import host_take
 from .types import column_type
 
 
@@ -131,7 +132,7 @@ class Relation:
     def take(self, indices: np.ndarray, name: str = "") -> "Relation":
         """A new relation with rows at *indices* (in that order)."""
         return Relation(
-            [(n, a[indices]) for n, a in self._columns.items()],
+            [(n, host_take(a, indices)) for n, a in self._columns.items()],
             key=self.key,
             name=name or self.name,
         )

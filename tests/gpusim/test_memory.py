@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AllocationError, DeviceOutOfMemoryError
-from repro.gpusim.memory import DeviceMemory
+from repro.gpusim.memory import BufferPool, DeviceMemory
 
 
 class TestAllocFree:
@@ -64,6 +64,35 @@ class TestAllocFree:
         assert mem.free_by_prefix("part_keys_") == 2
         assert mem.live_labels == ["other"]
         mem.free(keep)
+
+
+class TestPoolOwnership:
+    """The pool recycles only the buffers ``alloc`` produced."""
+
+    def test_freed_adopted_array_is_dropped(self):
+        pool = BufferPool()
+        mem = DeviceMemory(pool=pool)
+        mem.adopt(np.arange(1000, dtype=np.int64), "adopted").free()
+        assert pool.recycled == 0 and pool.pooled_bytes == 0
+        assert mem.alloc(1000, np.int64).data is not None
+        assert pool.hits == 0
+
+    def test_freed_allocation_is_recycled(self):
+        pool = BufferPool()
+        mem = DeviceMemory(pool=pool)
+        mem.alloc(1000, np.int64, zeroed=False).free()
+        assert pool.recycled == 1 and pool.pooled_bytes == 8000
+        mem.alloc(1000, np.int64)
+        assert pool.hits == 1
+
+    def test_allocation_still_referenced_is_not_recycled(self):
+        pool = BufferPool()
+        mem = DeviceMemory(pool=pool)
+        arr = mem.alloc(10, np.int64)
+        kept = arr.data
+        arr.free()
+        assert pool.recycled == 0
+        assert kept.sum() == 0
 
 
 class TestPeaks:

@@ -25,6 +25,7 @@ from repro.gpusim import GPUContext, KernelStats
 from repro.joins.matching import match_positions
 from repro.primitives.hash_table import build_table, probe_table, table_capacity
 from repro.primitives.bucket_chain import bucket_chain_partition
+from repro.primitives.gather import host_take
 from repro.primitives.grouping import group_identify
 from repro.primitives.radix_partition import radix_partition
 from repro.primitives.sector_analysis import analyze_indices, set_sector_mode
@@ -268,4 +269,36 @@ def test_part_agg_throughput():
     assert throughput >= floor("part_agg_rows_per_s"), (
         f"PART-AGG at {throughput:.0f} rows/s, "
         f"floor {floor('part_agg_rows_per_s'):.0f}"
+    )
+
+
+@pytest.mark.parametrize("map_dtype", [np.int32, np.intp], ids=["int32", "intp"])
+def test_host_take_no_slower_than_fancy_indexing(map_dtype):
+    """``host_take`` against ``src[idx]``, in this process: four int32
+    columns of 2^20 rows gathered through one random map.
+
+    Both sides run interleaved, warm, best of 5, so the comparison needs
+    no floor from ``baselines.json`` and holds on any machine speed.
+    The 10% allowance absorbs timer noise on shared runners; a copy of
+    the source or a per-element check costs far more than that.
+    """
+    rng = np.random.default_rng(29)
+    n = 1 << 20
+    columns = [rng.integers(0, 1 << 30, n).astype(np.int32) for _ in range(4)]
+    idx = rng.permutation(n).astype(map_dtype)
+    sides = {
+        "host_take": lambda: [host_take(column, idx) for column in columns],
+        "fancy": lambda: [column[idx] for column in columns],
+    }
+    best = {name: float("inf") for name in sides}
+    for gather_all in sides.values():
+        gather_all()
+    for _ in range(5):
+        for name, gather_all in sides.items():
+            start = time.perf_counter()
+            gather_all()
+            best[name] = min(best[name], time.perf_counter() - start)
+    assert best["host_take"] <= 1.1 * best["fancy"], (
+        f"host_take {best['host_take'] * 1e3:.1f} ms, "
+        f"fancy indexing {best['fancy'] * 1e3:.1f} ms"
     )

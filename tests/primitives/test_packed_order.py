@@ -192,3 +192,81 @@ class TestBucketChainTieBreakers:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny(self, n):
         self._check(np.arange(n, dtype=np.int32), np.full(n, 0.25), 3)
+
+
+class TestWordWidth:
+    """Words are 32 bits while key and row-id bits fit them, else 64; the
+    order is ``intp`` either way, as ``np.argsort`` returns."""
+
+    @staticmethod
+    def _word_dtypes(monkeypatch):
+        """The dtypes of the row-id ``np.arange`` each packed sort makes."""
+        seen = []
+        arange = np.arange
+
+        def spy(*args, **kwargs):
+            seen.append(np.dtype(kwargs.get("dtype")))
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", spy)
+        return seen
+
+    @pytest.mark.parametrize("rows", [3, 1000, 1 << 14])
+    def test_boundary_of_32_bit_words(self, rows, monkeypatch):
+        row_bits = (rows - 1).bit_length()
+        for extra, word in [(0, np.uint32), (1, np.uint64)]:
+            major = _RNG.integers(0, 1 << (32 - row_bits + extra), rows).astype(np.int64)
+            major[0] = (1 << (32 - row_bits + extra)) - 1
+            major[1] = 0
+            seen = self._word_dtypes(monkeypatch)
+            got = packed_order(major)
+            monkeypatch.undo()
+            assert seen == [np.dtype(word)]
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.argsort(major, kind="stable"))
+
+    def test_whole_minor_must_fit_32_bits(self, monkeypatch):
+        major = _RNG.integers(0, 4, 1000)
+        minor = _RNG.integers(0, 1 << 21, 1000)  # 2 + 21 + 10 row bits > 32
+        minor[0] = (1 << 21) - 1
+        seen = self._word_dtypes(monkeypatch)
+        got = packed_order(major, minor)
+        monkeypatch.undo()
+        assert seen == [np.dtype(np.uint64)]
+        assert np.array_equal(got, np.lexsort((minor, major)))
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64],
+        ids=lambda d: np.dtype(d).name,
+    )
+    @pytest.mark.parametrize("log_rows", [10, 14, 16])
+    def test_short_keys_take_the_packed_sort(self, dtype, log_rows):
+        """Keys of <= 2 bytes or a 16-bit span have no tier of their own."""
+        n = 1 << log_rows
+        info = np.iinfo(dtype)
+        span = min(1 << 16, int(info.max) - int(info.min))
+        lo = int(info.max) - span
+        keys = _RNG.integers(lo, info.max, n, endpoint=True).astype(dtype)
+        got = stable_key_order(keys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.empty(0, dtype=np.int32),
+            np.array([3], dtype=np.int32),
+            _RNG.permutation(5000).astype(np.int32) - 77,  # dense permutation
+            (_RNG.permutation(256) - 128).astype(np.int8),  # key - min wraps int8
+            _RNG.integers(0, 9, 5000).astype(np.int8),  # 32-bit words
+            _RNG.integers(0, 1 << 40, 5000),  # 64-bit words
+            _RNG.integers(-(1 << 62), 1 << 62, 5000),  # numpy's stable sort
+            np.round(_RNG.random(5000), 3),  # float keys
+        ],
+        ids=["empty", "single", "permutation", "int8-permutation", "u32", "u64",
+             "fallback", "float"],
+    )
+    def test_every_path_returns_intp(self, keys):
+        got = stable_key_order(keys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))

@@ -1,12 +1,19 @@
 """Exact sector analysis: crafted patterns and property-based invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.device import SECTOR_BYTES, WARP_SIZE
-from repro.primitives.sector_analysis import analyze_indices, sequential_stats
+from repro.primitives.sector_analysis import (
+    SectorStats,
+    _analyze_exact,
+    analyze_indices,
+    sequential_stats,
+)
 
 
 class TestCraftedPatterns:
@@ -123,3 +130,73 @@ def test_sorting_never_increases_touches(indices):
     scattered = analyze_indices(idx, 4)
     clustered = analyze_indices(np.sort(idx), 4)
     assert clustered.sector_touches <= scattered.sector_touches + len(indices) // WARP_SIZE + 1
+
+
+# -- the in-place exact analysis against its frozen former self ---------------
+
+
+def _frozen_analyze_exact(indices: np.ndarray, element_bytes: int) -> SectorStats:
+    """The exact analysis as it was before it worked in place: several
+    int64 copies of the map held at once."""
+    n = int(indices.size)
+    offsets = indices.astype(np.int64, copy=False) * element_bytes
+    sectors = offsets // SECTOR_BYTES
+    pad = (-n) % WARP_SIZE
+    if pad:
+        offsets = np.concatenate([offsets, np.full(pad, offsets[-1])])
+        sectors = np.concatenate([sectors, np.full(pad, sectors[-1])])
+    warp_offsets = offsets.reshape(-1, WARP_SIZE)
+    warp_sectors = np.sort(sectors.reshape(-1, WARP_SIZE), axis=1)
+    distinct_per_warp = 1 + np.count_nonzero(np.diff(warp_sectors, axis=1), axis=1)
+    spans = (
+        warp_offsets.max(axis=1) - warp_offsets.min(axis=1) + element_bytes
+    ).astype(np.float64)
+    flat = np.sort(sectors, kind="quicksort")
+    cold = 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+    return SectorStats(
+        requests=warp_sectors.shape[0],
+        sector_touches=int(distinct_per_warp.sum()),
+        cold_sectors=cold,
+        mean_warp_span_bytes=float(spans.mean()),
+    )
+
+
+def _maps(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    clustered = np.sort(rng.integers(0, 4 * n, n))
+    clustered[rng.integers(0, n, n // 50)] = rng.integers(0, 4 * n, n // 50)
+    yield "random", rng.integers(0, n, n)
+    yield "clustered", clustered
+    yield "sequential", np.arange(n)
+    yield "constant", np.full(n, 7)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1000, 4099, 1 << 14])
+@pytest.mark.parametrize("map_dtype", [np.int32, np.int64, np.uint32])
+@pytest.mark.parametrize("element_bytes", [1, 4, 8, 32])
+def test_exact_analysis_matches_frozen_copy(n, map_dtype, element_bytes):
+    # n not a multiple of 32 exercises the padded final warp.
+    for name, indices in _maps(n, seed=n + element_bytes):
+        indices = indices.astype(map_dtype)
+        got = _analyze_exact(indices, element_bytes)
+        assert got == _frozen_analyze_exact(indices, element_bytes), name
+
+
+@pytest.mark.parametrize("map_dtype", [np.int32, np.int64])
+def test_exact_analysis_peak_bytes_per_index(map_dtype):
+    """One int64 copy of the map (8 B/index) plus a boolean boundary
+    mask; the frozen copy above held about 33 B/index."""
+    n = 1 << 18
+    indices = np.random.default_rng(5).integers(0, n, n).astype(map_dtype)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        _analyze_exact(indices, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak / n <= 11.0
