@@ -1,15 +1,19 @@
 """Out-of-core grouped aggregation: inputs larger than device memory.
 
-The group-by analogue of :mod:`repro.joins.out_of_core`, used by the
-graceful-degradation ladder when even ``PART-AGG`` exceeds the
-(injected or real) device budget:
+The group-by analogue of :mod:`repro.joins.out_of_core`, on the same
+host stager (:mod:`repro.primitives.staging`).  The graceful-degradation
+ladder uses it when even ``PART-AGG`` exceeds the (injected or real)
+device budget:
 
-1. radix-partition the rows *on the host* by hashed group-key bits into
-   ``B`` blocks — every group lands wholly in one block, and the rows of
-   a group keep their original relative order (stable mask selection);
-2. per block: transfer in, run the inner in-memory strategy on a fresh
-   device context, transfer the (tiny) aggregate output back;
-3. merge the per-block outputs.  The blocks' group-key sets are
+1. if the whole input fits the budget, transfer it once and run the
+   inner in-memory strategy;
+2. otherwise radix-partition the rows *on the host* by hashed group-key
+   bits into ``B`` blocks — every group lands wholly in one block, and
+   the rows of a group keep their original relative order (stable
+   bucket order);
+3. per block: transfer in, run the inner strategy on a fresh device
+   context, transfer the (tiny) aggregate output back;
+4. merge the per-block outputs.  The blocks' group-key sets are
    disjoint and each is ascending, so a stable sort of the concatenated
    keys reproduces exactly the global ascending key order of the
    in-memory strategies.
@@ -26,13 +30,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..errors import DeviceOutOfMemoryError
+from ..errors import AggregationConfigError, DeviceOutOfMemoryError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..primitives.gather import host_take
-from ..primitives.grouping import bucket_rows, group_identify
-from ..primitives.radix_partition import partition_codes
+from ..primitives.grouping import group_identify
+from ..primitives.staging import MAX_PIECES, HostStager, fan_out, staging_budget
 from .base import AggSpec, GroupByResult, fold_groups, merge_disjoint_groups
 from .planner import make_groupby_algorithm
 
@@ -40,14 +44,18 @@ from .planner import make_groupby_algorithm
 #: (partitioned copies plus the accumulator table).
 WORKING_SET_FACTOR = 2.0
 
-#: One 8-bit host partitioning pass bounds the staging fan-out.
-MAX_BLOCKS = 256
+
+def _input_bytes(keys: np.ndarray, values: Dict[str, np.ndarray]) -> int:
+    return int(keys.nbytes) + sum(int(v.nbytes) for v in values.values())
+
+
+def _output_bytes(result: GroupByResult) -> int:
+    return sum(int(col.nbytes) for col in result.output.values())
 
 
 def estimate_groupby_footprint(keys: np.ndarray, values: Dict[str, np.ndarray]) -> int:
     """Bytes an in-memory partitioned aggregation needs on the device."""
-    input_bytes = int(keys.nbytes) + sum(int(v.nbytes) for v in values.values())
-    return int(input_bytes * WORKING_SET_FACTOR)
+    return int(_input_bytes(keys, values) * WORKING_SET_FACTOR)
 
 
 class OutOfCoreGroupBy:
@@ -83,7 +91,7 @@ class OutOfCoreGroupBy:
         self.device_budget_bytes = device_budget_bytes
         self.host_device = host_device
         self.config = config
-        self.fault_plan = None if fault_plan is None else fault_plan.without_capacity()
+        self.fault_plan = fault_plan
         self.min_blocks = min_blocks
 
     # -- planning ------------------------------------------------------------
@@ -91,21 +99,21 @@ class OutOfCoreGroupBy:
     def plan_blocks(
         self, keys: np.ndarray, values: Dict[str, np.ndarray], budget: int
     ) -> int:
-        """Number of staged blocks (a power of two; 1 = fits in memory)."""
+        """Number of staged blocks (a power of two; 1 = fits in memory).
+
+        A footprint over :data:`~repro.primitives.staging.MAX_PIECES`
+        budgets raises :class:`DeviceOutOfMemoryError`: each block's
+        working set must fit.
+        """
         footprint = estimate_groupby_footprint(keys, values)
-        ratio = footprint / budget
-        if math.ceil(ratio) > MAX_BLOCKS:
+        if math.ceil(footprint / budget) > MAX_PIECES:
             raise DeviceOutOfMemoryError(
-                footprint // MAX_BLOCKS,
+                footprint // MAX_PIECES,
                 0,
                 budget,
-                label=f"out-of-core block ({MAX_BLOCKS} blocks max)",
+                label=f"out-of-core block ({MAX_PIECES} blocks max)",
             )
-        blocks = 1 if footprint <= budget else 1 << max(
-            1, math.ceil(math.log2(ratio))
-        )
-        blocks = max(blocks, self.min_blocks)
-        return min(MAX_BLOCKS, 1 << math.ceil(math.log2(blocks)))
+        return fan_out(footprint, budget, self.min_blocks)
 
     # -- execution ------------------------------------------------------------
 
@@ -121,84 +129,50 @@ class OutOfCoreGroupBy:
 
         ``phase_seconds`` holds ``host-partition``, ``transfer``,
         ``merge`` and ``device`` (the block runs' summed seconds), in
-        the order the total adds them.
+        the order the total adds them; a run that fits in one block has
+        only ``transfer`` and ``device``.
         """
         keys = np.asarray(keys)
-        budget = (
-            self.device_budget_bytes
-            if self.device_budget_bytes is not None
-            else device.global_mem_bytes
-        )
+        budget = staging_budget(self.device_budget_bytes, device, AggregationConfigError)
         num_blocks = self.plan_blocks(keys, values, budget)
-        bits = max(1, int(math.log2(num_blocks)))
-
-        host_ctx = GPUContext(device=self.host_device, seed=seed)
-        transfer_ctx = GPUContext(device=device, seed=seed)
-
-        codes = partition_codes(keys, bits, hashed=True)
-        input_bytes = int(keys.nbytes) + sum(int(v.nbytes) for v in values.values())
-        passes = max(1, -(-bits // 8))
-        host_ctx.submit(
-            KernelStats(
-                name="host_partition",
-                items=int(keys.size) * passes,
-                seq_read_bytes=input_bytes * passes,
-                seq_write_bytes=input_bytes * passes,
-                launches=0,
-            ),
-            phase="host_partition",
+        stager = HostStager(
+            device, seed, self.fault_plan, "block", _output_bytes,
+            host_device=self.host_device,
         )
-
         strategy = make_groupby_algorithm(self.inner, self.config)
-        block_results: List[GroupByResult] = []
-        for block, rows in enumerate(bucket_rows(codes, 1 << bits)):
-            if rows.size == 0:
-                continue
-            block_keys = host_take(keys, rows)
-            block_values = {name: host_take(col, rows) for name, col in values.items()}
-            block_bytes = int(block_keys.nbytes) + sum(
-                int(v.nbytes) for v in block_values.values()
-            )
-            self._charge_transfer(transfer_ctx, block_bytes, f"transfer_in_{block}")
-            ctx = GPUContext(
-                device=device,
-                seed=None if seed is None else seed + block,
-                fault_plan=self.fault_plan,
-                fault_site=f"gpu/block{block}",
-            )
-            result = strategy.group_by(
-                block_keys, block_values, list(aggregates), ctx=ctx
-            )
-            out_bytes = sum(int(col.nbytes) for col in result.output.values())
-            self._charge_transfer(transfer_ctx, out_bytes, f"transfer_out_{block}")
-            block_results.append(result)
-
-        if block_results:
-            output, merge_seconds = self._merge(block_results, device)
+        if num_blocks == 1:
+            output = stager.run(
+                None, _input_bytes(keys, values),
+                lambda ctx: strategy.group_by(keys, values, list(aggregates), ctx=ctx),
+            ).output
+            phase_seconds = stager.phase_seconds()
         else:
-            # Zero rows: the fold of record keeps the dtype contract.
-            output = fold_groups(*group_identify(keys), values, aggregates)
-            merge_seconds = 0.0
+            blocks = stager.partition(keys, _input_bytes(keys, values), num_blocks)
+            for block, rows in enumerate(blocks):
+                if rows.size == 0:
+                    continue
+                block_keys = host_take(keys, rows)
+                block_values = {name: host_take(col, rows) for name, col in values.items()}
+                stager.run(
+                    block, _input_bytes(block_keys, block_values),
+                    lambda ctx: strategy.group_by(
+                        block_keys, block_values, list(aggregates), ctx=ctx
+                    ),
+                )
+            if stager.results:
+                output, merge_seconds = self._merge(stager.results, device)
+            else:
+                # Zero rows: the fold of record keeps the dtype contract.
+                output = fold_groups(*group_identify(keys), values, aggregates)
+                merge_seconds = 0.0
+            phase_seconds = stager.phase_seconds(merge=merge_seconds)
         return GroupByResult.combine(
-            block_results, output, keys, values, algorithm=f"OOC[{self.inner}]",
+            stager.results, output, keys, values, algorithm=f"OOC[{self.inner}]",
             pattern=strategy.pattern, device=device,
-            phase_seconds={
-                "host-partition": host_ctx.elapsed_seconds,
-                "transfer": transfer_ctx.elapsed_seconds,
-                "merge": merge_seconds,
-                "device": sum(res.total_seconds for res in block_results),
-            },
-            num_blocks=num_blocks,
+            phase_seconds=phase_seconds, num_blocks=num_blocks,
         )
 
     # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _charge_transfer(ctx: GPUContext, num_bytes: int, label: str) -> None:
-        ctx.submit(
-            KernelStats(name=label, host_transfer_bytes=int(num_bytes), launches=0),
-            phase="transfer",
-        )
 
     def _merge(self, block_results, device):
         """Merge the per-block outputs (disjoint ascending key sets)."""

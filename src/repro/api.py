@@ -21,11 +21,11 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .aggregation.base import AggSpec, GroupByConfig, GroupByResult
-from .aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
+from .aggregation.planner import resolve_groupby_algorithm
 from .gpusim.device import A100, DeviceSpec, get_device
 from .joins.base import JoinConfig, JoinResult
-from .joins.planner import make_algorithm, resolve_join_algorithm
-from .query.executor import QueryExecutor
+from .joins.planner import resolve_join_algorithm
+from .query.executor import QueryExecutor, run_group_by, run_join
 from .relational.relation import Relation
 
 
@@ -120,39 +120,15 @@ def join(
     (True, False)
     """
     QueryExecutor.check_modes(shards, fault_plan)
-    spec = _resolve_device(device)
     # Resolved before dispatch, so the hints count in every mode.
     algorithm = resolve_join_algorithm(
         algorithm, r, s, match_ratio=match_ratio, zipf_factor=zipf_factor
     ).algorithm
-    if shards > 1:
-        from .cluster.sharded import sharded_join
-
-        return sharded_join(
-            r,
-            s,
-            algorithm=algorithm,
-            device=spec,
-            num_devices=shards,
-            interconnect=interconnect,
-            config=config,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-    if fault_plan is not None:
-        from .faults.recovery import resilient_join
-
-        return resilient_join(
-            r,
-            s,
-            algorithm=algorithm,
-            device=spec,
-            config=config,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-    impl = make_algorithm(algorithm, config)
-    return impl.join(r, s, device=spec, seed=seed)
+    return run_join(
+        r, s, algorithm, device=_resolve_device(device), config=config,
+        seed=seed, shards=shards, interconnect=interconnect,
+        fault_plan=fault_plan,
+    )
 
 
 def _coerce_aggregates(aggregates) -> List[AggSpec]:
@@ -206,37 +182,11 @@ def group_by(
     """
     QueryExecutor.check_modes(shards, fault_plan)
     spec = _resolve_device(device)
-    agg_specs = _coerce_aggregates(aggregates)
     algorithm = resolve_groupby_algorithm(
         algorithm, keys, spec, zipf_factor=zipf_factor
     ).algorithm
-    if shards > 1:
-        from .cluster.sharded import sharded_group_by
-
-        return sharded_group_by(
-            keys,
-            values,
-            agg_specs,
-            algorithm=algorithm,
-            device=spec,
-            num_devices=shards,
-            interconnect=interconnect,
-            config=config,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-    if fault_plan is not None:
-        from .faults.recovery import resilient_group_by
-
-        return resilient_group_by(
-            keys,
-            values,
-            agg_specs,
-            algorithm=algorithm,
-            device=spec,
-            config=config,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-    impl = make_groupby_algorithm(algorithm, config)
-    return impl.group_by(keys, values, agg_specs, device=spec, seed=seed)
+    return run_group_by(
+        keys, values, _coerce_aggregates(aggregates), algorithm, device=spec,
+        config=config, seed=seed, shards=shards, interconnect=interconnect,
+        fault_plan=fault_plan,
+    )

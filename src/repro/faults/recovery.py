@@ -3,7 +3,9 @@
 The recovery ladders that turn a (injected or real)
 :class:`~repro.errors.DeviceOutOfMemoryError` into a re-plan instead of
 a crash, mirroring Eiger-style memory managers that degrade to
-partitioned/out-of-core execution at the memory cliff:
+partitioned/out-of-core execution at the memory cliff.  Both operators
+pass their rungs to one loop (:func:`_ladder`), whose last rung is the
+staged run, spelled ``OOC[<inner>]x<n>`` in the attempts:
 
 * **join** — in-memory algorithm under memory pressure; on OOM,
   re-plan to the staged :class:`~repro.joins.out_of_core.OutOfCoreJoin`
@@ -35,17 +37,20 @@ result as its ``oom-wasted`` phase and surfaced through the ambient
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..aggregation.base import AggSpec, GroupByResult
+from ..aggregation.out_of_core import OutOfCoreGroupBy
 from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..errors import DeviceOutOfMemoryError, GracefulDegradationError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
 from ..joins.base import JoinResult
+from ..joins.out_of_core import OutOfCoreJoin
 from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..obs.session import current_session
 from ..relational.relation import Relation
@@ -67,8 +72,15 @@ class Recovery:
     wasted_seconds: float = 0.0
 
 
-def _degraded(result, attempts: List[str], wasted: float, algorithm=None):
-    """*result* of a degraded rung, charged the attempts that OOMed."""
+def _degraded(result, attempts: List[str], wasted: float, extra_passes: int,
+              algorithm=None):
+    """*result* of a degraded rung, charged the attempts that OOMed and
+    counted on the ambient trace."""
+    session = current_session()
+    if session is not None:
+        session.count("degraded_operators")
+        if extra_passes > 0:
+            session.count("degraded_extra_passes", float(extra_passes))
     return replace(
         result,
         algorithm=algorithm or result.algorithm,
@@ -77,30 +89,64 @@ def _degraded(result, attempts: List[str], wasted: float, algorithm=None):
     )
 
 
-def _note_oom(ctx: GPUContext, err: DeviceOutOfMemoryError, detail: str) -> None:
-    """Account one OOM on the failing context's injector and trace."""
-    if ctx.faults is not None:
-        ctx.faults.note_oom(detail)
-    session = current_session() if ctx.trace is None else ctx.trace
-    if session is not None:
-        session.count("faults_injected_oom")
-
-
-def _count_degradation(extra_passes: int) -> None:
-    session = current_session()
-    if session is not None:
-        session.count("degraded_operators")
-        if extra_passes > 0:
-            session.count("degraded_extra_passes", float(extra_passes))
-
-
-def _degraded_span(kind: str, **args):
+def _degraded_span(kind: str, algorithm: str, budget: Optional[int]):
     session = current_session()
     if session is None:
-        from contextlib import nullcontext
-
         return nullcontext()
-    return session.span(f"degraded:{kind}", category="degraded", **args)
+    return session.span(f"degraded:{kind}", category="degraded", algorithm=algorithm,
+                        budget_bytes=int(budget or 0), reason="oom")
+
+
+def _ladder(
+    kind: str,
+    rungs: List[Tuple[str, Callable[[GPUContext], object]]],
+    inner: str,
+    staged: Callable[[Optional[int]], object],
+    device: DeviceSpec,
+    seed: Optional[int],
+    fault_plan: Optional[FaultPlan],
+):
+    """The one degradation loop of both operators.
+
+    Runs each ``(name, run)`` rung on a fresh device context under the
+    plan's pressure until one fits, then ``staged(budget)`` (the staged
+    rung over *inner*, sized to the budget the last OOM saw).  The
+    first rung is the planned run; every later one is a degradation,
+    traced as a ``degraded:<kind>`` span and charged the seconds the
+    OOMed attempts wasted.
+    """
+    attempts: List[str] = []
+    wasted = 0.0
+    budget: Optional[int] = None
+    for rung, (name, run) in enumerate(rungs):
+        ctx = GPUContext(device=device, seed=seed, fault_plan=fault_plan, fault_site="gpu")
+        try:
+            if rung == 0:
+                return replace(run(ctx), recovery=Recovery(False, [name]))
+            with _degraded_span(kind, name, budget):
+                result = run(ctx)
+            return _degraded(result, attempts + [name], wasted, 1, f"degraded[{name}]")
+        except DeviceOutOfMemoryError:
+            # One OOM, on the failing context's injector and trace.
+            if ctx.faults is not None:
+                ctx.faults.note_oom(f"{kind}:{name}")
+            if ctx.trace is not None:
+                ctx.trace.count("faults_injected_oom")
+            attempts.append(name)
+            wasted += ctx.elapsed_seconds
+            budget = ctx.mem.capacity_bytes
+
+    label = f"OOC[{inner}]"
+    with _degraded_span(kind, label, budget):
+        try:
+            result = staged(budget)
+        except DeviceOutOfMemoryError as err:
+            raise GracefulDegradationError(
+                f"{kind} exceeds the device budget even staged: {err}",
+                attempts=attempts + [label],
+            ) from err
+    pieces = result.num_chunks if isinstance(result, JoinResult) else result.num_blocks
+    return _degraded(result, attempts + [f"{label}x{pieces}"], wasted, pieces - 1)
 
 
 def resilient_join(
@@ -121,38 +167,19 @@ def resilient_join(
     returned rows equal the in-memory join's up to the row permutation
     the staged join always applies.
     """
-    from ..joins.out_of_core import OutOfCoreJoin
-
     name = resolve_join_algorithm(algorithm, r, s).algorithm
-    attempts: List[str] = []
-    wasted = 0.0
 
-    ctx = GPUContext(
-        device=device, seed=seed, fault_plan=fault_plan, fault_site="gpu"
-    )
-    try:
-        result = make_algorithm(name, config).join(r, s, ctx=ctx)
-        return replace(result, recovery=Recovery(False, [name]))
-    except DeviceOutOfMemoryError as err:
-        attempts.append(name)
-        wasted += ctx.elapsed_seconds
-        _note_oom(ctx, err, f"join:{name}")
-        budget = ctx.mem.capacity_bytes
+    def staged(budget: Optional[int]) -> JoinResult:
+        return OutOfCoreJoin(
+            make_algorithm(name, config), device_budget_bytes=budget,
+            fault_plan=fault_plan, min_chunks=2,
+        ).join(r, s, device=device, seed=seed)
 
-    inner_plan = None if fault_plan is None else fault_plan.without_capacity()
-    staged = OutOfCoreJoin(
-        make_algorithm(name, config),
-        device_budget_bytes=budget,
-        fault_plan=inner_plan,
-        min_chunks=2,
+    return _ladder(
+        "join",
+        [(name, lambda ctx: make_algorithm(name, config).join(r, s, ctx=ctx))],
+        name, staged, device, seed, fault_plan,
     )
-    with _degraded_span(
-        "join", algorithm=name, budget_bytes=int(budget or 0), reason="oom"
-    ):
-        result = staged.join(r, s, device=device, seed=seed)
-    attempts.append(f"out-of-core[{name}]x{result.num_chunks}")
-    _count_degradation(extra_passes=result.num_chunks - 1)
-    return _degraded(result, attempts, wasted)
 
 
 def resilient_group_by(
@@ -174,67 +201,22 @@ def resilient_group_by(
     fold order preserved); if even block staging cannot fit,
     :class:`GracefulDegradationError` lists the attempts.
     """
-    from ..aggregation.out_of_core import OutOfCoreGroupBy
-
     keys = np.asarray(keys)
     name = resolve_groupby_algorithm(algorithm, keys, device).algorithm
-    attempts: List[str] = []
-    wasted = 0.0
-    budget: Optional[int] = None
+
+    def rung(strategy: str):
+        return strategy, lambda ctx: make_groupby_algorithm(strategy, config).group_by(
+            keys, values, list(aggregates), ctx=ctx
+        )
+
+    def staged(budget: Optional[int]) -> GroupByResult:
+        return OutOfCoreGroupBy(
+            inner="PART-AGG", device_budget_bytes=budget, config=config,
+            fault_plan=fault_plan, min_blocks=2,
+        ).group_by(keys, values, list(aggregates), device=device, seed=seed)
 
     ladder = [name] + (["PART-AGG"] if name != "PART-AGG" else [])
-    for rung, strategy in enumerate(ladder):
-        ctx = GPUContext(
-            device=device, seed=seed, fault_plan=fault_plan, fault_site="gpu"
-        )
-        try:
-            if rung == 0:
-                result = make_groupby_algorithm(strategy, config).group_by(
-                    keys, values, list(aggregates), ctx=ctx
-                )
-            else:
-                with _degraded_span(
-                    "group-by",
-                    algorithm=strategy,
-                    budget_bytes=int(budget or 0),
-                    reason="oom",
-                ):
-                    result = make_groupby_algorithm(strategy, config).group_by(
-                        keys, values, list(aggregates), ctx=ctx
-                    )
-                _count_degradation(extra_passes=1)
-            if rung == 0:
-                return replace(result, recovery=Recovery(False, [strategy]))
-            return _degraded(
-                result, attempts + [strategy], wasted, f"degraded[{strategy}]"
-            )
-        except DeviceOutOfMemoryError as err:
-            attempts.append(strategy)
-            wasted += ctx.elapsed_seconds
-            _note_oom(ctx, err, f"group-by:{strategy}")
-            budget = ctx.mem.capacity_bytes
-
-    inner_plan = None if fault_plan is None else fault_plan.without_capacity()
-    staged = OutOfCoreGroupBy(
-        inner="PART-AGG",
-        device_budget_bytes=budget,
-        config=config,
-        fault_plan=inner_plan,
-        min_blocks=2,
+    return _ladder(
+        "group-by", [rung(strategy) for strategy in ladder], "PART-AGG", staged,
+        device, seed, fault_plan,
     )
-    with _degraded_span(
-        "group-by", algorithm="OOC[PART-AGG]", budget_bytes=int(budget or 0),
-        reason="oom",
-    ):
-        try:
-            result = staged.group_by(
-                keys, values, list(aggregates), device=device, seed=seed
-            )
-        except DeviceOutOfMemoryError as err:
-            raise GracefulDegradationError(
-                f"group-by exceeds the device budget even block-staged: {err}",
-                attempts=attempts + ["OOC[PART-AGG]"],
-            ) from err
-    attempts.append(f"OOC[PART-AGG]x{result.num_blocks}")
-    _count_degradation(extra_passes=result.num_blocks - 1)
-    return _degraded(result, attempts, wasted)

@@ -17,14 +17,16 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from ..aggregation.base import value_columns
+from ..aggregation.base import GroupByResult, value_columns
 from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..cancel import current_token
+from ..cluster import sharded
 from ..errors import (
     DeviceOutOfMemoryError,
     JoinConfigError,
     ShardedExecutionWarning,
 )
+from ..faults import recovery
 from ..obs.session import TraceSession, current_session
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
@@ -78,122 +80,73 @@ def _operator_run(result) -> OperatorRun:
     )
 
 
-# -- execution modes -----------------------------------------------------------
+# -- the mode dispatch ---------------------------------------------------------
 #
-# One strategy object per executor runs every Join and Aggregate.  The
-# strategies hold no reference to the executor and look their backends
-# up at call time (module attributes, ``executor.tiering`` methods), so
-# code that patches those names after the executor is built still sees
-# every call.
+# The one place that picks the backend a Join or Aggregate runs on, for
+# ``repro.join``/``repro.group_by`` and the executor alike.  Backends are
+# looked up as module attributes when called, so code that patches
+# ``sharded_join`` or ``resilient_join`` after an executor was built
+# still sees every call.
 
 
-class _Plain:
-    """One device, no faults: the resolved algorithm, run directly."""
-
-    name = "plain"
-
-    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
-        algorithm = resolve_join_algorithm(node.algorithm, left, right).algorithm
-        result = make_algorithm(algorithm, config).join(
-            left, right, device=ex.device, seed=ex.seed
+def run_join(
+    r: Relation, s: Relation, algorithm: str = "auto", device: DeviceSpec = A100,
+    config: Optional[JoinConfig] = None, seed: Optional[int] = None,
+    shards: int = 1, interconnect="nvlink-mesh", fault_plan=None,
+) -> JoinResult:
+    """``R ⋈ S`` in its mode: sharded over ``shards > 1`` devices,
+    on the degradation ladder under a fault plan, else the resolved
+    algorithm on one device."""
+    algorithm = resolve_join_algorithm(algorithm, r, s).algorithm
+    if shards > 1:
+        return sharded.sharded_join(
+            r, s, algorithm=algorithm, device=device, num_devices=shards,
+            interconnect=interconnect, config=config, seed=seed,
+            fault_plan=fault_plan,
         )
-        if ex.join_output_hook is not None and not projected:
-            ex.join_output_hook(node, result.output)
-        return _operator_run(result)
-
-    def aggregate(self, ex, node, child) -> OperatorRun:
-        keys, values = _group_inputs(node, child)
-        algorithm = resolve_groupby_algorithm(node.algorithm, keys, ex.device).algorithm
-        return _operator_run(make_groupby_algorithm(algorithm).group_by(
-            keys, values, list(node.aggregates), device=ex.device, seed=ex.seed
-        ))
+    if fault_plan is not None:
+        return recovery.resilient_join(
+            r, s, algorithm=algorithm, device=device, config=config, seed=seed,
+            fault_plan=fault_plan,
+        )
+    return make_algorithm(algorithm, config).join(r, s, device=device, seed=seed)
 
 
-class _Resilient:
-    """One device under a fault plan: retries and the degradation ladder."""
-
-    name = "resilient"
-
-    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
-        from ..faults import recovery
-
-        return _operator_run(recovery.resilient_join(
-            left, right, algorithm=node.algorithm, device=ex.device,
-            config=config, seed=ex.seed, fault_plan=ex.fault_plan,
-        ))
-
-    def aggregate(self, ex, node, child) -> OperatorRun:
-        from ..faults import recovery
-
-        keys, values = _group_inputs(node, child)
-        return _operator_run(recovery.resilient_group_by(
-            keys, values, list(node.aggregates), algorithm=node.algorithm,
-            device=ex.device, seed=ex.seed, fault_plan=ex.fault_plan,
-        ))
-
-
-class _Sharded:
-    """``shards`` simulated devices: shuffle, per-shard algorithm, merge."""
-
-    name = "sharded"
-
-    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
-        from ..cluster import sharded
-
-        return _operator_run(sharded.sharded_join(
-            left, right, algorithm=node.algorithm, device=ex.device,
-            num_devices=ex.shards, interconnect=ex.interconnect,
-            config=config, seed=ex.seed, fault_plan=ex.fault_plan,
-        ))
-
-    def aggregate(self, ex, node, child) -> OperatorRun:
-        from ..cluster import sharded
-
-        keys, values = _group_inputs(node, child)
-        return _operator_run(sharded.sharded_group_by(
-            keys, values, list(node.aggregates), algorithm=node.algorithm,
-            device=ex.device, num_devices=ex.shards,
-            interconnect=ex.interconnect, seed=ex.seed,
-            fault_plan=ex.fault_plan,
-        ))
-
-
-class _Tiered:
-    """GPU+CPU co-execution over the segment cache for operators that
-    read base relations (``Scan`` children); everything else runs on
-    the single-device *fallback*."""
-
-    name = "tiered"
-
-    def __init__(self, fallback):
-        self.fallback = fallback
-
-    def join(self, ex, node, left, right, config, projected) -> OperatorRun:
-        if not projected and isinstance(node.left, Scan) and isinstance(node.right, Scan):
-            return ex.tiering.run_join(
-                left, right, config=config, session=ex._session,
-                fault_plan=ex.fault_plan, seed=ex.seed,
-            )
-        return self.fallback.join(ex, node, left, right, config, projected)
-
-    def aggregate(self, ex, node, child) -> OperatorRun:
-        if isinstance(node.child, Scan):
-            return ex.tiering.run_group_by(
-                child, node.group_column, list(node.aggregates),
-                session=ex._session, fault_plan=ex.fault_plan, seed=ex.seed,
-            )
-        return self.fallback.aggregate(ex, node, child)
+def run_group_by(
+    keys, values, aggregates, algorithm: str = "auto", device: DeviceSpec = A100,
+    config=None, seed: Optional[int] = None,
+    shards: int = 1, interconnect="nvlink-mesh", fault_plan=None,
+) -> GroupByResult:
+    """A grouped aggregation in its mode, dispatched as :func:`run_join`."""
+    algorithm = resolve_groupby_algorithm(algorithm, keys, device).algorithm
+    if shards > 1:
+        return sharded.sharded_group_by(
+            keys, values, aggregates, algorithm=algorithm, device=device,
+            num_devices=shards, interconnect=interconnect, config=config,
+            seed=seed, fault_plan=fault_plan,
+        )
+    if fault_plan is not None:
+        return recovery.resilient_group_by(
+            keys, values, aggregates, algorithm=algorithm, device=device,
+            config=config, seed=seed, fault_plan=fault_plan,
+        )
+    return make_groupby_algorithm(algorithm, config).group_by(
+        keys, values, aggregates, device=device, seed=seed
+    )
 
 
 class QueryExecutor:
     """Executes logical plans on a simulated device or device cluster.
 
-    ``shards``, ``fault_plan`` and ``tiering`` choose the execution mode
-    every Join and Aggregate runs under, once per executor (``mode``).
-    Every mode returns output bit-identical to the plain run (sharded
-    and degraded joins up to row order).  :meth:`check_modes` is the
-    table of allowed combinations and :meth:`fuses` the join-aggregate
-    fusion rule; see "Execution modes" in ARCHITECTURE.md.
+    ``shards`` and ``fault_plan`` choose the mode every Join and
+    Aggregate runs under, through the same dispatch as ``repro.join``
+    and ``repro.group_by`` (:func:`run_join`, :func:`run_group_by`);
+    with ``tiering``, operators over base-relation scans run on the
+    :class:`~repro.tier.TieredRuntime` instead.  Every mode returns
+    output bit-identical to the plain run (sharded and degraded joins
+    up to row order).  :meth:`check_modes` is the table of allowed
+    combinations and :meth:`fuses` the join-aggregate fusion rule; see
+    "Execution modes" in ARCHITECTURE.md.
     """
 
     def __init__(
@@ -228,13 +181,6 @@ class QueryExecutor:
         self.enable_fusion = enable_fusion
         self.tiering = tiering
         self._session: Optional[TraceSession] = None
-        single_device = _Resilient() if fault_plan is not None else _Plain()
-        if tiering is not None:
-            self.mode = _Tiered(fallback=single_device)
-        elif shards > 1:
-            self.mode = _Sharded()
-        else:
-            self.mode = single_device
 
     @staticmethod
     def check_modes(shards: int, fault_plan=None, tiering=None) -> None:
@@ -352,6 +298,23 @@ class QueryExecutor:
 
     # -- operators ----------------------------------------------------------
 
+    def _join(self, left, right, algorithm, config) -> JoinResult:
+        """One join in this executor's mode."""
+        return run_join(
+            left, right, algorithm, device=self.device, config=config,
+            seed=self.seed, shards=self.shards, interconnect=self.interconnect,
+            fault_plan=self.fault_plan,
+        )
+
+    def _group_by(self, node: Aggregate, child: Relation) -> GroupByResult:
+        """*node*'s aggregation of *child* in this executor's mode."""
+        keys, values = _group_inputs(node, child)
+        return run_group_by(
+            keys, values, list(node.aggregates), node.algorithm,
+            device=self.device, seed=self.seed, shards=self.shards,
+            interconnect=self.interconnect, fault_plan=self.fault_plan,
+        )
+
     def _run_project(
         self, node: Project, child: Relation, trace: List[OperatorTrace]
     ) -> Relation:
@@ -410,16 +373,40 @@ class QueryExecutor:
             config = replace(config, projection=tuple(projection))
             suffix = f" <- pushed {pushed_from}"
         with self._operator_span(node.describe()) as span:
-            run = self.mode.join(
-                self, node, left, right, config, projected=projection is not None
-            )
+            if (
+                self.tiering is not None
+                and projection is None
+                and isinstance(node.left, Scan)
+                and isinstance(node.right, Scan)
+            ):
+                run = self.tiering.run_join(
+                    left, right, config=config, session=self._session,
+                    fault_plan=self.fault_plan, seed=self.seed,
+                )
+            else:
+                result = self._join(left, right, node.algorithm, config)
+                if (
+                    self.join_output_hook is not None
+                    and self.shards == 1
+                    and self.fault_plan is None
+                    and projection is None
+                ):
+                    self.join_output_hook(node, result.output)
+                run = _operator_run(result)
         return self._record(span, trace, "Join", run, suffix)
 
     def _run_aggregate(
         self, node: Aggregate, child: Relation, trace: List[OperatorTrace]
     ):
         with self._operator_span(node.describe()) as span:
-            run = self.mode.aggregate(self, node, child)
+            if self.tiering is not None and isinstance(node.child, Scan):
+                run = self.tiering.run_group_by(
+                    child, node.group_column, list(node.aggregates),
+                    session=self._session, fault_plan=self.fault_plan,
+                    seed=self.seed,
+                )
+            else:
+                run = _operator_run(self._group_by(node, child))
         return self._record(span, trace, "Aggregate", run)
 
     def _run_fused_aggregate(
@@ -467,9 +454,12 @@ class QueryExecutor:
         self, node: Aggregate, left: Relation, right: Relation,
         trace: List[OperatorTrace],
     ):
-        """Unfuse an OOMed fused pipeline and recover stage by stage."""
-        from ..faults import recovery
+        """Unfuse an OOMed fused pipeline and recover stage by stage.
 
+        Only a fault plan's capacity pressure makes the fused pipeline
+        OOM, and fusion runs on one device, so both stages dispatch to
+        the degradation ladder.
+        """
         if self._session is not None:
             self._session.count("faults_injected_oom")
             self._session.count("degraded_operators")
@@ -478,25 +468,8 @@ class QueryExecutor:
         with self._operator_span(
             "FusedJoinAggregate(degraded)", degraded=True
         ) as span:
-            join_res = recovery.resilient_join(
-                left,
-                right,
-                algorithm=node.child.algorithm,
-                device=self.device,
-                config=config,
-                seed=self.seed,
-                fault_plan=self.fault_plan,
-            )
-            keys, values = _group_inputs(node, join_res.output)
-            agg_res = recovery.resilient_group_by(
-                keys,
-                values,
-                list(node.aggregates),
-                algorithm=node.algorithm,
-                device=self.device,
-                seed=self.seed,
-                fault_plan=self.fault_plan,
-            )
+            join_res = self._join(left, right, node.child.algorithm, config)
+            agg_res = self._group_by(node, join_res.output)
         run = OperatorRun(
             agg_res.output,
             f"degraded {join_res.algorithm} + {agg_res.algorithm}",

@@ -145,6 +145,7 @@ def _staged_total(phases, staged_parts) -> float:
         return (phases["host-partition"] + phases["transfer"] + phases["merge"]
                 + phases["device"])
     # The former staged-join total: no host partition when the join fits.
+    # A one-block group-by is staged as the join is: it adds the same.
     return phases.get("host-partition", 0.0) + phases["transfer"] + phases["device"]
 
 
@@ -209,6 +210,10 @@ def test_the_cases_cover_every_mode_detail(relations, groupby_workload):
     assert "host-partition" not in ran["join", "ooc-unstaged"].phase_seconds
     assert ran["group-by", "ooc-staged"].num_blocks > 1
     assert ran["group-by", "ooc-unstaged"].num_blocks == 1
+    # One block runs once, as one chunk does: no host partition, no merge.
+    assert list(ran["group-by", "ooc-unstaged"].phase_seconds) == [
+        "transfer", "device"]
+    assert list(ran["join", "ooc-unstaged"].phase_seconds) == ["transfer", "device"]
     # The phases are listed in the order the former totals added them.
     assert list(ran["group-by", "ooc-staged"].phase_seconds) == [
         "host-partition", "transfer", "merge", "device"]

@@ -59,7 +59,7 @@ class TestResilientJoin:
         assert res.recovery.degraded
         assert res.algorithm == "OOC[PHJ-OM]"
         assert res.recovery.attempts[0] == "PHJ-OM"
-        assert res.recovery.attempts[1].startswith("out-of-core[PHJ-OM]x")
+        assert res.recovery.attempts[1] == f"OOC[PHJ-OM]x{res.num_chunks}"
         assert res.output.equals_unordered(oracle.output)
         assert res.total_seconds > oracle.total_seconds
         assert res.recovery.degraded is True
@@ -88,6 +88,7 @@ class TestResilientJoin:
         spans = session.spans(category="degraded")
         assert [span.name for _, span in spans] == ["degraded:join"]
         assert spans[0][1].args["reason"] == "oom"
+        assert spans[0][1].args["algorithm"] == "OOC[PHJ-OM]"
 
     def test_transient_faults_inside_degraded_chunks(self, relations):
         """without_capacity forwarding: chunk executions keep injecting
@@ -149,3 +150,6 @@ class TestResilientGroupBy:
         spans = session.spans(category="degraded")
         assert all(span.name == "degraded:group-by" for _, span in spans)
         assert res.recovery.degraded is True
+        # The staged rung is spelled as the join's: OOC[<inner>]x<n>.
+        assert res.recovery.attempts[-1] == f"OOC[PART-AGG]x{res.num_blocks}"
+        assert spans[-1][1].args["algorithm"] == "OOC[PART-AGG]"

@@ -4,6 +4,7 @@ allowed combination, and the backends each mode calls at run time."""
 import numpy as np
 import pytest
 
+import repro
 import repro.cluster.sharded as sharded
 import repro.faults.recovery as recovery
 from repro.aggregation import AggSpec
@@ -115,18 +116,6 @@ def test_every_forbidden_mode_raises(relations, mode):
         server.submit(Join(Scan(r), Scan(s)), fault_plan=modes.get("fault_plan"))
 
 
-def test_mode_is_chosen_once_per_executor(plans):
-    executor = _executor(shards=2)
-    mode = executor.mode
-    assert mode.name == "sharded"
-    executor.execute(plans["join"])
-    executor.execute(plans["aggregate"])
-    assert executor.mode is mode
-    assert _executor(tiering=True, fault_plan=FAULTS).mode.fallback.name == "resilient"
-    assert _executor(fault_plan=FAULTS).mode.name == "resilient"
-    assert _executor().mode.name == "plain"
-
-
 def _spy(monkeypatch, owner, name, calls):
     original = getattr(owner, name)
 
@@ -135,6 +124,43 @@ def _spy(monkeypatch, owner, name, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
+
+
+#: The backends a mode may dispatch to; the plain run reaches neither.
+BACKENDS = {
+    "join": ((sharded, "sharded_join"), (recovery, "resilient_join")),
+    "group-by": ((sharded, "sharded_group_by"), (recovery, "resilient_group_by")),
+}
+
+#: The modes the public API shares with the executor.
+API_MODES = sorted(mode for mode in ALLOWED if not mode.startswith("tiering"))
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("mode", API_MODES)
+def test_api_and_executor_share_one_dispatch(relations, monkeypatch, mode, kind):
+    """``repro.join``/``repro.group_by`` and the executor reach the same
+    backend and return the same output and simulated seconds."""
+    r, s = relations
+    modes = ALLOWED[mode]
+    calls = []
+    for owner, name in BACKENDS[kind]:
+        _spy(monkeypatch, owner, name, calls)
+    aggregates = [AggSpec("s1", "sum"), AggSpec("s1", "count")]
+    if kind == "join":
+        direct = repro.join(r, s, seed=SEED, **modes)
+        plan = Join(Scan(r, "r"), Scan(s, "s"))
+    else:
+        direct = repro.group_by(s.column("s2"), {"s1": s.column("s1")},
+                                aggregates, seed=SEED, **modes)
+        plan = Aggregate(Scan(s, "s"), "s2", tuple(aggregates))
+    direct_calls, calls[:] = list(calls), []
+    executed = _executor(**modes).execute(plan)
+    expected = {"plain": [], "shards": [0], "faults": [1], "shards+faults": [0]}
+    assert direct_calls == calls == [BACKENDS[kind][i][1] for i in expected[mode]]
+    assert executed.trace[-1].algorithm == direct.algorithm
+    assert executed.trace[-1].seconds == direct.total_seconds
+    _assert_bit_identical(executed.output, direct.output)
 
 
 @pytest.mark.parametrize("modes,owner,names", [
