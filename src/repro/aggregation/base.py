@@ -130,6 +130,11 @@ class GroupByResult:
     #: The recovery decisions of a group-by run under a fault plan.
     recovery: Optional["Recovery"] = None
 
+    def __post_init__(self):
+        # Read-only like a Relation's columns, so cached outputs stay intact.
+        for column in self.output.values():
+            column.flags.writeable = False
+
     @classmethod
     def combine(
         cls,
@@ -379,6 +384,23 @@ def gather_through(
     return fetch
 
 
+def check_inputs(
+    keys: np.ndarray, values: Dict[str, np.ndarray], aggregates: Sequence[AggSpec]
+) -> None:
+    """Raise :class:`AggregationConfigError` unless every aggregate's
+    value column is given and every value column has a row per key."""
+    for spec in aggregates:
+        if spec.op != "count" and spec.column not in values:
+            raise AggregationConfigError(
+                f"aggregate references missing column {spec.column!r}"
+            )
+    for name, column in values.items():
+        if len(column) != len(keys):
+            raise AggregationConfigError(
+                f"value column {name!r} has {len(column)} rows, keys {len(keys)}"
+            )
+
+
 class GroupByAlgorithm(ABC):
     """Base class for the three aggregation strategies."""
 
@@ -403,11 +425,7 @@ class GroupByAlgorithm(ABC):
         Returns group keys in ascending order with one output column per
         aggregate (named ``<op>_<column>``).
         """
-        for spec in aggregates:
-            if spec.op != "count" and spec.column not in values:
-                raise AggregationConfigError(
-                    f"aggregate references missing column {spec.column!r}"
-                )
+        check_inputs(keys, values, aggregates)
         if ctx is None:
             ctx = GPUContext(device=device, seed=seed)
 

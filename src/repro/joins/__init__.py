@@ -9,7 +9,8 @@
 * :class:`JoinPipeline` — sequences of joins (Figure 16)
 """
 
-from .base import JoinAlgorithm, JoinConfig, JoinResult, detect_unique_keys
+from ..primitives.grouping import detect_unique_keys
+from .base import JoinAlgorithm, JoinConfig, JoinResult
 from .cost_planner import (
     PrimitiveCalibration,
     calibrate_primitives,

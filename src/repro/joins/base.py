@@ -37,9 +37,7 @@ from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import DeviceArray, MemoryReservation
 from ..relational.relation import Relation
-from ..primitives.direct_address import dense_span
 from ..primitives.gather import gather_stats_only, host_take
-from ..primitives.grouping import count_distinct
 from ..relational.types import id_dtype
 
 if TYPE_CHECKING:
@@ -56,10 +54,6 @@ class JoinConfig:
 
     Attributes
     ----------
-    unique_build_keys:
-        Declare the build (R) side keys unique — the primary-foreign-key
-        case the paper focuses on.  Enables the single-pass Merge Path
-        optimization and tighter hash tables.  ``None`` -> auto-detect.
     tuples_per_partition:
         Target co-partition size for partitioned joins (sized so a
         partition's hash table fits in shared memory).
@@ -74,7 +68,6 @@ class JoinConfig:
         build keys — the unoptimized behaviour of prior work (ablation).
     """
 
-    unique_build_keys: Optional[bool] = None
     tuples_per_partition: int = 4096
     partition_bits: Optional[int] = None
     hashed_partitioning: bool = False
@@ -343,23 +336,6 @@ def init_tuple_ids(
     return ids
 
 
-def detect_unique_keys(keys: np.ndarray) -> bool:
-    """True if all key values are distinct.
-
-    Keys spanning at most ``keys.size`` values (a primary-key
-    permutation) mark a seen-table, one flag per value, instead of
-    sorting: they are distinct iff they mark ``keys.size`` flags.
-    """
-    if keys.size <= 1:
-        return True
-    span = dense_span(keys, keys[:0])
-    if span is not None:
-        seen = np.zeros(span[1] - span[0] + 1, dtype=bool)
-        seen[keys - span[0]] = True
-        return np.count_nonzero(seen) == keys.size
-    return count_distinct(keys) == keys.size
-
-
 class JoinAlgorithm(ABC):
     """Base class for the five join implementations.
 
@@ -394,9 +370,6 @@ class JoinAlgorithm(ABC):
         """
         if ctx is None:
             ctx = GPUContext(device=device, seed=seed)
-        unique = self.config.unique_build_keys
-        if unique is None:
-            unique = detect_unique_keys(r.key_values)
 
         # Narrow joins (<= 1 payload column per side) use the paper's
         # two-phase path when the algorithm provides one (Section 2.2):
@@ -412,9 +385,9 @@ class JoinAlgorithm(ABC):
             s_rows=s.num_rows,
         ):
             if is_narrow and narrow_exec is not None and self.config.projection is None:
-                output_columns = narrow_exec(ctx, r, s, unique)
+                output_columns = narrow_exec(ctx, r, s, r.key_is_unique)
             else:
-                out_key, sides, transform = self._execute(ctx, r, s, unique)
+                out_key, sides, transform = self._execute(ctx, r, s, r.key_is_unique)
                 output_columns = materialize(
                     ctx, r, s, self.config.projection, out_key, sides, transform
                 )

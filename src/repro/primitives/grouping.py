@@ -109,6 +109,23 @@ def count_distinct(keys: np.ndarray) -> int:
     return int(np.count_nonzero(_boundaries(np.sort(keys, kind="quicksort"))))
 
 
+def detect_unique_keys(keys: np.ndarray) -> bool:
+    """True if all key values are distinct.
+
+    Keys spanning at most ``keys.size`` values (a primary-key
+    permutation) mark a seen-table, one flag per value, instead of
+    sorting: they are distinct iff they mark ``keys.size`` flags.
+    """
+    if keys.size <= 1:
+        return True
+    span = dense_span(keys, keys[:0])
+    if span is not None:
+        seen = np.zeros(span[1] - span[0] + 1, dtype=bool)
+        seen[keys - span[0]] = True
+        return int(np.count_nonzero(seen)) == keys.size
+    return count_distinct(keys) == keys.size
+
+
 def distinct_sorted(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values — ``np.unique(keys)`` without the hash pass."""
     if keys.size == 0:

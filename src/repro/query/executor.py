@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from ..aggregation.base import GroupByResult, value_columns
+from ..aggregation.base import GroupByResult, check_inputs, value_columns
 from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..cancel import current_token
 from ..cluster import sharded
@@ -117,7 +117,9 @@ def run_group_by(
     config=None, seed: Optional[int] = None,
     shards: int = 1, interconnect="nvlink-mesh", fault_plan=None,
 ) -> GroupByResult:
-    """A grouped aggregation in its mode, dispatched as :func:`run_join`."""
+    """A grouped aggregation in its mode, dispatched as :func:`run_join`;
+    its inputs are checked before a mode splits their rows."""
+    check_inputs(keys, values, aggregates)
     algorithm = resolve_groupby_algorithm(algorithm, keys, device).algorithm
     if shards > 1:
         return sharded.sharded_group_by(

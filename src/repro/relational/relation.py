@@ -9,18 +9,38 @@ virtual IDs (implied positions) depending on the join pattern.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import InvalidRelationError
 from ..primitives.gather import host_take
+from ..primitives.grouping import detect_unique_keys
 from .types import column_type
 
 
 class Relation:
     """An in-memory columnar relation with one designated key column.
+
+    A relation is a read-only value.  It stores ``np.ascontiguousarray``
+    of each column and clears its ``writeable`` flag; for an array that
+    is already contiguous this is the caller's own object, which the
+    relation takes over, so a later write through it raises (a view's
+    base stays writable: do not write it).  Its content facts,
+    :attr:`fingerprint` and :attr:`key_is_unique`, are computed once.
+
+    >>> import numpy as np
+    >>> keys = np.arange(4, dtype=np.int32)
+    >>> r = Relation({"key": keys}, key="key")
+    >>> keys[0] = 7
+    Traceback (most recent call last):
+    ValueError: assignment destination is read-only
+    >>> twin = Relation({"key": np.arange(4, dtype=np.int32)}, key="key")
+    >>> twin.fingerprint == r.fingerprint, r.key_is_unique
+    (True, True)
 
     Parameters
     ----------
@@ -53,7 +73,8 @@ class Relation:
                 raise InvalidRelationError(
                     f"column {col_name!r} has {array.size} rows, expected {length}"
                 )
-            self._columns[col_name] = np.ascontiguousarray(array)
+            self._columns[col_name] = array = np.ascontiguousarray(array)
+            array.flags.writeable = False
         if not self._columns:
             raise InvalidRelationError("a relation needs at least one column")
         if key not in self._columns:
@@ -101,6 +122,26 @@ class Relation:
     @property
     def total_bytes(self) -> int:
         return sum(int(a.nbytes) for a in self._columns.values())
+
+    # -- facts ----------------------------------------------------------------
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash of the schema, key designation and bytes: equal
+        relations share it, and one changed value gives a new one."""
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(self.key.encode("utf-8"))
+        for name, array in self._columns.items():
+            digest.update(b"\x00" + name.encode("utf-8") + str(array.dtype).encode())
+            digest.update(array)
+        return digest.hexdigest()
+
+    @cached_property
+    def key_is_unique(self) -> bool:
+        """True if the key column holds no value twice: a primary-key
+        build side, which the joins match in one Merge Path pass and
+        with one-slot tables."""
+        return detect_unique_keys(self.key_values)
 
     # -- access ---------------------------------------------------------------
 

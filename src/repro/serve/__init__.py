@@ -40,7 +40,6 @@ from .cache import (
     ResultCache,
     pin_plan,
     plan_signature,
-    relation_fingerprint,
 )
 from .driver import DriverReport, QueryTemplate, TemplateStats, WorkloadDriver
 from .quota import RetryBudget, TenantQuota, TenantState
@@ -82,7 +81,6 @@ __all__ = [
     "WorkloadDriver",
     "pin_plan",
     "plan_signature",
-    "relation_fingerprint",
     "serve_chrome_trace",
     "write_serve_trace",
 ]

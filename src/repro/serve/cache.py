@@ -24,10 +24,9 @@ with equal bytes share entries and any data change misses cleanly.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,44 +39,25 @@ from ..relational.relation import Relation
 Signature = Tuple
 
 
-def relation_fingerprint(relation: Relation) -> str:
-    """Content hash of a relation: schema, key designation, and bytes.
-
-    Two relations with identical columns (names, dtypes, values, order)
-    and the same key column collide on purpose; any difference — one
-    changed payload value included — produces a new fingerprint.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(relation.key.encode("utf-8"))
-    for name, array in relation.columns().items():
-        digest.update(b"\x00")
-        digest.update(name.encode("utf-8"))
-        digest.update(str(array.dtype).encode("ascii"))
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
-
-
-def plan_signature(
-    node: PlanNode, fingerprint: Callable[[Relation], str]
-) -> Signature:
+def plan_signature(node: PlanNode) -> Signature:
     """Normalized, hashable identity of a logical plan over its data.
 
-    *fingerprint* resolves a scanned relation to its content hash (the
-    server passes a catalog-memoized resolver).  The signature includes
-    requested algorithm names: forcing ``"SMJ-OM"`` and leaving
-    ``"auto"`` may produce different row orders, so they must not share
-    result-cache entries.
+    A scan signs itself with its relation's content
+    :attr:`~repro.relational.relation.Relation.fingerprint`.  The
+    signature includes requested algorithm names: forcing ``"SMJ-OM"``
+    and leaving ``"auto"`` may produce different row orders, so they
+    must not share result-cache entries.
     """
     if isinstance(node, Scan):
-        return ("scan", fingerprint(node.relation))
+        return ("scan", node.relation.fingerprint)
     if isinstance(node, Project):
-        return ("project", tuple(node.columns), plan_signature(node.child, fingerprint))
+        return ("project", tuple(node.columns), plan_signature(node.child))
     if isinstance(node, Join):
         return (
             "join",
             node.algorithm,
-            plan_signature(node.left, fingerprint),
-            plan_signature(node.right, fingerprint),
+            plan_signature(node.left),
+            plan_signature(node.right),
         )
     if isinstance(node, Aggregate):
         return (
@@ -85,7 +65,7 @@ def plan_signature(
             node.algorithm,
             node.group_column,
             tuple((spec.column, spec.op) for spec in node.aggregates),
-            plan_signature(node.child, fingerprint),
+            plan_signature(node.child),
         )
     raise TypeError(f"unknown plan node {type(node).__name__}")
 
@@ -304,6 +284,12 @@ def output_nbytes(output: object) -> int:
     if isinstance(output, dict):
         return sum(int(np.asarray(col).nbytes) for col in output.values())
     return 0
+
+
+def output_shell(output: object) -> object:
+    """*output* over the same read-only columns, a group-by's in a new
+    dict, so no caller can rebind a cached entry's column."""
+    return OrderedDict(output) if isinstance(output, dict) else output
 
 
 class PlanCache(DependentLRU):

@@ -95,6 +95,7 @@ from .cache import (
     PlanCache,
     ResultCache,
     output_nbytes,
+    output_shell,
     pin_plan,
     plan_signature,
 )
@@ -443,10 +444,6 @@ class QueryServer:
         self.verify_cache_inserts = verify_cache_inserts
         self.outcomes: List[QueryOutcome] = []
         self._catalog: Dict[str, Relation] = {}
-        self._names_by_id: Dict[int, str] = {}
-        #: id(relation) -> (relation, fingerprint); the strong reference
-        #: keeps ids from being recycled under the memo.
-        self._fp_memo: Dict[int, Tuple[Relation, str]] = {}
         self._arrivals: List[Tuple[float, int, QueryRequest]] = []
         self._queue: List[Tuple[int, float, int, QueryRequest]] = []
         self._inflight: Dict[int, _InFlight] = {}
@@ -467,8 +464,7 @@ class QueryServer:
                 f"relation {name!r} already registered; use update()"
             )
         self._catalog[name] = relation
-        self._names_by_id[id(relation)] = name
-        self._fingerprint(relation)
+        relation.fingerprint  # hash now, not in the first query
         if self.tiering is not None:
             # Segment eagerly under the catalog name so tier counters,
             # popularity and placement spans read in catalog terms.
@@ -481,14 +477,8 @@ class QueryServer:
         if name not in self._catalog:
             raise ServeConfigError(f"relation {name!r} is not registered")
         old = self._catalog[name]
-        self._names_by_id.pop(id(old), None)
-        # Drop the fingerprint memo too: it holds a strong reference to
-        # the replaced relation, which would pin every superseded
-        # version in host memory across a long update-heavy run.
-        self._fp_memo.pop(id(old), None)
         self._catalog[name] = relation
-        self._names_by_id[id(relation)] = name
-        self._fingerprint(relation)
+        relation.fingerprint  # hash now, not in the first query
         invalidated = self.plan_cache.invalidate(name)
         invalidated += self.result_cache.invalidate(name)
         if self.tiering is not None:
@@ -505,16 +495,6 @@ class QueryServer:
         if name not in self._catalog:
             raise ServeConfigError(f"relation {name!r} is not registered")
         return self._catalog[name]
-
-    def _fingerprint(self, relation: Relation) -> str:
-        from .cache import relation_fingerprint
-
-        memo = self._fp_memo.get(id(relation))
-        if memo is not None:
-            return memo[1]
-        fingerprint = relation_fingerprint(relation)
-        self._fp_memo[id(relation)] = (relation, fingerprint)
-        return fingerprint
 
     # -- tenants -----------------------------------------------------------
 
@@ -551,12 +531,8 @@ class QueryServer:
 
     def _plan_deps(self, plan: PlanNode) -> List[str]:
         """Registered names the plan reads (for invalidation tracking)."""
-        names = []
-        for relation in plan_relations(plan):
-            name = self._names_by_id.get(id(relation))
-            if name is not None and name not in names:
-                names.append(name)
-        return names
+        scanned = {id(relation) for relation in plan_relations(plan)}
+        return [n for n, rel in self._catalog.items() if id(rel) in scanned]
 
     # -- metrics -----------------------------------------------------------
 
@@ -1071,15 +1047,14 @@ class QueryServer:
         # paying under pressure, and an unfused trace must never be
         # pinned as if it were the fused shape.
         populate_ok = lookup_ok and not degrade
-        cache_key = ("opt" if request.optimize else "raw",
-                     plan_signature(request.plan, self._fingerprint))
+        cache_key = ("opt" if request.optimize else "raw", plan_signature(request.plan))
         deps = self._plan_deps(request.plan)
 
         if lookup_ok and self.enable_result_cache:
             entry = self.result_cache.get(cache_key)
             if entry is not None:
                 self._count("serve.result_cache_hits")
-                result = QueryResult(output=entry.value, trace=[])
+                result = QueryResult(output=output_shell(entry.value), trace=[])
                 return _InFlight(
                     request=request,
                     result=result,
@@ -1183,14 +1158,13 @@ class QueryServer:
                 self._check_cache_insert(request, result.output)
                 self.result_cache.put(
                     cache_key,
-                    result.output,
+                    output_shell(result.output),
                     deps=deps,
                     nbytes=output_nbytes(result.output),
                 )
                 for node, relation in captured:
                     self.result_cache.put(
-                        ("opt" if request.optimize else "raw",
-                         plan_signature(node, self._fingerprint)),
+                        ("opt" if request.optimize else "raw", plan_signature(node)),
                         relation,
                         deps=deps,
                         nbytes=relation.total_bytes,
@@ -1259,8 +1233,7 @@ class QueryServer:
         hits = 0
 
         def lookup(node: Join) -> Optional[Relation]:
-            key = ("opt" if optimize else "raw",
-                   plan_signature(node, self._fingerprint))
+            key = ("opt" if optimize else "raw", plan_signature(node))
             if key not in self.result_cache:
                 return None
             entry = self.result_cache.get(key)

@@ -32,9 +32,9 @@ relation is invalidated:
   placement pass, the hot/cold split and the charges iterate;
 * each column's group index (:meth:`SegmentedRelation.groups`) and each
   ``(group column, value column, op)`` fold
-  (:meth:`SegmentedRelation.fold`), handed out as copies;
-* each relation pair's join index: the read-only output columns, so a
-  repeat join copies them instead of gathering them again.
+  (:meth:`SegmentedRelation.fold`);
+* each relation pair's join index: the output relation, so a repeat
+  join hands out its read-only columns instead of gathering them again.
 
 The simulated clock still charges every kernel on every call.
 """
@@ -51,7 +51,7 @@ from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import DeviceMemory
-from ..joins.base import JoinConfig, detect_unique_keys, output_column_names
+from ..joins.base import JoinConfig, output_column_names
 from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
 from ..query.plan import OperatorRun, plan_relations
@@ -70,12 +70,10 @@ DEFAULT_SEGMENT_ROWS = 4096
 class _JoinIndex(NamedTuple):
     """One memoised join of a build and a probe relation version."""
 
-    #: ``(output name, column)`` per :func:`output_column_names`, in
-    #: s-major match order; every column is read-only
-    columns: Tuple[Tuple[str, np.ndarray], ...]
+    #: the output, in s-major match order
+    output: Relation
     #: the match count of each probe segment
     per_segment: np.ndarray
-    matches: int
 
 
 class TieredRuntime:
@@ -131,8 +129,7 @@ class TieredRuntime:
         self.amortize_admission = bool(amortize_admission)
         self._by_id: Dict[int, SegmentedRelation] = {}
         self._names: Dict[str, int] = {}
-        # (build name, probe name, unique_build_keys hint) -> _JoinIndex
-        self._join_indexes: Dict[Tuple[str, str, Optional[bool]], _JoinIndex] = {}
+        self._join_indexes: Dict[Tuple[str, str], _JoinIndex] = {}
 
     # -- registry ------------------------------------------------------------
 
@@ -147,17 +144,12 @@ class TieredRuntime:
         layer passes its catalog name so tier counters, popularity and
         placement spans read in catalog terms.
 
-        A registered relation must not be mutated in place: the runtime
-        keeps join and group indexes over its keys.  Only
-        :meth:`invalidate_relation` (which ``QueryServer.update`` calls)
-        replaces one.
-
-        Those indexes are not bounded: they live until the relation is
-        invalidated, which for a relation an operator registered (an ad
-        hoc scan) is never.  A join index holds the join's output, as
-        many bytes per output row as an output row has, a group index 4
-        bytes per row plus its distinct keys, and each memoised fold 8
-        bytes per group.
+        Its join and group indexes are not bounded: they live until the
+        relation is invalidated, which for a relation an operator
+        registered (an ad hoc scan) is never.  A join index holds the
+        join's output, as many bytes per output row as an output row
+        has, a group index 4 bytes per row plus its distinct keys, and
+        each memoised fold 8 bytes per group.
         """
         existing = self._by_id.get(id(relation))
         if existing is not None:
@@ -193,7 +185,7 @@ class TieredRuntime:
         self._join_indexes = {
             pair: index
             for pair, index in self._join_indexes.items()
-            if name not in pair[:2]
+            if name not in pair
         }
         self.policy.forget(name)
         return self.cache.evict_relation(name)
@@ -493,15 +485,11 @@ class TieredRuntime:
         r_missing = left.total_bytes - r_resident
         s_bytes = segS.table(s_cols).nbytes
 
-        index = self._join_index(segR, segS, config.unique_build_keys)
-        matches = index.matches
+        index = self._join_index(segR, segS)
+        matches = index.output.num_rows
         hot_matches = int(index.per_segment[sorted(hot)].sum())
         cold_matches = matches - hot_matches
-        output = Relation(
-            [(name, column.copy()) for name, column in index.columns],
-            key="key",
-            name=config.output_name,
-        )
+        output = Relation(index.output.columns(), key="key", name=config.output_name)
 
         out_bytes = output.total_bytes
         hot_out_bytes = int(out_bytes * hot_matches / matches) if matches else 0
@@ -601,40 +589,31 @@ class TieredRuntime:
         )
 
     def _join_index(
-        self,
-        segR: SegmentedRelation,
-        segS: SegmentedRelation,
-        unique_hint: Optional[bool],
+        self, segR: SegmentedRelation, segS: SegmentedRelation
     ) -> _JoinIndex:
         """The memoised join index of build *segR* and probe *segS*.
 
-        Keyed by the ``unique_build_keys`` hint as given, so a wrong
-        ``True`` hint never shares an entry with auto-detection.  It
-        keeps the output columns, not the match positions: a repeat
-        join copies them, which is cheaper than gathering them again.
+        It keeps the output relation, not the match positions: a repeat
+        join hands out its read-only columns instead of gathering them
+        again.
         """
-        pair = (segR.name, segS.name, unique_hint)
+        pair = (segR.name, segS.name)
         index = self._join_indexes.get(pair)
         if index is not None:
             return index
         left, right = segR.relation, segS.relation
-        unique = unique_hint
-        if unique is None:
-            unique = detect_unique_keys(left.key_values)
-        r_idx, s_idx = match_positions(left.key_values, right.key_values, unique)
+        r_idx, s_idx = match_positions(
+            left.key_values, right.key_values, left.key_is_unique
+        )
         columns = []
         for side, source, out_name in output_column_names(left, right):
             rel, idx = (left, r_idx) if side == "r" else (right, s_idx)
-            column = rel.column(source)[idx]
-            column.flags.writeable = False
-            columns.append((out_name, column))
+            columns.append((out_name, rel.column(source)[idx]))
+        output = Relation(columns, key="key")
         per_segment = np.bincount(
             s_idx // segS.segment_rows, minlength=segS.num_segments
         )
-        per_segment.flags.writeable = False
-        index = self._join_indexes[pair] = _JoinIndex(
-            tuple(columns), per_segment, int(s_idx.size)
-        )
+        index = self._join_indexes[pair] = _JoinIndex(output, per_segment)
         return index
 
     # -- group-by ------------------------------------------------------------
@@ -664,10 +643,7 @@ class TieredRuntime:
 
         group_keys, inverse = segrel.groups(group_column)
         groups = int(group_keys.size)
-        output = OrderedDict(
-            (name, column.copy())
-            for name, column in segrel.fold(group_column, tuple(aggregates)).items()
-        )
+        output = OrderedDict(segrel.fold(group_column, tuple(aggregates)))
         hot_idx = sorted(hot)
         cold_idx = [i for i in range(segrel.num_segments) if i not in hot]
         hot_groups, cold_groups = _tier_group_counts(

@@ -68,10 +68,10 @@ class SegmentedRelation:
     * per-column group indexes (:meth:`groups`);
     * per-``(group column, aggregates)`` folds (:meth:`fold`).
 
-    Registered relations are never mutated in place, so all of it lives
-    exactly as long as this object: ``TieredRuntime.invalidate_relation``
-    (and so ``QueryServer.update``) drops the segmented relation and its
-    indexes with it.
+    Relations are read-only values, so all of it lives exactly as long
+    as this object: ``TieredRuntime.invalidate_relation`` (and so
+    ``QueryServer.update``) drops the segmented relation and its indexes
+    with it.
     """
 
     def __init__(self, relation: Relation, segment_rows: int, name: str = ""):
@@ -185,7 +185,7 @@ class SegmentedRelation:
     ) -> "OrderedDict[str, np.ndarray]":
         """Memoised :func:`fold_groups` of *aggregates* by *group_column*.
 
-        Every column is read-only; callers that hand them out copy them.
+        Every column is read-only, so callers hand them out uncopied.
         """
         memo_key = (group_column, aggregates)
         memo = self._folds.get(memo_key)

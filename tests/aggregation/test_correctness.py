@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.aggregation import AggSpec, OutOfCoreGroupBy, make_groupby_algorithm
 from repro.api import group_by
 from repro.errors import AggregationConfigError
+from repro.faults import FaultPlan
 from repro.faults.recovery import resilient_group_by
 from repro.relational import reference_groupby
 from repro.relational.relation import Relation
@@ -72,6 +73,22 @@ class TestValidation:
         with pytest.raises(AggregationConfigError, match="missing column"):
             make_groupby_algorithm("HASH-AGG").group_by(
                 keys, {}, [AggSpec("nope", "sum")]
+            )
+
+    @pytest.mark.parametrize("strategy", ["HASH-AGG", "SORT-AGG", "PART-AGG"])
+    @pytest.mark.parametrize("mode", ["plain", "shards", "faults"])
+    @pytest.mark.parametrize("rows", [90, 110])
+    def test_mismatched_column_length_rejected(self, strategy, mode, rows):
+        keys = np.arange(100, dtype=np.int32) % 7
+        kwargs = {
+            "plain": {},
+            "shards": {"shards": 2},
+            "faults": {"fault_plan": FaultPlan(seed=1, kernel_fault_rate=0.2)},
+        }[mode]
+        with pytest.raises(AggregationConfigError, match=f"{rows} rows"):
+            group_by(
+                keys, {"v": np.arange(rows, dtype=np.int64)},
+                [AggSpec("v", "sum")], algorithm=strategy, **kwargs,
             )
 
     def test_unknown_operator_rejected(self):

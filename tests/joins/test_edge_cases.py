@@ -111,10 +111,3 @@ class TestForcedOptions:
         single = SortMergeJoinOM().join(r, s, seed=0)
         double = SortMergeJoinOM(JoinConfig(double_merge_pass=True)).join(r, s, seed=0)
         assert single.output.equals_unordered(double.output)
-
-    def test_unique_build_keys_flag_respected(self):
-        r = _rel([3, 1, 2], prefix="r")
-        s = _rel([1, 1, 3], prefix="s")
-        cfg = JoinConfig(unique_build_keys=True)
-        result = PartitionedHashJoin(cfg).join(r, s, seed=0)
-        assert result.matches == 3

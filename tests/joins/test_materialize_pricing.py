@@ -36,7 +36,6 @@ from repro.joins.base import (
     TRANSFORM,
     JoinConfig,
     JoinResult,
-    detect_unique_keys,
     init_tuple_ids,
     output_column_names,
 )
@@ -47,6 +46,7 @@ from repro.joins.smj import _charge_match_output, _sort_temp_bytes
 from repro.obs.session import KERNEL, TraceSession
 from repro.primitives.bucket_chain import bucket_chain_partition
 from repro.primitives.gather import gather
+from repro.primitives.grouping import detect_unique_keys
 from repro.primitives.hash_table import build_table, probe_table, table_capacity
 from repro.primitives.merge_path import match_bounds
 from repro.primitives.radix_partition import partition_codes, plan_passes
@@ -107,9 +107,7 @@ class _FrozenJoin:
 
     def join(self, r, s, ctx):
         assert max(r.num_payload_columns, s.num_payload_columns) > 1  # wide
-        unique = self.config.unique_build_keys
-        if unique is None:
-            unique = detect_unique_keys(r.key_values)
+        unique = detect_unique_keys(r.key_values)
         with ctx.trace_span(
             f"join:{self.name}",
             category="algorithm",

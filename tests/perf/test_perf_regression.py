@@ -180,9 +180,9 @@ def test_bucket_chain_throughput():
 def test_tier_repeat_join_throughput():
     """A tiered 2^14 x 2^16 join repeated on a warm runtime (joins/s).
 
-    The runtime keeps the pair's join index, so a repeat pays placement,
-    pricing and one copy per output column, but neither the match
-    search nor the gathers.
+    The runtime keeps the pair's join index, so a repeat pays placement
+    and pricing and hands out the index's read-only columns, but pays
+    neither the match search nor the gathers.
     """
     rng = np.random.default_rng(3)
     n_r, n_s = 1 << 14, 1 << 16
@@ -215,7 +215,7 @@ def test_tier_repeat_groupby_throughput():
     """A tiered 2^16-row group-by repeated on a warm runtime (group-bys/s).
 
     The relation keeps its segment table, group index and folds, so a
-    repeat pays placement, pricing and one copy per output column.
+    repeat pays placement and pricing and copies no output column.
     """
     rng = np.random.default_rng(3)
     n = 1 << 16

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import GPUContext
-from repro.joins.base import detect_unique_keys
 from repro.joins.matching import match_positions
 from repro.primitives.direct_address import dense_span
+from repro.primitives.grouping import detect_unique_keys
 from repro.primitives.merge_path import lower_bounds, upper_bounds
 from repro.relational.types import id_dtype
 

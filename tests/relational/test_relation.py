@@ -1,10 +1,14 @@
 """Relation container: construction, validation, transforms, comparison."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import InvalidRelationError
 from repro.relational import Relation
+from repro.relational import relation as relation_module
 
 
 def _rel(n=10, payloads=2, key="key"):
@@ -104,10 +108,9 @@ class TestComparison:
 
     def test_equals_unordered_detects_difference(self):
         rel = _rel(n=5)
-        other = Relation(
-            [(n, a.copy()) for n, a in rel.columns().items()], key=rel.key
-        )
-        other.column("p1")[0] += 1
+        columns = {n: a.copy() for n, a in rel.columns().items()}
+        columns["p1"][0] += 1
+        other = Relation(columns, key=rel.key)
         assert not rel.equals_unordered(other)
 
     def test_equals_unordered_different_schemas(self):
@@ -121,3 +124,51 @@ class TestComparison:
         a = rel.take(np.random.default_rng(2).permutation(20)).sorted_by_all_columns()
         b = rel.take(np.random.default_rng(3).permutation(20)).sorted_by_all_columns()
         assert np.array_equal(a.key_values, b.key_values)
+
+
+class TestValueFacts:
+    """A relation is a read-only value that carries its own facts."""
+
+    def test_a_callers_write_to_a_stored_array_raises(self):
+        keys = np.arange(8, dtype=np.int32)
+        rel = Relation({"key": keys}, key="key")
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            rel.key_values[0] = 7
+        assert rel.key_values.tolist() == list(range(8))
+
+    def test_key_uniqueness_is_detected_once_per_relation(self, monkeypatch):
+        calls = []
+        real = relation_module.detect_unique_keys
+
+        def spy(keys):
+            calls.append(keys.size)
+            return real(keys)
+
+        monkeypatch.setattr(relation_module, "detect_unique_keys", spy)
+        rng = np.random.default_rng(4)
+        payloads = [rng.integers(0, 100, 600).astype(np.int32)] * 2
+        r = Relation.from_key_payloads(
+            rng.permutation(600).astype(np.int32), payloads, payload_prefix="r"
+        )
+        s = Relation.from_key_payloads(
+            rng.integers(0, 600, 600).astype(np.int32), payloads, payload_prefix="s"
+        )
+        for algorithm in ("PHJ-OM", "SMJ-OM", "PHJ-OM", "NPJ"):
+            repro.join(r, s, algorithm=algorithm, seed=0)
+        assert calls == [600]
+        assert r.key_is_unique and not s.key_is_unique
+        assert calls == [600, 600]
+
+    def test_fingerprint_hashes_schema_and_bytes(self):
+        rel = _rel(n=50)
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(rel.key.encode("utf-8"))
+        for name, array in rel.columns().items():
+            digest.update(b"\x00")
+            digest.update(name.encode("utf-8"))
+            digest.update(str(array.dtype).encode("ascii"))
+            digest.update(array.tobytes())
+        assert rel.fingerprint == digest.hexdigest()
+        assert _rel(n=50).fingerprint == rel.fingerprint

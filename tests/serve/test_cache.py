@@ -7,12 +7,7 @@ from repro.query import execute
 from repro.query.plan import Aggregate, Join, Scan
 from repro.aggregation import AggSpec
 from repro.relational.relation import Relation
-from repro.serve import (
-    DependentLRU,
-    QueryServer,
-    plan_signature,
-    relation_fingerprint,
-)
+from repro.serve import DependentLRU, QueryServer, plan_signature
 
 from tests.serve.conftest import SERVE_SEED, assert_bit_identical, make_relation
 
@@ -23,12 +18,12 @@ from tests.serve.conftest import SERVE_SEED, assert_bit_identical, make_relation
 def test_fingerprint_is_content_addressed():
     a = make_relation(64, seed=5, prefix="a")
     b = make_relation(64, seed=5, prefix="a")
-    assert relation_fingerprint(a) == relation_fingerprint(b)
+    assert a.fingerprint == b.fingerprint
 
 
 def test_fingerprint_sees_every_byte_and_the_schema():
     base = make_relation(64, seed=5, prefix="a")
-    fingerprint = relation_fingerprint(base)
+    fingerprint = base.fingerprint
     columns = base.columns()
     changed = dict(columns)
     changed["a1"] = columns["a1"].copy()
@@ -44,19 +39,19 @@ def test_fingerprint_sees_every_byte_and_the_schema():
         key=base.key,
     )
     for other in (one_value, renamed, recast):
-        assert relation_fingerprint(other) != fingerprint
+        assert other.fingerprint != fingerprint
 
 
 def test_plan_signature_distinguishes_structure_and_algorithms(r, s):
-    fp = relation_fingerprint
-    auto = plan_signature(Join(Scan(r), Scan(s)), fp)
-    forced = plan_signature(Join(Scan(r), Scan(s), algorithm="SMJ-OM"), fp)
-    flipped = plan_signature(Join(Scan(s), Scan(r)), fp)
+    auto = plan_signature(Join(Scan(r), Scan(s)))
+    forced = plan_signature(Join(Scan(r), Scan(s), algorithm="SMJ-OM"))
+    flipped = plan_signature(Join(Scan(s), Scan(r)))
     agg = plan_signature(
-        Aggregate(Join(Scan(r), Scan(s)), "r1", (AggSpec("s1", "sum"),)), fp
+        Aggregate(Join(Scan(r), Scan(s)), "r1", (AggSpec("s1", "sum"),))
     )
     assert len({auto, forced, flipped, agg}) == 4
-    assert auto == plan_signature(Join(Scan(r), Scan(s)), fp)
+    assert auto == plan_signature(Join(Scan(r), Scan(s)))
+    assert auto[2] == ("scan", r.fingerprint)
 
 
 # -- the dependent LRU --------------------------------------------------------
@@ -122,6 +117,31 @@ def test_repeat_query_hits_the_result_cache(r, s):
     assert second.solo_seconds < first.solo_seconds
     assert_bit_identical(second.output, first.output)
     assert server.metrics.value("serve.result_cache_hits") == 1.0
+
+
+@pytest.mark.parametrize("tiering", [False, True])
+@pytest.mark.parametrize("kind", ["join", "group-by"])
+def test_a_result_cache_hit_cannot_be_poisoned(r, s, kind, tiering):
+    # NPJ: a tiered join matches execute() row for row only under NPJ.
+    plan = Join(Scan(r), Scan(s), algorithm="NPJ")
+    if kind == "group-by":
+        plan = Aggregate(Scan(s), "s2", (AggSpec("s1", "sum"),))
+    server = QueryServer(streams=1, seed=SERVE_SEED, tiering=tiering)
+    server.register("r", r)
+    server.register("s", s)
+    server.query(plan)
+    hit = server.query(plan)
+    assert hit.result_cache_hit
+    output = hit.output
+    columns = output.columns() if isinstance(output, Relation) else output
+    name = list(columns)[1]
+    with pytest.raises(ValueError, match="read-only"):
+        columns[name][:] = -7
+    if isinstance(output, dict):
+        output[name] = np.full_like(output[name], -7)  # the caller's own dict
+    again = server.query(plan)
+    assert again.result_cache_hit
+    assert_bit_identical(again.output, execute(plan, seed=SERVE_SEED).output)
 
 
 def test_plan_cache_pins_algorithms_without_result_reuse(r, s):

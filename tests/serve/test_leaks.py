@@ -9,6 +9,8 @@ audit — an unwound query must be indistinguishable from one that never
 ran, resource-wise.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,7 @@ from repro.query import execute
 from repro.query.plan import Join, Scan
 from repro.serve import QueryServer, TenantQuota
 
-from tests.serve.conftest import SERVE_SEED
+from tests.serve.conftest import SERVE_SEED, make_relation
 
 
 @pytest.fixture
@@ -155,16 +157,33 @@ def test_memory_blocked_admission_reserves_nothing_while_waiting(plan, r, s):
     assert_no_leaks(server)
 
 
-def test_update_releases_the_replaced_relations_memo(plan, r, s):
-    # The fingerprint memo is keyed by object identity; replacing a
-    # relation must drop the old entry or the server pins every replaced
-    # relation's arrays in host memory for its whole lifetime.
+def test_update_releases_the_replaced_relations_memo(s):
+    # A relation's fingerprint lives on the relation, so nothing the
+    # server keeps after update() may pin the replaced version's arrays
+    # in host memory for the server's whole lifetime.
     server = QueryServer(streams=1, seed=SERVE_SEED)
-    server.register("r", r)
+    old = make_relation(256, seed=45, prefix="r")
+    server.register("r", old)
     server.register("s", s)
-    server.query(plan)
-    assert id(r) in server._fp_memo
-    from tests.serve.conftest import make_relation
-
+    server.query(Join(Scan(old), Scan(s)))
+    replaced = weakref.ref(old)
     server.update("r", make_relation(256, seed=44, prefix="r"))
-    assert id(r) not in server._fp_memo
+    del old
+    gc.collect()
+    assert replaced() is None
+
+
+def test_an_unregistered_scan_is_released_after_its_query(s):
+    # Pinned plans keep their scans (they are replayed), so the plan
+    # cache is off: the server itself must keep no ad hoc relation.
+    server = QueryServer(streams=1, seed=SERVE_SEED, enable_plan_cache=False)
+    server.register("s", s)
+    refs = []
+    for seed in range(3):
+        adhoc = make_relation(256, seed=100 + seed, prefix="d")
+        refs.append(weakref.ref(adhoc))
+        server.query(Join(Scan(adhoc), Scan(s)))
+        del adhoc
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert len(server.result_cache) == 3

@@ -97,24 +97,27 @@ def test_repeat_operators_on_unchanged_relations_reuse_indexes(spy):
     assert_same_output(second_groups, execute(group_plan(s)).output)
 
 
-def test_group_output_does_not_alias_the_index():
-    """Neither the group index nor the memoised folds leak into outputs."""
+def test_group_output_refuses_writes():
+    """The memoised folds are handed out read-only: a write raises."""
     _, s = make_pair(2)
     ex = QueryExecutor(tiering=TieredRuntime(segment_rows=SEGMENT_ROWS))
     out = ex.execute(group_plan(s)).output
-    for column in out.values():
-        column[:] = -1  # callers own their output
+    for name, column in out.items():
+        with pytest.raises(ValueError, match="read-only"):
+            column[:] = -1
+        out[name] = np.full_like(column, -1)  # rebinds the caller's dict only
     again = ex.execute(group_plan(s)).output
     assert_same_output(again, execute(group_plan(s)).output)
 
 
-def test_join_output_does_not_alias_the_index():
-    """The memoised join output is copied, never handed out."""
+def test_join_output_refuses_writes():
+    """The memoised join output is handed out read-only: a write raises."""
     r, s = make_pair(2)
     ex = QueryExecutor(tiering=TieredRuntime(segment_rows=SEGMENT_ROWS))
     out = ex.execute(join_plan(r, s)).output
     for column in out.columns().values():
-        column[:] = -1  # callers own their output
+        with pytest.raises(ValueError, match="read-only"):
+            column[:] = -1
     again = ex.execute(join_plan(r, s)).output
     assert_same_output(again, execute(join_plan(r, s)).output)
 
@@ -153,10 +156,10 @@ def test_invalidate_relation_drops_its_indexes(spy, by_name):
     ex.execute(join_plan(r, s))
     ex.execute(join_plan(r, t))
     ex.execute(group_plan(s))
-    assert set(runtime._join_indexes) == {("R", "S", None), ("R", "T", None)}
+    assert set(runtime._join_indexes) == {("R", "S"), ("R", "T")}
 
     runtime.invalidate_relation("S" if by_name else s)
-    assert set(runtime._join_indexes) == {("R", "T", None)}
+    assert set(runtime._join_indexes) == {("R", "T")}
     ex.execute(join_plan(r, t))
     assert spy["match_positions"] == 2  # the unrelated pair kept its index
     joined = ex.execute(join_plan(r, s)).output
@@ -181,7 +184,8 @@ def test_fork_cold_shares_no_index(spy):
     assert spy == {"match_positions": 2, "group_identify": 2, "fold_groups": 2}
 
 
-def test_unique_hint_and_auto_detection_do_not_share_an_entry():
+def test_duplicate_build_keys_keep_every_match():
+    """The index reads the build relation's own key-uniqueness fact."""
     rng = np.random.default_rng(8)
     r = Relation(
         [("key", np.repeat(np.arange(50, dtype=np.int64), 2))], key="key", name="R"
@@ -190,12 +194,11 @@ def test_unique_hint_and_auto_detection_do_not_share_an_entry():
         [("key", rng.integers(0, 50, 400).astype(np.int64))], key="key", name="S"
     )
     runtime = TieredRuntime(segment_rows=SEGMENT_ROWS)
-    hinted = runtime.run_join(r, s, config=JoinConfig(unique_build_keys=True))
-    auto = runtime.run_join(r, s, config=JoinConfig())
-    assert set(runtime._join_indexes) == {("R", "S", True), ("R", "S", None)}
-    assert hinted.rows == s.num_rows  # the wrong hint keeps one match each
-    assert auto.rows == 2 * s.num_rows
-    assert_same_output(auto.output, execute(join_plan(r, s)).output)
+    joined = runtime.run_join(r, s, config=JoinConfig())
+    assert not r.key_is_unique
+    assert set(runtime._join_indexes) == {("R", "S")}
+    assert joined.rows == 2 * s.num_rows
+    assert_same_output(joined.output, execute(join_plan(r, s)).output)
 
 
 def test_colliding_payload_names_match_execute():
