@@ -17,7 +17,7 @@ from ...gpusim.context import GPUContext
 from ...joins.matching import match_positions
 from ...joins.phj import charge_hash_match, charge_load_balancing, derive_partition_bits
 from ...primitives.gather import gather
-from ...primitives.radix_partition import radix_partition
+from ...primitives.radix_partition import grouping_bits, radix_partition
 from ...workloads.generators import JoinWorkloadSpec, generate_join_workload
 from ..harness import DEFAULT_SCALE, ExperimentResult, make_setup, run_algorithm
 
@@ -45,7 +45,7 @@ def _eager_gftr_join(ctx: GPUContext, r, s, setup) -> Tuple[float, int]:
     with ctx.phase("match"):
         pr, ps = parts["r"], parts["s"]
         charge_load_balancing(ctx, ps.num_partitions)
-        vid_r, vid_s = match_positions(pr.keys, ps.keys, True)
+        vid_r, vid_s = match_positions(pr.keys, ps.keys, True, grouping_bits(pr))
         key_bytes = pr.keys.dtype.itemsize
         charge_hash_match(
             ctx, pr.counts, ps.counts, key_bytes, key_bytes,

@@ -16,7 +16,10 @@ addressing: when :func:`~repro.primitives.direct_address.dense_span`
 admits the build keys, one slot table (unique build keys) or one
 prefix-count table gives every probe's match range in the build's stable
 key order, in O(n) and without sorting the probe side.  Other keys take
-the sort path.  Both return the same pairs, dtypes and order.
+the sort path.  Both return the same pairs, dtypes and order.  A
+partitioned caller passes the raw key bits its layout groups by
+(:func:`~repro.primitives.radix_partition.grouping_bits`), so the slot
+table is partition-local like the paper's per-partition hash tables.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def match_positions(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
     unique_build_keys: bool,
+    grouping_bits: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Matching (build position, probe position) pairs, s-major.
 
@@ -70,7 +74,10 @@ def match_positions(
     where co-partitioning guarantees matches share a partition but the
     intra-partition layout is unsorted, and by the tier join.
 
-    Dense keys are matched by direct addressing (module docstring).
+    Dense keys are matched by direct addressing (module docstring);
+    *grouping_bits* is the number of raw low key bits both sides' layout
+    groups keys by (0 for an unpartitioned or hashed layout), which
+    places the slot table but never changes the result.
     Otherwise the probe keys are searched in sorted order, so
     consecutive binary searches walk the build side monotonically
     instead of at random; the per-probe bounds are then scattered back
@@ -83,7 +90,7 @@ def match_positions(
     span = dense_span(build_keys, probe_keys)
     if span is not None:
         if unique_build_keys:
-            matches = dense_first_matches(build_keys, probe_keys, span)
+            matches = dense_first_matches(build_keys, probe_keys, span, grouping_bits)
             if matches is not None:
                 return matches
         else:

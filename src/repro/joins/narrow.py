@@ -21,7 +21,7 @@ from ..gpusim.kernel import KernelStats
 from ..primitives.bucket_chain import bucket_chain_partition
 from ..primitives.gather import gather, host_take
 from ..primitives.merge_path import match_bounds
-from ..primitives.radix_partition import radix_partition
+from ..primitives.radix_partition import grouping_bits, radix_partition
 from ..primitives.sort_pairs import sort_pairs
 from ..relational.relation import Relation
 from .base import MATCH, TRANSFORM, JoinConfig, output_column_names
@@ -153,7 +153,9 @@ def narrow_partitioned_hash(
     with ctx.phase(MATCH):
         pr, ps = parts["r"], parts["s"]
         charge_load_balancing(ctx, ps.num_partitions)
-        r_pos, s_pos = match_positions(pr.keys, ps.keys, unique_build_keys)
+        r_pos, s_pos = match_positions(
+            pr.keys, ps.keys, unique_build_keys, grouping_bits(pr)
+        )
         key_bytes = pr.keys.dtype.itemsize
         r_payload_bytes = (
             pr.payloads[0].dtype.itemsize if pr.payloads else 0

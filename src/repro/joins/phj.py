@@ -32,6 +32,7 @@ from ..gpusim.kernel import KernelStats
 from ..primitives.gather import gather, host_take
 from ..primitives.radix_partition import (
     charge_radix_partition,
+    grouping_bits,
     partition_layout,
     radix_partition,
 )
@@ -166,7 +167,9 @@ class PartitionedHashJoin(JoinAlgorithm):
         """Co-partitioned hash match; returns the output keys and the
         matched layout positions of each side."""
         charge_load_balancing(ctx, ps.num_partitions)
-        pos_r, pos_s = match_positions(pr.keys, ps.keys, unique_build_keys)
+        pos_r, pos_s = match_positions(
+            pr.keys, ps.keys, unique_build_keys, grouping_bits(pr)
+        )
         out_key = host_take(ps.keys, pos_s)
         charge_hash_match(
             ctx,

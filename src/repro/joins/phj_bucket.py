@@ -18,6 +18,7 @@ import numpy as np
 from ..gpusim.context import GPUContext
 from ..primitives.bucket_chain import bucket_chain_partition
 from ..primitives.gather import gather, host_take
+from ..primitives.radix_partition import grouping_bits
 from ..relational.relation import Relation
 from .base import MATCH, TRANSFORM, JoinAlgorithm, init_tuple_ids
 from .matching import match_positions
@@ -73,7 +74,9 @@ class PartitionedHashJoinUM(JoinAlgorithm):
         with ctx.phase(MATCH):
             pr, ps = parts["r"], parts["s"]
             charge_load_balancing(ctx, ps.num_partitions)
-            pos_r, pos_s = match_positions(pr.keys, ps.keys, unique_build_keys)
+            pos_r, pos_s = match_positions(
+                pr.keys, ps.keys, unique_build_keys, grouping_bits(pr)
+            )
             out_key = host_take(ps.keys, pos_s)
             key_bytes = pr.keys.dtype.itemsize
             id_bytes = part_ids["r"].data.dtype.itemsize

@@ -72,6 +72,7 @@ class BucketChainPartitioned:
     counts: np.ndarray
     offsets: np.ndarray
     total_bits: int
+    hashed: bool
     bucket_tuples: int
     #: bytes reserved for bucket chains (>= data bytes: fragmentation)
     allocated_bytes: int
@@ -151,6 +152,7 @@ def bucket_chain_partition(
         counts=counts,
         offsets=offsets,
         total_bits=total_bits,
+        hashed=hashed,
         bucket_tuples=bucket_tuples,
         allocated_bytes=allocated,
         used_bytes=used,

@@ -17,6 +17,17 @@ table is then no larger than the sort path's own temporaries, the two
 the build row count allows.  Wider spans and other dtypes keep the sort
 path, which every caller retains.
 
+**Partition-local slots.**  A partitioned join hands over its build and
+probe keys in layout order, grouped by their raw low ``b`` bits.  A
+table indexed by ``key - min`` would then be written and read like a
+transpose: consecutive rows land ``2**b`` slots apart.  Given those
+``b`` bits, :func:`dense_first_matches` indexes its slot table by
+``(off & (2**b - 1)) * H + (off >> b)`` instead, with ``off = key - min``
+and ``H = ceil(span / 2**b)``, so each partition fills one contiguous
+block of ``H`` slots, as its hash table would in the paper's shared
+memory.  The map is one-to-one, so the matches are unchanged; the table
+holds at most ``2**b - 1`` slots more than the span.
+
 Everything here is host index arithmetic with no simulated cost, and
 every result equals the sort path's exactly: :func:`dense_bounds` is
 ``np.searchsorted`` against the sorted build keys, :func:`dense_first_matches`
@@ -114,27 +125,58 @@ def dense_bounds(
     return tuple(bounds)
 
 
+def _slot_index(offsets: np.ndarray, span: int, bits: int) -> np.ndarray:
+    """The slot of each key offset in a table over *span* offsets whose
+    keys arrive grouped by their low *bits* bits (module docstring);
+    *offsets* is fresh and is overwritten.
+
+    With ``bits`` 0, or ``2**bits`` at least the span (every partition
+    holds at most one offset), the slot is the offset itself.  Otherwise
+    every slot is below ``2**bits * H``, which is at most
+    ``2**ceil(log2(span))``, so it fits the offsets' own dtype.
+    """
+    height = -(-span >> bits)
+    if bits == 0 or height == 1:
+        return offsets
+    slots = offsets & ((1 << bits) - 1)
+    slots *= height
+    offsets >>= bits
+    slots += offsets
+    return slots
+
+
 def dense_first_matches(
-    build_keys: np.ndarray, probe_keys: np.ndarray, span: Tuple[int, int]
+    build_keys: np.ndarray,
+    probe_keys: np.ndarray,
+    span: Tuple[int, int],
+    bits: int = 0,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Unique-key matches as ``(build position, probe position)``, s-major.
 
-    One slot table maps ``k - min`` to the position of build key ``k``
-    (-1 where absent); each probe is one gather.  Both arrays are
-    ``intp``.  ``None`` when a build key repeats: the slot table cannot
-    tell which duplicate comes first, so the caller takes the sort path.
+    One slot table maps each build key to its position (-1 where
+    absent); each probe is one gather.  *bits* is the number of raw low
+    key bits the sides' layout groups keys by (0 for none): the table is
+    then partition-local (module docstring).  Both arrays are ``intp``.
+    ``None`` when a build key repeats: the slot table cannot tell which
+    duplicate comes first, so the caller takes the sort path.
     """
     lo, hi = span
     rows = build_keys.size
     dtype = _index_dtype(rows)
-    slots = np.full(hi - lo + 1, -1, dtype=dtype)
-    np.put(slots, build_keys - lo, np.arange(rows, dtype=dtype))
+    size = hi - lo + 1
+    height = -(-size >> bits)
+    slots = np.full(size if height == 1 else height << bits, -1, dtype=dtype)
+    np.put(slots, _slot_index(build_keys - lo, size, bits), np.arange(rows, dtype=dtype))
     if np.count_nonzero(slots >= 0) != rows:
         return None
     offsets, outside = _probe_offsets(probe_keys, lo, hi)
-    build_at = host_take(slots, offsets)
+    build_at = host_take(slots, _slot_index(offsets, size, bits))
     slots = None  # spent: free the table before the positions are built
     if outside is not None:
         build_at[outside] = -1
-    s_pos = np.flatnonzero(build_at >= 0)
+    matched = build_at >= 0
+    if np.count_nonzero(matched) == build_at.size:
+        # Every probe matches (a foreign-key join): nothing to compact.
+        return build_at.astype(np.intp), np.arange(build_at.size, dtype=np.intp)
+    s_pos = np.flatnonzero(matched)
     return host_take(build_at, s_pos).astype(np.intp), s_pos

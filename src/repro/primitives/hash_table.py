@@ -13,7 +13,10 @@ duplicate matches.  Every slot access is recorded so the join can charge
 exact random-traffic statistics.
 
 Host cost is linear per round: each round's first writers claim their
-slots with one ``np.minimum.at`` over a reusable claim table, and when
+slots with one ``np.minimum.at`` over a reusable claim table.  Before
+the first round, one scatter into a bool table and one count check
+whether every row hashes to its own slot; if so (dense build keys) the
+empty table takes every row at once, with no claim and no loop.  When
 no probe hit twice (unique build keys) the hits are put in probe-major
 order by one scatter; only duplicate hits pay a sort, one packed
 :func:`~repro.primitives.grouping.packed_order`.  The host table holds
@@ -102,6 +105,12 @@ def build_table(
     # pending inserts in ascending order, each with its current slot
     slot_dtype = id_dtype(capacity)
     slots = hash_to_slots(keys, capacity).astype(slot_dtype)
+    if keys.size and _distinct(slots, capacity):
+        # No two rows share a slot and the table is empty: every row is
+        # its slot's first writer and wins round 1.
+        table_keys[slots] = keys
+        table_values[slots] = values
+        return BuildResult(table_keys, table_values, slots, 1)
     index_dtype = id_dtype(keys.size)
     pending = np.arange(keys.size, dtype=index_dtype)
     # claim[slot] is the first pending writer of the slot this round;
@@ -193,6 +202,13 @@ def probe_table(
         probe_idx = np.empty(0, dtype=index_dtype)
         build_vals = np.empty(0, dtype=table_values.dtype)
     return ProbeResult(probe_idx, build_vals, _concat(touched, slot_dtype), rounds)
+
+
+def _distinct(slots: np.ndarray, capacity: int) -> bool:
+    """Whether no two entries of *slots* (each below *capacity*) are equal."""
+    seen = np.zeros(capacity, dtype=bool)
+    seen[slots] = True
+    return np.count_nonzero(seen) == slots.size
 
 
 def _concat(touched: List[np.ndarray], slot_dtype: np.dtype) -> np.ndarray:

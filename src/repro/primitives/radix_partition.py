@@ -104,6 +104,18 @@ class Partitioned:
         return int(self.counts.size)
 
 
+def grouping_bits(layout) -> int:
+    """The raw low key bits a partition *layout* groups keys by.
+
+    A :class:`Partitioned` or
+    :class:`~repro.primitives.bucket_chain.BucketChainPartitioned`
+    layout on raw key bits holds each partition's keys together by
+    their low ``total_bits`` bits; a hashed one groups them by hash
+    digits, which say nothing about the keys' own bits (0).
+    """
+    return 0 if layout.hashed else layout.total_bits
+
+
 def plan_passes(total_bits: int) -> List[tuple]:
     """Split a partitioning into LSD passes of <= 8 bits each.
 

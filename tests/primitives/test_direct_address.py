@@ -7,7 +7,9 @@ returns (pairs, bounds, dtypes, order); the ``_frozen_*`` functions
 below are those implementations, kept here so the library cannot drift
 from them.  The cases put the build span exactly at the threshold
 (``build rows + probe rows``) and one past it, at the dtype extremes,
-below zero, with duplicate build keys and with empty sides.
+below zero, with duplicate build keys and with empty sides.  The
+partition-local slot table (keys handed over in a radix, bucket-chain or
+hashed layout) must equal both the flat table and the frozen sort path.
 NPJ's hash table has its own frozen copy in ``test_hash_table.py``.
 """
 
@@ -18,9 +20,11 @@ from hypothesis import strategies as st
 
 from repro.gpusim import GPUContext
 from repro.joins.matching import match_positions
-from repro.primitives.direct_address import dense_span
+from repro.primitives.bucket_chain import bucket_chain_partition
+from repro.primitives.direct_address import _slot_index, dense_first_matches, dense_span
 from repro.primitives.grouping import detect_unique_keys
 from repro.primitives.merge_path import lower_bounds, upper_bounds
+from repro.primitives.radix_partition import grouping_bits, partition_layout
 from repro.relational.types import id_dtype
 
 
@@ -212,3 +216,122 @@ def test_mismatched_or_float_keys_are_not_dense():
     assert dense_span(keys.astype(np.float64), keys.astype(np.float64)) is None
     assert dense_span(keys.astype(np.uint64), keys.astype(np.uint64)) is None
     assert dense_span(keys, keys) == (0, 7)
+
+
+# -- partition-local slot tables -------------------------------------------
+
+_LAYOUT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32]
+_LAYOUTS = ["radix", "bucket", "hashed"]
+
+
+def _layout(kind, keys, bits):
+    """*keys* in a ``2**bits``-way layout of the given kind."""
+    if kind == "bucket":
+        return bucket_chain_partition(GPUContext(seed=3), keys, [], bits)
+    return partition_layout(keys, bits, hashed=kind == "hashed")
+
+
+def _assert_slot_tables_agree(build, probe, kind, bits, unique):
+    """Match *build* against *probe* in a *kind* layout on *bits* bits:
+    the table placed by any bit count, the flat table and the layout's
+    own :func:`grouping_bits` all equal the frozen sort path."""
+    pr, ps = _layout(kind, build, bits), _layout(kind, probe, bits)
+    assert grouping_bits(pr) == grouping_bits(ps) == (0 if kind == "hashed" else bits)
+    span = dense_span(pr.keys, ps.keys)
+    assert span is not None
+    want = _frozen_match_positions(pr.keys, ps.keys, True)
+    for table_bits in (bits, 0):
+        got = dense_first_matches(pr.keys, ps.keys, span, table_bits)
+        if unique:
+            _assert_same(got, want)
+        else:
+            assert got is None
+    _assert_same(match_positions(pr.keys, ps.keys, True, grouping_bits(pr)), want)
+
+
+@st.composite
+def _partitioned_sides(draw):
+    """Dense build keys of any accepted dtype over a span below the
+    dtype's limit, with probes inside and outside ``[min, max]`` or,
+    as in a foreign-key join, only build keys."""
+    dtype = draw(st.sampled_from(_LAYOUT_DTYPES))
+    info = np.iinfo(dtype)
+    span = draw(st.integers(1, min(int(info.max) + 1, 400)))
+    base = draw(
+        st.sampled_from(
+            [int(info.min), int(info.max) - span + 1, -span // 2, -7, 1, 12345]
+        ).filter(lambda b: info.min <= b and b + span - 1 <= info.max)
+    )
+    unique = draw(st.booleans())
+    inner = draw(st.permutations(range(1, span - 1)))
+    keep = draw(st.integers(0, len(inner)))
+    offsets = sorted({0, span - 1}) + list(inner[:keep])
+    if not unique:
+        offsets.append(draw(st.sampled_from(offsets)))
+    build = draw(st.permutations([base + o for o in offsets]))
+    if draw(st.booleans()):
+        probe_values = st.sampled_from(build)
+    else:
+        probe_values = st.one_of(
+            st.integers(max(int(info.min), base - 3), min(int(info.max), base + span + 2)),
+            st.sampled_from([int(info.min), int(info.max)]),
+        )
+    probe = draw(st.lists(probe_values, min_size=span, max_size=span + 20))
+    return np.asarray(build, dtype=dtype), np.asarray(probe, dtype=dtype), unique
+
+
+@settings(max_examples=200, deadline=None)
+@given(sides=_partitioned_sides(), kind=st.sampled_from(_LAYOUTS), bits=st.integers(1, 15))
+def test_partition_local_slot_table_matches_flat_and_frozen(sides, kind, bits):
+    """Radix, bucket-chain and hashed layouts at 1..15 bits (many of
+    them wider than the span's own bits), every accepted dtype, any
+    ``min``, probes outside the span; duplicates refuse the table."""
+    build, probe, unique = sides
+    _assert_slot_tables_agree(build, probe, kind, bits, unique)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16],
+                         ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("at_top", [False, True], ids=["low", "high"])
+def test_span_at_the_dtype_limit(dtype, at_top):
+    """The widest span :func:`dense_span` admits (int8 128, uint8 256,
+    int16 32768, uint16 65536 values) keeps every slot in range at each
+    bit count, and one value wider takes the sort path."""
+    info = np.iinfo(dtype)
+    span = int(info.max) + 1
+    lo = int(info.max) - span + 1 if at_top else int(info.min)
+    rng = np.random.default_rng(span)
+    offsets = rng.permutation(span)
+    build = (offsets[offsets % 5 != 1] + lo).astype(dtype)
+    probe = np.concatenate(
+        [offsets + lo, [info.min, info.max], rng.integers(lo, lo + span, span)]
+    ).astype(dtype)
+    for kind in _LAYOUTS:
+        for bits in range(1, 16):
+            _assert_slot_tables_agree(build, probe, kind, bits, True)
+    if info.min < 0:
+        # The opposite extreme widens the span past what offsets can hold.
+        wider = np.append(build, info.max if lo < 0 else info.min).astype(dtype)
+        assert dense_span(wider, probe) is None
+        _assert_same(match_positions(wider, probe, True, 7),
+                     _frozen_match_positions(wider, probe, True))
+
+
+@pytest.mark.parametrize("kind", ["radix", "bucket"])
+@pytest.mark.parametrize("bits", [1, 4, 7, 9, 12])
+def test_each_partition_fills_one_block_of_slots(kind, bits):
+    """In a raw-bit layout every partition's keys land in one block of
+    ``H = ceil(span / 2**bits)`` slots, distinct blocks per partition,
+    all below ``2**bits * H``."""
+    keys = np.arange(-100, 900, dtype=np.int32)[::-1].copy()
+    span = keys.size
+    part = _layout(kind, keys, bits)
+    slots = _slot_index(part.keys - keys.min(), span, bits)
+    height = -(-span >> bits)
+    assert np.unique(slots).size == span
+    assert slots.max() < height << bits <= span + (1 << bits) - 1
+    nonempty = part.counts > 0
+    blocks = slots // height
+    first = blocks[part.offsets[nonempty]]
+    assert np.array_equal(blocks, np.repeat(first, part.counts[nonempty]))
+    assert np.unique(first).size == first.size

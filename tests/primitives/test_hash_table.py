@@ -292,6 +292,93 @@ def test_build_and_probe_match_frozen_at_scale(unique):
     )
 
 
+# -- independent reference: plain-Python inserts --------------------------
+
+
+def _reference_build(keys, values, capacity):
+    """Round-by-round linear-probing inserts in plain Python.
+
+    Each round, every pending row tries its current slot in row order;
+    the first pending writer of a slot wins it if the slot is empty, and
+    every other row moves one slot on.  The slot of a key is the top
+    ``log2(capacity)`` bits of its 64-bit word times the Fibonacci
+    multiplier.  Returns ``(table keys, table values, touched slots,
+    rounds)`` as lists, -1 marking an empty slot.
+    """
+    shift = 64 - (capacity.bit_length() - 1)
+    key_list = [int(k) for k in keys]
+    value_list = [int(v) for v in values]
+    slot = [((k % 2**64) * 11400714819323198485 % 2**64) >> shift for k in key_list]
+    table_keys = [-1] * capacity
+    table_values = [0] * capacity
+    pending = list(range(len(key_list)))
+    touched = []
+    rounds = 0
+    while pending:
+        rounds += 1
+        claimed = set()
+        losers = []
+        for row in pending:
+            s = slot[row]
+            touched.append(s)
+            first = s not in claimed
+            claimed.add(s)
+            if first and table_keys[s] == -1:
+                table_keys[s] = key_list[row]
+                table_values[s] = value_list[row]
+            else:
+                losers.append(row)
+        for row in losers:
+            slot[row] = (slot[row] + 1) % capacity
+        pending = losers
+    return table_keys, table_values, touched, rounds
+
+
+def _assert_matches_reference(keys, capacity):
+    values = np.arange(keys.size, dtype=np.int64)[::-1] * 3
+    built = build_table(keys, values, capacity)
+    want_keys, want_values, want_touched, want_rounds = _reference_build(keys, values, capacity)
+    assert built.table_keys.tolist() == want_keys
+    assert built.table_values.tolist() == want_values
+    assert built.touched_slots.tolist() == want_touched
+    assert built.rounds == want_rounds
+    return built.rounds
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+@pytest.mark.parametrize("rows", [1, 2, 37, 500])
+def test_dense_keys_insert_in_one_round_like_the_reference(dtype, rows):
+    """A permutation of ``[0, n)`` hashes to distinct slots: one round."""
+    keys = np.random.default_rng(rows).permutation(rows).astype(dtype)
+    assert _assert_matches_reference(keys, table_capacity(rows)) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_colliding_keys_match_the_reference_over_many_rounds(seed):
+    """Wide random keys packed into a nearly full table."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(2**40, size=120, replace=False).astype(np.int64)
+    assert _assert_matches_reference(keys, 128) > 3
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_duplicate_keys_match_the_reference(dtype):
+    """Repeated keys share a home slot and queue along its run, one
+    copy per round: five copies of 7 take five rounds at least."""
+    keys = np.array([7, 7, 3, 7, 9, 3, 7, 0, 7], dtype=dtype)
+    assert _assert_matches_reference(keys, 16) >= 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 2**31 - 1), max_size=60),
+    slack=st.sampled_from([1, 2, 8]),
+)
+def test_build_matches_the_reference(keys, slack):
+    capacity = 1 << max(1, (len(keys) * slack).bit_length())
+    _assert_matches_reference(np.asarray(keys, dtype=np.int64), capacity)
+
+
 # -- widths and edge sizes -------------------------------------------------
 
 
