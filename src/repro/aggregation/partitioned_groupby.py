@@ -13,11 +13,11 @@ value columns through the permuted IDs (unclustered), mirroring the
 join study's baseline pattern for ablation.
 
 Host-side the strategy only prices, and the values come from the fold
-of record (:func:`~repro.aggregation.base.fold_groups`).  GFTR's
+of record (:func:`~repro.aggregation.base.fold_groups`).  Its
 partitionings are therefore charged (:func:`charge_radix_partition`,
 a bytes-only reservation for the partitioned keys) and never
-performed; GFUR performs its ``(key, tuple ID)`` partition, whose
-permuted IDs the gathers' sector analysis reads, once per item size.
+performed; GFUR's gathers analyze its permuted tuple IDs, the layout's
+``order`` (:func:`partition_layout`), once per item size.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import AggregationConfigError
 from ..gpusim.kernel import KernelStats
-from ..primitives.radix_partition import charge_radix_partition, radix_partition
+from ..primitives.radix_partition import charge_radix_partition, partition_layout
 from ..relational.types import id_dtype
 from .base import (
     AGGREGATE,
@@ -78,17 +78,18 @@ class PartitionedGroupBy(GroupByAlgorithm):
         held = []
         with ctx.phase(TRANSFORM):
             if self.pattern == "gfur":
-                ids = np.arange(n, dtype=id_dtype(n))
+                id_bytes = n * np.dtype(id_dtype(n)).itemsize
                 ctx.submit(
-                    KernelStats(name="init_ids", items=n, seq_write_bytes=int(ids.nbytes)),
+                    KernelStats(name="init_ids", items=n, seq_write_bytes=id_bytes),
                     phase=TRANSFORM,
                 )
-                part = radix_partition(
-                    ctx, keys, [ids], bits, phase=TRANSFORM,
-                    hashed=self.config.hashed_partitioning, label="keys+ids",
+                part = partition_layout(keys, bits, self.config.hashed_partitioning)
+                charge_radix_partition(
+                    ctx, n, int(keys.nbytes), id_bytes, bits, phase=TRANSFORM,
+                    label="keys+ids",
                 )
-                held.append(ctx.mem.reserve(int(ids.nbytes), "ids_partitioned"))
-                fetch = gather_through(ctx, part.payloads[0])
+                held.append(ctx.mem.reserve(id_bytes, "ids_partitioned"))
+                fetch = gather_through(ctx, part.order)
             else:
                 # Only the sizes set the charges, and nothing reads the
                 # moved data, so GFTR prices its partitionings.

@@ -343,10 +343,12 @@ class DeviceMemory:
         ):
             self.pool.give(data)
 
-    def free_all(self, arrays: Iterable[DeviceArray]) -> None:
-        for arr in arrays:
-            if not arr.freed:
-                self.free(arr)
+    def free_all(self, held: Iterable[object]) -> None:
+        """Free every array and release every reservation in *held*
+        that is still live."""
+        for handle in held:
+            if not handle.freed:
+                handle.free()
 
     def free_by_prefix(self, *prefixes: str) -> int:
         """Free all live arrays whose label starts with any prefix."""

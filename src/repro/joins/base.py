@@ -38,7 +38,6 @@ from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import DeviceArray, MemoryReservation
 from ..relational.relation import Relation
 from ..primitives.gather import gather_stats_only, host_take
-from ..relational.types import id_dtype
 
 if TYPE_CHECKING:
     from ..cluster.context import ClusterContext
@@ -315,25 +314,61 @@ def hold_first_payload(
     return first[0], ctx.mem.reserve(rel.column(first[0]).nbytes, label)
 
 
-def init_tuple_ids(
-    ctx: GPUContext, n: int, phase: str, label: str, dtype=None
-) -> np.ndarray:
-    """Materialize physical tuple identifiers 0..n-1 (one write pass).
-
-    IDs are sized like the key column they travel with (CUB sorts 64-bit
-    keys with 64-bit values), falling back to the narrowest width that
-    fits ``n``.
-    """
-    ids = np.arange(n, dtype=dtype if dtype is not None else id_dtype(n))
+def reserve_tuple_ids(ctx: GPUContext, rel: Relation, side: str) -> MemoryReservation:
+    """Price a GFUR transform's physical tuple IDs ``0..n-1``, sized like
+    the key column they travel with (CUB sorts 64-bit keys with 64-bit
+    values): one write pass, ``init_ids:<side>``, and the reservation
+    ``ids_<side>`` it returns.  The host builds none: a layout's
+    ``order`` is the permuted IDs."""
+    nbytes = rel.num_rows * rel.key_values.itemsize
     ctx.submit(
-        KernelStats(
-            name=f"init_ids:{label}",
-            items=n,
-            seq_write_bytes=int(ids.nbytes),
-        ),
-        phase=phase,
+        KernelStats(name=f"init_ids:{side}", items=rel.num_rows, seq_write_bytes=nbytes),
+        phase=TRANSFORM,
     )
-    return ids
+    return ctx.mem.reserve(nbytes, f"ids_{side}")
+
+
+def layout_rows(order: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``order[pos]``, the input rows of layout positions *pos*, written
+    over *pos*: a fresh ``intp`` array the caller no longer reads."""
+    pos[...] = host_take(order, pos)
+    return pos
+
+
+def gfur_side_maps(
+    ctx: GPUContext,
+    r: Relation,
+    s: Relation,
+    orders: Tuple[np.ndarray, np.ndarray],
+    positions: Tuple[np.ndarray, np.ndarray],
+    charge_output: Optional[Callable[[], None]] = None,
+) -> Dict[str, SideMap]:
+    """A GFUR join's match-phase physical IDs, as its side maps.
+
+    The device gathers each side's transformed tuple IDs at its matched
+    layout positions (``gather:id_r``, ``gather:id_s``), runs
+    *charge_output* (the join's output write, if it charges one) and
+    holds the IDs as ``match_ids_<side>``.  On the host they are
+    ``order[pos]`` at the key width; *orders* and *positions* are
+    ``(r, s)`` pairs.
+    """
+    for side, rel, pos in zip("rs", (r, s), positions):
+        item_bytes = rel.key_values.itemsize
+        gather_stats_only(
+            ctx, pos, item_bytes, pos.size * item_bytes, phase=MATCH, label=f"id_{side}"
+        )
+    if charge_output is not None:
+        charge_output()
+    sides: Dict[str, SideMap] = {}
+    for side, rel, order, pos in zip("rs", (r, s), orders, positions):
+        ids = layout_rows(order, pos).astype(rel.key_values.dtype, copy=False)
+        sides[side] = (ctx.mem.adopt(ids, f"match_ids_{side}"), None, None)
+    return sides
+
+
+def is_narrow(r: Relation, s: Relation) -> bool:
+    """True if the paper's two-phase narrow-join path applies."""
+    return r.num_payload_columns <= 1 and s.num_payload_columns <= 1
 
 
 class JoinAlgorithm(ABC):
@@ -376,7 +411,6 @@ class JoinAlgorithm(ABC):
         # payloads transform with the keys and match finding emits them
         # directly, so there is no materialization phase.
         narrow_exec = getattr(self, "_execute_narrow", None)
-        is_narrow = r.num_payload_columns <= 1 and s.num_payload_columns <= 1
         with ctx.trace_span(
             f"join:{self.name}",
             category="algorithm",
@@ -384,7 +418,7 @@ class JoinAlgorithm(ABC):
             r_rows=r.num_rows,
             s_rows=s.num_rows,
         ):
-            if is_narrow and narrow_exec is not None and self.config.projection is None:
+            if is_narrow(r, s) and narrow_exec is not None and self.config.projection is None:
                 output_columns = narrow_exec(ctx, r, s, r.key_is_unique)
             else:
                 out_key, sides, transform = self._execute(ctx, r, s, r.key_is_unique)

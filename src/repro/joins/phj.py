@@ -16,7 +16,9 @@ co-partition pair is hash-joined with the build side in shared memory.
 The same class supports the GFUR pattern (``pattern="gfur"``) by
 partitioning ``(key, physical ID)`` instead of the payload columns —
 the paper notes this flexibility makes PHJ-OM competitive on
-low-match-ratio workloads too (end of Section 4.3).
+low-match-ratio workloads too (end of Section 4.3).  Either way only
+the keys move on the host; the layout's ``order`` stands in for the
+partitioned IDs or payloads.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ import numpy as np
 from ..errors import JoinConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather, host_take
+from ..primitives.gather import host_take
 from ..primitives.radix_partition import (
     charge_radix_partition,
     grouping_bits,
     partition_layout,
-    radix_partition,
 )
 from ..relational.relation import Relation
 from .base import (
@@ -43,8 +44,9 @@ from .base import (
     TRANSFORM,
     JoinAlgorithm,
     JoinConfig,
+    gfur_side_maps,
     hold_first_payload,
-    init_tuple_ids,
+    reserve_tuple_ids,
 )
 from .matching import match_positions
 from .narrow import narrow_partitioned_hash
@@ -124,6 +126,28 @@ def charge_hash_match(
     )
 
 
+def hash_match(ctx, pr, ps, unique_build_keys, config, tuple_bytes, tuples_per_partition):
+    """Co-partitioned hash match of two partition layouts, *tuple_bytes*
+    ``(build, probe)`` bytes per partitioned tuple; returns the output
+    keys and the matched layout positions of each side."""
+    charge_load_balancing(ctx, ps.num_partitions)
+    pos_r, pos_s = match_positions(pr.keys, ps.keys, unique_build_keys, grouping_bits(pr))
+    out_key = host_take(ps.keys, pos_s)
+    charge_hash_match(
+        ctx,
+        pr.counts,
+        ps.counts,
+        build_tuple_bytes=tuple_bytes[0],
+        probe_tuple_bytes=tuple_bytes[1],
+        matches=int(out_key.size),
+        key_bytes=pr.keys.dtype.itemsize,
+        tuples_per_partition=tuples_per_partition,
+        load_balanced=config.load_balance,
+        num_execution_units=ctx.device.num_execution_units,
+    )
+    return out_key, pos_r, pos_s
+
+
 class PartitionedHashJoin(JoinAlgorithm):
     """Radix-partitioned hash join; GFTR by default, GFUR on request."""
 
@@ -140,50 +164,17 @@ class PartitionedHashJoin(JoinAlgorithm):
 
     # -- helpers -----------------------------------------------------------
 
-    def _partition(self, ctx: GPUContext, rel: Relation, bits, label, ids=None):
-        """Partition *rel*'s keys with its tuple *ids* (GFUR) or with its
-        first payload column (GFTR).  The first payload is priced but not
-        moved: :func:`~repro.joins.base.materialize` reads payloads from
-        the base relation through the layout's ``order``.
-        """
+    def _partition(self, ctx: GPUContext, rel: Relation, bits, label, payload_bytes):
+        """Partition *rel*'s keys, pricing *payload_bytes* of its tuple IDs
+        (GFUR) or first payload column (GFTR) travelling with them."""
         temp = ctx.mem.reserve((1 << bits) * 8 * 2, "partition_temp")
-        hashed = self.config.hashed_partitioning
-        if ids is not None:
-            part = radix_partition(
-                ctx, rel.key_values, [ids], total_bits=bits,
-                phase=TRANSFORM, hashed=hashed, label=label,
-            )
-        else:
-            part = partition_layout(rel.key_values, bits, hashed)
-            charge_radix_partition(
-                ctx, rel.num_rows, int(rel.key_values.nbytes),
-                sum(int(rel.column(name).nbytes) for name in rel.payload_names[:1]),
-                bits, phase=TRANSFORM, label=label,
-            )
+        part = partition_layout(rel.key_values, bits, self.config.hashed_partitioning)
+        charge_radix_partition(
+            ctx, rel.num_rows, int(rel.key_values.nbytes), payload_bytes,
+            bits, phase=TRANSFORM, label=label,
+        )
         temp.free()
         return part
-
-    def _hash_match(self, ctx, pr, ps, unique_build_keys, tuple_bytes):
-        """Co-partitioned hash match; returns the output keys and the
-        matched layout positions of each side."""
-        charge_load_balancing(ctx, ps.num_partitions)
-        pos_r, pos_s = match_positions(
-            pr.keys, ps.keys, unique_build_keys, grouping_bits(pr)
-        )
-        out_key = host_take(ps.keys, pos_s)
-        charge_hash_match(
-            ctx,
-            pr.counts,
-            ps.counts,
-            build_tuple_bytes=tuple_bytes,
-            probe_tuple_bytes=tuple_bytes,
-            matches=int(out_key.size),
-            key_bytes=pr.keys.dtype.itemsize,
-            tuples_per_partition=self.config.tuples_per_partition,
-            load_balanced=self.config.load_balance,
-            num_execution_units=ctx.device.num_execution_units,
-        )
-        return out_key, pos_r, pos_s
 
     # -- execution -----------------------------------------------------------
 
@@ -208,14 +199,17 @@ class PartitionedHashJoin(JoinAlgorithm):
         eager = {}
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
-                parts[side] = part = self._partition(ctx, rel, bits, side)
+                first = sum(int(rel.column(name).nbytes) for name in rel.payload_names[:1])
+                parts[side] = part = self._partition(ctx, rel, bits, side, first)
                 ctx.mem.adopt(part.keys, f"part_keys_{side}")
                 eager[side] = hold_first_payload(ctx, rel, f"part_payload1_{side}")
 
         with ctx.phase(MATCH):
             pr, ps = parts["r"], parts["s"]
-            out_key, vid_r, vid_s = self._hash_match(
-                ctx, pr, ps, unique_build_keys, pr.keys.dtype.itemsize
+            key_bytes = pr.keys.dtype.itemsize
+            out_key, vid_r, vid_s = hash_match(
+                ctx, pr, ps, unique_build_keys, self.config, (key_bytes, key_bytes),
+                self.config.tuples_per_partition,
             )
             a_vid_r = ctx.mem.adopt(vid_r.astype(np.int32, copy=False), "match_vids_r")
             a_vid_s = ctx.mem.adopt(vid_s.astype(np.int32, copy=False), "match_vids_s")
@@ -240,26 +234,23 @@ class PartitionedHashJoin(JoinAlgorithm):
 
     def _execute_gfur(self, ctx, r, s, unique_build_keys, bits):
         parts = {}
-        part_ids = {}
+        held = []
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
-                ids = init_tuple_ids(ctx, rel.num_rows, TRANSFORM, side, dtype=rel.key_values.dtype)
-                a_ids = ctx.mem.adopt(ids, f"ids_{side}")
-                parts[side] = part = self._partition(ctx, rel, bits, side, ids=ids)
-                ctx.mem.free(a_ids)
-                ctx.mem.adopt(part.keys, f"part_keys_{side}")
-                part_ids[side] = ctx.mem.adopt(part.payloads[0], f"part_ids_{side}")
+                ids = reserve_tuple_ids(ctx, rel, side)
+                parts[side] = part = self._partition(ctx, rel, bits, side, ids.nbytes)
+                ids.free()
+                held.append(ctx.mem.adopt(part.keys, f"part_keys_{side}"))
+                held.append(ctx.mem.reserve(ids.nbytes, f"part_ids_{side}"))
 
         with ctx.phase(MATCH):
             pr, ps = parts["r"], parts["s"]
-            id_bytes = part_ids["r"].data.dtype.itemsize
-            out_key, pos_r, pos_s = self._hash_match(
-                ctx, pr, ps, unique_build_keys, pr.keys.dtype.itemsize + id_bytes
+            tuple_bytes = 2 * pr.keys.dtype.itemsize  # key + tuple ID
+            out_key, pos_r, pos_s = hash_match(
+                ctx, pr, ps, unique_build_keys, self.config, (tuple_bytes, tuple_bytes),
+                self.config.tuples_per_partition,
             )
-            id_r = gather(ctx, part_ids["r"].data, pos_r, phase=MATCH, label="id_r")
-            id_s = gather(ctx, part_ids["s"].data, pos_s, phase=MATCH, label="id_s")
-            a_id_r = ctx.mem.adopt(id_r, "match_ids_r")
-            a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
-            ctx.mem.free_by_prefix("part_keys_", "part_ids_")
+            sides = gfur_side_maps(ctx, r, s, (pr.order, ps.order), (pos_r, pos_s))
+            ctx.mem.free_all(held)
 
-        return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None
+        return out_key, sides, None

@@ -8,7 +8,8 @@ Because the bucket-chain partitioner is non-deterministic (atomic write
 order) and fragmented (fixed-size buckets), the GFTR pattern cannot be
 applied to it — :func:`demonstrate_gftr_incompatibility` reproduces the
 failure the paper describes in Section 4.3.  The join below is correct
-because the tuple IDs travel *with* their keys through the partitioner.
+because the tuple IDs travel *with* their keys through the partitioner;
+on the host they are the layout's ``order``, and only the keys move.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpusim.context import GPUContext
-from ..primitives.bucket_chain import bucket_chain_partition
-from ..primitives.gather import gather, host_take
-from ..primitives.radix_partition import grouping_bits
+from ..primitives.bucket_chain import (
+    bucket_chain_layout,
+    bucket_chain_partition,
+    charge_bucket_chain,
+)
 from ..relational.relation import Relation
-from .base import MATCH, TRANSFORM, JoinAlgorithm, init_tuple_ids
-from .matching import match_positions
+from .base import MATCH, TRANSFORM, JoinAlgorithm, gfur_side_maps, reserve_tuple_ids
 from .narrow import narrow_partitioned_hash
-from .phj import charge_hash_match, charge_load_balancing, derive_partition_bits
+from .phj import derive_partition_bits, hash_match
 
 
 class PartitionedHashJoinUM(JoinAlgorithm):
@@ -45,62 +47,37 @@ class PartitionedHashJoinUM(JoinAlgorithm):
             r.num_rows, self.config.tuples_per_partition, self.config.partition_bits
         )
         parts = {}
-        part_ids = {}
-        fragments = []
+        held = []
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
-                ids = init_tuple_ids(ctx, rel.num_rows, TRANSFORM, side, dtype=rel.key_values.dtype)
-                a_ids = ctx.mem.adopt(ids, f"ids_{side}")
-                part = bucket_chain_partition(
-                    ctx,
-                    rel.key_values,
-                    [ids],
-                    total_bits=bits,
+                ids = reserve_tuple_ids(ctx, rel, side)
+                parts[side] = part = bucket_chain_layout(
+                    rel.key_values, bits, ctx.rng,
+                    payload_item_bytes=rel.key_values.dtype.itemsize,
                     bucket_tuples=self.config.bucket_tuples,
-                    phase=TRANSFORM,
                     hashed=self.config.hashed_partitioning,
-                    label=side,
                 )
-                ctx.mem.free(a_ids)
-                parts[side] = part
+                charge_bucket_chain(ctx, part, ids.nbytes, phase=TRANSFORM, label=side)
+                ids.free()
+                held.append(ctx.mem.adopt(part.keys, f"part_keys_{side}"))
+                held.append(ctx.mem.reserve(ids.nbytes, f"part_ids_{side}"))
                 # Bucket chains over-allocate: account the fragmentation.
-                ctx.mem.adopt(part.keys, f"part_keys_{side}")
-                part_ids[side] = ctx.mem.adopt(part.payloads[0], f"part_ids_{side}")
                 if part.fragmentation_bytes > 0:
-                    fragments.append(
+                    held.append(
                         ctx.mem.reserve(part.fragmentation_bytes, f"fragmentation_{side}")
                     )
 
         with ctx.phase(MATCH):
             pr, ps = parts["r"], parts["s"]
-            charge_load_balancing(ctx, ps.num_partitions)
-            pos_r, pos_s = match_positions(
-                pr.keys, ps.keys, unique_build_keys, grouping_bits(pr)
+            tuple_bytes = 2 * pr.keys.dtype.itemsize  # key + tuple ID
+            out_key, pos_r, pos_s = hash_match(
+                ctx, pr, ps, unique_build_keys, self.config, (tuple_bytes, tuple_bytes),
+                self.config.bucket_tuples,
             )
-            out_key = host_take(ps.keys, pos_s)
-            key_bytes = pr.keys.dtype.itemsize
-            id_bytes = part_ids["r"].data.dtype.itemsize
-            charge_hash_match(
-                ctx,
-                pr.counts,
-                ps.counts,
-                build_tuple_bytes=key_bytes + id_bytes,
-                probe_tuple_bytes=key_bytes + id_bytes,
-                matches=int(out_key.size),
-                key_bytes=key_bytes,
-                tuples_per_partition=self.config.bucket_tuples,
-                load_balanced=self.config.load_balance,
-                num_execution_units=ctx.device.num_execution_units,
-            )
-            id_r = gather(ctx, part_ids["r"].data, pos_r, phase=MATCH, label="id_r")
-            id_s = gather(ctx, part_ids["s"].data, pos_s, phase=MATCH, label="id_s")
-            a_id_r = ctx.mem.adopt(id_r, "match_ids_r")
-            a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
-            ctx.mem.free_by_prefix("part_keys_", "part_ids_")
-            for fragment in fragments:
-                fragment.free()
+            sides = gfur_side_maps(ctx, r, s, (pr.order, ps.order), (pos_r, pos_s))
+            ctx.mem.free_all(held)
 
-        return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None
+        return out_key, sides, None
 
 
 def demonstrate_gftr_incompatibility(

@@ -18,19 +18,18 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather, host_take
-from ..primitives.grouping import stable_key_order
+from ..primitives.gather import host_take
 from ..primitives.merge_path import match_bounds
-from ..primitives.sort_pairs import argsort_cost_only, sort_pairs
+from ..primitives.sort_pairs import argsort_cost_only, sort_layout
 from ..relational.relation import Relation
-from ..relational.types import id_dtype
 from .base import (
     MATCH,
     MATERIALIZE,
     TRANSFORM,
     JoinAlgorithm,
+    gfur_side_maps,
     hold_first_payload,
-    init_tuple_ids,
+    reserve_tuple_ids,
 )
 from .matching import expand_bounds
 from .narrow import narrow_sort_merge
@@ -55,6 +54,19 @@ def _charge_match_output(
     )
 
 
+def _sort_keys(ctx: GPUContext, rel: Relation, side: str, payload_item_bytes: int):
+    """Both SMJs' transform: sort *rel*'s keys, pricing the tuple IDs or
+    first payload column sorted with them; returns :func:`sort_layout`."""
+    temp = ctx.mem.reserve(_sort_temp_bytes(rel.num_rows), "sort_temp")
+    keys_sorted, order = sort_layout(rel.key_values)
+    argsort_cost_only(
+        ctx, rel.num_rows, rel.key_values.dtype.itemsize, payload_item_bytes,
+        phase=TRANSFORM, label=side,
+    )
+    temp.free()
+    return keys_sorted, order
+
+
 def _merge(ctx, r_keys_sorted, s_keys_sorted, unique_build_keys, config):
     """Merge Path match finding; returns the matched sorted positions."""
     lo, hi = match_bounds(
@@ -77,40 +89,31 @@ class SortMergeJoinUM(JoinAlgorithm):
         return narrow_sort_merge(ctx, r, s, unique_build_keys, self.config)
 
     def _execute(self, ctx: GPUContext, r: Relation, s: Relation, unique_build_keys: bool):
-        transformed = {}
+        sorted_keys, orders, held = {}, {}, []
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
-                ids = init_tuple_ids(ctx, rel.num_rows, TRANSFORM, side, dtype=rel.key_values.dtype)
-                a_ids = ctx.mem.adopt(ids, f"ids_{side}")
-                temp = ctx.mem.reserve(_sort_temp_bytes(rel.num_rows), "sort_temp")
-                keys_sorted, (ids_sorted,) = sort_pairs(
-                    ctx, rel.key_values, [ids], phase=TRANSFORM, label=side
-                )
-                temp.free()
-                ctx.mem.free(a_ids)
-                transformed[side] = (
-                    ctx.mem.adopt(keys_sorted, f"keys_sorted_{side}"),
-                    ctx.mem.adopt(ids_sorted, f"ids_sorted_{side}"),
-                )
+                ids = reserve_tuple_ids(ctx, rel, side)
+                keys_sorted, orders[side] = _sort_keys(ctx, rel, side, rel.key_values.itemsize)
+                ids.free()
+                sorted_keys[side] = ctx.mem.adopt(keys_sorted, f"keys_sorted_{side}")
+                held.append(ctx.mem.reserve(ids.nbytes, f"ids_sorted_{side}"))
 
         with ctx.phase(MATCH):
-            rk, r_ids = transformed["r"]
-            sk, s_ids = transformed["s"]
+            rk = sorted_keys["r"]
+            sk = sorted_keys["s"]
             r_pos, s_pos = _merge(ctx, rk.data, sk.data, unique_build_keys, self.config)
             out_key = host_take(sk.data, s_pos)
             # Physical IDs are fetched through the (clustered) match
             # positions — these reads are cheap; the expensive part is the
             # materialization gathers that use the *values* fetched here
             # as maps.
-            id_r = gather(ctx, r_ids.data, r_pos, phase=MATCH, label="id_r")
-            id_s = gather(ctx, s_ids.data, s_pos, phase=MATCH, label="id_s")
-            _charge_match_output(ctx, out_key.size, rk.data.dtype.itemsize)
-            a_id_r = ctx.mem.adopt(id_r, "match_ids_r")
-            a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
-            for arr in (rk, r_ids, sk, s_ids):
-                ctx.mem.free(arr)
+            sides = gfur_side_maps(
+                ctx, r, s, (orders["r"], orders["s"]), (r_pos, s_pos),
+                lambda: _charge_match_output(ctx, out_key.size, rk.data.dtype.itemsize),
+            )
+            ctx.mem.free_all([rk, sk] + held)
 
-        return out_key, {"r": (a_id_r, None, None), "s": (a_id_s, None, None)}, None
+        return out_key, sides, None
 
 
 class SortMergeJoinOM(JoinAlgorithm):
@@ -129,22 +132,14 @@ class SortMergeJoinOM(JoinAlgorithm):
         eager = {}
         with ctx.phase(TRANSFORM):
             for side, rel in (("r", r), ("s", s)):
-                keys = rel.key_values
-                first = rel.payload_names[:1]
-                temp = ctx.mem.reserve(_sort_temp_bytes(rel.num_rows), "sort_temp")
                 # The first payload column sorts with the keys on the
                 # device only; the materializer reads it from the base
                 # relation through the sort permutation.
-                orders[side] = stable_key_order(keys)
-                argsort_cost_only(
-                    ctx, rel.num_rows, keys.dtype.itemsize,
-                    sum(rel.column(name).dtype.itemsize for name in first),
-                    phase=TRANSFORM, label=side,
+                keys_sorted, orders[side] = _sort_keys(
+                    ctx, rel, side,
+                    sum(rel.column(name).dtype.itemsize for name in rel.payload_names[:1]),
                 )
-                temp.free()
-                sorted_keys[side] = ctx.mem.adopt(host_take(keys, orders[side]), f"keys_sorted_{side}")
-                # Held until materialization: keep it at tuple-ID width.
-                orders[side] = orders[side].astype(id_dtype(rel.num_rows))
+                sorted_keys[side] = ctx.mem.adopt(keys_sorted, f"keys_sorted_{side}")
                 eager[side] = hold_first_payload(ctx, rel, f"payload1_{side}")
 
         with ctx.phase(MATCH):

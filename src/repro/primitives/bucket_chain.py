@@ -22,13 +22,18 @@ properties the paper exploits to motivate its new partitioner:
     Under Zipf-skewed keys one partition's chain becomes hot; bucket
     allocation and offset atomics serialize.  The conflict factor grows
     with the hot-partition share (Figure 14's PHJ-UM blow-up).
+
+A partitioning is two halves: :func:`bucket_chain_layout`, the keys in
+layout order plus the permutation (the RNG draw included), and
+:func:`charge_bucket_chain`, its one price.  The joins use only those;
+:func:`bucket_chain_partition` also moves payloads through the layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
 from .gather import host_take
 from .grouping import packed_order
-from .radix_partition import partition_codes, plan_passes
+from .radix_partition import Partitioned, layout_by_codes, partition_codes, plan_passes
 
 #: Tuples per fixed-size bucket (keys + one payload column at 4 B each,
 #: sized to fit comfortably in shared memory alongside the histogram).
@@ -64,15 +69,9 @@ def contention_factor(counts: np.ndarray) -> float:
 
 
 @dataclass
-class BucketChainPartitioned:
+class BucketChainPartitioned(Partitioned):
     """Result of a bucket-chain partitioning run."""
 
-    keys: np.ndarray
-    payloads: List[np.ndarray]
-    counts: np.ndarray
-    offsets: np.ndarray
-    total_bits: int
-    hashed: bool
     bucket_tuples: int
     #: bytes reserved for bucket chains (>= data bytes: fragmentation)
     allocated_bytes: int
@@ -81,16 +80,72 @@ class BucketChainPartitioned:
     conflict_factor: float
 
     @property
-    def num_partitions(self) -> int:
-        return int(self.counts.size)
-
-    @property
     def fragmentation_bytes(self) -> int:
         return self.allocated_bytes - self.used_bytes
 
     @property
     def buckets_per_partition(self) -> np.ndarray:
         return np.maximum(1, -(-self.counts // self.bucket_tuples))
+
+
+def bucket_chain_layout(
+    keys: np.ndarray,
+    total_bits: int,
+    rng: np.random.Generator,
+    payload_item_bytes: int = 0,
+    bucket_tuples: int = DEFAULT_BUCKET_TUPLES,
+    hashed: bool = False,
+) -> BucketChainPartitioned:
+    """The host half of :func:`bucket_chain_partition`, charging nothing.
+
+    Partitions in ascending id, each in a *run-dependent* order drawn
+    from *rng* (the context RNG), in chains of tuples of a key and
+    *payload_item_bytes*; pair it with :func:`charge_bucket_chain`.
+    """
+    codes = partition_codes(keys, total_bits, hashed=hashed)
+    # Random tie-breaker models the unpredictable atomic completion order.
+    order = packed_order(codes, rng.random(keys.size))
+    part = layout_by_codes(keys, codes, order, total_bits, hashed)
+    tuple_bytes = int(keys.dtype.itemsize) + payload_item_bytes
+    # Every partition gets an initial bucket up front (Section 3.2), then
+    # one bucket per further `bucket_tuples` tuples.
+    buckets = int(np.maximum(1, -(-part.counts // bucket_tuples)).sum())
+    return BucketChainPartitioned(
+        **vars(part),
+        bucket_tuples=bucket_tuples,
+        allocated_bytes=buckets * bucket_tuples * tuple_bytes,
+        used_bytes=int(keys.size) * tuple_bytes,
+        conflict_factor=contention_factor(part.counts),
+    )
+
+
+def charge_bucket_chain(
+    ctx: GPUContext,
+    part: BucketChainPartitioned,
+    payload_bytes: int,
+    phase: Optional[str] = None,
+    label: str = "",
+) -> None:
+    """Charge a :func:`bucket_chain_partition` call without moving data,
+    *payload_bytes* of payloads travelling with the keys."""
+    n = int(part.keys.size)
+    key_bytes = int(part.keys.nbytes)
+    atomics = n + int(part.buckets_per_partition.sum())
+    pass_plan = plan_passes(part.total_bits)
+    ctx.count("partition_passes", len(pass_plan))
+    for _, num_bits in pass_plan:
+        ctx.submit(
+            KernelStats(
+                name=f"bucket_chain:{label}" if label else "bucket_chain",
+                items=n,
+                seq_read_bytes=2 * key_bytes + payload_bytes,
+                seq_write_bytes=key_bytes + payload_bytes,
+                atomic_ops=atomics,
+                atomic_conflict_factor=part.conflict_factor,
+            ),
+            phase=phase,
+            num_bits=num_bits,
+        )
 
 
 def bucket_chain_partition(
@@ -109,63 +164,13 @@ def bucket_chain_partition(
     *run-dependent* order within each partition, drawn from the context
     RNG — the simulated equivalent of atomic write-order races.
     """
-    n = int(keys.size)
-    codes = partition_codes(keys, total_bits, hashed=hashed)
-    # Random tie-breaker models the unpredictable atomic completion order.
-    tie_breaker = ctx.rng.random(n)
-    order = _partition_order(codes, tie_breaker)
-    keys_out = host_take(keys, order)
-    payloads_out = [host_take(p, order) for p in payloads]
-
-    counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
-    offsets = np.zeros_like(counts)
-    np.cumsum(counts[:-1], out=offsets[1:])
-
-    tuple_bytes = int(keys.dtype.itemsize) + sum(int(p.dtype.itemsize) for p in payloads)
-    # Every partition gets an initial bucket up front (Section 3.2), then
-    # one bucket per further `bucket_tuples` tuples.
-    buckets = np.maximum(1, -(-counts // bucket_tuples))
-    allocated = int(buckets.sum()) * bucket_tuples * tuple_bytes
-    used = n * tuple_bytes
-
-    conflict = contention_factor(counts)
-    payload_bytes = sum(int(p.nbytes) for p in payloads)
-    ctx.count("partition_passes", len(plan_passes(total_bits)))
-    for start_bit, num_bits in plan_passes(total_bits):
-        del start_bit  # traffic identical per pass
-        ctx.submit(
-            KernelStats(
-                name=f"bucket_chain:{label}" if label else "bucket_chain",
-                items=n,
-                seq_read_bytes=2 * int(keys.nbytes) + payload_bytes,
-                seq_write_bytes=int(keys.nbytes) + payload_bytes,
-                atomic_ops=n + int(buckets.sum()),
-                atomic_conflict_factor=conflict,
-            ),
-            phase=phase,
-            num_bits=num_bits,
-        )
-
-    return BucketChainPartitioned(
-        keys=keys_out,
-        payloads=payloads_out,
-        counts=counts,
-        offsets=offsets,
-        total_bits=total_bits,
-        hashed=hashed,
-        bucket_tuples=bucket_tuples,
-        allocated_bytes=allocated,
-        used_bytes=used,
-        conflict_factor=conflict,
+    part = bucket_chain_layout(
+        keys, total_bits, ctx.rng,
+        sum(int(p.dtype.itemsize) for p in payloads), bucket_tuples, hashed,
     )
-
-
-def _partition_order(codes: np.ndarray, tie_breaker: np.ndarray) -> np.ndarray:
-    """``np.lexsort((tie_breaker, codes))``, as one packed sort.
-
-    :func:`~repro.primitives.grouping.packed_order` sorts one uint64
-    word per row (code, top tie-breaker bits, row id) and re-sorts only
-    the rows whose truncated tie-breakers tie, so the layout is the
-    lexsort's whatever the tie-breaker holds.
-    """
-    return packed_order(codes, tie_breaker)
+    order = part.order.astype(np.intp)  # taken once per payload
+    part.payloads = [host_take(p, order) for p in payloads]
+    charge_bucket_chain(
+        ctx, part, sum(int(p.nbytes) for p in payloads), phase=phase, label=label
+    )
+    return part

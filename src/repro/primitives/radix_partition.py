@@ -57,8 +57,9 @@ def radix_partition_pass(
 
     Returns ``(keys_out, payloads_out)`` with tuples grouped by the digit
     ``bits[start_bit : start_bit + num_bits]`` in ascending digit order,
-    stably.  Charges one OneSweep-style kernel: a fused histogram read of
-    the keys plus one read and one write of keys and payloads.
+    stably.  Charges one OneSweep-style kernel through
+    :func:`charge_radix_partition`: a fused histogram read of the keys
+    plus one read and one write of keys and payloads.
     """
     if num_bits > MAX_BITS_PER_PASS:
         raise ValueError(
@@ -69,17 +70,10 @@ def radix_partition_pass(
     order = stable_key_order(digit)
     keys_out = host_take(keys, order)
     payloads_out = [host_take(p, order) for p in payloads]
-
-    payload_bytes = sum(int(p.nbytes) for p in payloads)
-    stats = KernelStats(
-        name=f"radix_partition:{label}" if label else "radix_partition",
-        items=int(keys.size),
-        # fused histogram read of keys + read of keys & payloads
-        seq_read_bytes=2 * int(keys.nbytes) + payload_bytes,
-        seq_write_bytes=int(keys.nbytes) + payload_bytes,
-        atomic_ops=1 << num_bits,
+    charge_radix_partition(
+        ctx, int(keys.size), int(keys.nbytes), sum(int(p.nbytes) for p in payloads),
+        num_bits, phase=phase, label=label, boundaries=False,
     )
-    ctx.submit(stats, phase=phase)
     return keys_out, payloads_out
 
 
@@ -142,7 +136,8 @@ def charge_radix_partition(
     label: str = "",
     boundaries: bool = True,
 ) -> int:
-    """Charge a :func:`radix_partition` call without moving any data.
+    """Charge a :func:`radix_partition` call without moving any data:
+    the one price of a radix partitioning.
 
     Counts ``partition_passes``, submits one RADIX-PARTITION kernel per
     LSD pass and, with ``boundaries``, the histogram + exclusive-scan
@@ -189,14 +184,19 @@ def partition_layout(
     """The host half of :func:`radix_partition`, charging nothing.
 
     Returns the stable ``2**total_bits``-way layout of *keys* alone
-    (``payloads`` empty).  A caller that prices payloads travelling
-    with the keys without moving them pairs this with
-    :func:`charge_radix_partition`; ``order`` maps the layout back to
-    the input rows.
+    (``payloads`` empty); ``order`` maps it back to the input rows.  A
+    caller pricing payloads that travel with the keys pairs this with
+    :func:`charge_radix_partition`.
     """
-    passes = len(plan_passes(total_bits))
     codes = partition_codes(keys, total_bits, hashed=hashed)
-    order = stable_key_order(codes)
+    return layout_by_codes(keys, codes, stable_key_order(codes), total_bits, hashed)
+
+
+def layout_by_codes(
+    keys: np.ndarray, codes: np.ndarray, order: np.ndarray, total_bits: int, hashed: bool
+) -> Partitioned:
+    """The layout of *keys* that *order* groups by their partition
+    *codes*, in ascending code."""
     counts = np.bincount(codes, minlength=1 << total_bits).astype(np.int64)
     offsets = np.zeros_like(counts)
     np.cumsum(counts[:-1], out=offsets[1:])
@@ -207,7 +207,7 @@ def partition_layout(
         offsets=offsets,
         total_bits=total_bits,
         hashed=hashed,
-        passes=passes,
+        passes=len(plan_passes(total_bits)),
         order=order.astype(id_dtype(keys.size)),
     )
 

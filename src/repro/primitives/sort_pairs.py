@@ -5,16 +5,22 @@
 bits per pass, so sorting 4-byte keys takes 4 passes, each reading and
 writing the key and payload arrays — the "about 17 sequential passes"
 the paper counts for a 4B/4B sort (Section 4.2).  Sorting is stable.
+
+A sort is two halves: :func:`sort_layout`, the keys in sorted order
+plus the permutation, and :func:`argsort_cost_only`, its one price.
+The joins and group-bys use only those; :func:`sort_pairs` also moves
+payloads through the layout.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
+from ..relational.types import id_dtype
 from .gather import host_take
 from .grouping import stable_key_order
 from .radix_partition import MAX_BITS_PER_PASS
@@ -31,6 +37,16 @@ def sort_passes_for_dtype(dtype: np.dtype) -> int:
     return -(-bits // MAX_BITS_PER_PASS)
 
 
+def sort_layout(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The host half of :func:`sort_pairs`, charging nothing: the keys
+    in stable sorted order and the permutation that sorts them, at the
+    input's :func:`~repro.relational.types.id_dtype`.  A caller pricing
+    payloads that travel with the keys pairs this with
+    :func:`argsort_cost_only`."""
+    order = stable_key_order(keys)
+    return host_take(keys, order), order.astype(id_dtype(keys.size))
+
+
 def sort_pairs(
     ctx: GPUContext,
     keys: np.ndarray,
@@ -43,29 +59,17 @@ def sort_pairs(
     """Stably sort *payloads* (and the keys) by *keys*.
 
     Returns ``(keys_sorted, payloads_sorted)`` — plus the sort
-    permutation when ``return_order=True``.  Charges one kernel per
-    8-bit LSD pass, each streaming the key and payload arrays once in
-    and once out.
+    permutation when ``return_order=True``: :func:`sort_layout` with the
+    payloads moved through it, charged by :func:`argsort_cost_only`.
     """
-    if key_bits is None:
-        key_bits = key_bits_for_dtype(keys.dtype)
-    passes = max(1, -(-key_bits // MAX_BITS_PER_PASS))
-
-    order = stable_key_order(keys)
-    keys_sorted = host_take(keys, order)
-    payloads_sorted: List[np.ndarray] = [host_take(p, order) for p in payloads]
-
-    payload_bytes = sum(int(p.nbytes) for p in payloads)
-    per_pass_bytes = int(keys.nbytes) + payload_bytes
-    stats = KernelStats(
-        name=f"sort_pairs:{label}" if label else "sort_pairs",
-        items=int(keys.size),
-        # fused digit/histogram read + data read, then data write
-        seq_read_bytes=int(keys.nbytes) + per_pass_bytes,
-        seq_write_bytes=per_pass_bytes,
-        atomic_ops=1 << MAX_BITS_PER_PASS,
+    keys_sorted, order = sort_layout(keys)
+    taken = order.astype(np.intp)  # taken once per payload
+    payloads_sorted: List[np.ndarray] = [host_take(p, taken) for p in payloads]
+    argsort_cost_only(
+        ctx, int(keys.size), keys.dtype.itemsize,
+        sum(p.dtype.itemsize for p in payloads),
+        phase=phase, key_bits=key_bits, label=label,
     )
-    ctx.submit_many([stats] * passes, phase=phase)
     if return_order:
         return keys_sorted, payloads_sorted, order
     return keys_sorted, payloads_sorted
@@ -80,7 +84,8 @@ def argsort_cost_only(
     key_bits: Optional[int] = None,
     label: str = "",
 ) -> None:
-    """Charge SORT-PAIRS traffic without moving data (planning helpers)."""
+    """Charge SORT-PAIRS without moving data: one kernel per 8-bit LSD
+    pass, each streaming the keys and payloads once in and once out."""
     if key_bits is None:
         key_bits = key_bytes * 8
     passes = max(1, -(-key_bits // MAX_BITS_PER_PASS))
@@ -88,6 +93,7 @@ def argsort_cost_only(
     stats = KernelStats(
         name=f"sort_pairs:{label}" if label else "sort_pairs",
         items=num_items,
+        # fused digit/histogram read + data read, then data write
         seq_read_bytes=num_items * key_bytes + per_pass,
         seq_write_bytes=per_pass,
         atomic_ops=1 << MAX_BITS_PER_PASS,

@@ -35,7 +35,6 @@ from .brownout import (
 )
 from .cache import (
     DependentLRU,
-    PinnedPlan,
     PlanCache,
     ResultCache,
     pin_plan,
@@ -61,7 +60,6 @@ __all__ = [
     "DriverReport",
     "LEVEL_NAMES",
     "NORMAL",
-    "PinnedPlan",
     "PlanCache",
     "QueryCompletion",
     "QueryOutcome",

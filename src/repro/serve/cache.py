@@ -5,12 +5,13 @@ arrive over and over with Zipf-distributed popularity.  Two caches
 exploit that:
 
 * the **plan cache** maps a normalized logical plan (structure +
-  per-scan relation fingerprints) to a *pinned* physical plan — the
-  same plan tree with every ``"auto"`` algorithm replaced by the name
-  the planner resolved on first execution.  A hit skips profile
-  building and the planner's decision tree; because the planner is a
-  deterministic function of the (unchanged) data, the pinned plan
-  reproduces the auto plan's result bit for bit.
+  per-scan relation fingerprints) to its *pinned* algorithms — the
+  names the planner resolved for its joins and group-bys on first
+  execution.  A hit applies them to the request's own plan, skipping
+  profile building and the planner's decision tree; because the
+  planner is a deterministic function of the (unchanged) data, the
+  pinned plan reproduces the auto plan's result bit for bit.  Only
+  names are kept, so an entry holds no relation alive.
 * the **result / sub-result cache** maps the same signature to the
   materialized output (the root result, plus join intermediates
   captured via the executor's ``join_output_hook``), LRU-evicted under
@@ -25,7 +26,7 @@ with equal bytes share entries and any data change misses cleanly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,15 +74,23 @@ def plan_signature(node: PlanNode) -> Signature:
 # -- plan pinning -------------------------------------------------------------
 
 
+def cache_key(node: PlanNode, optimize: bool) -> Signature:
+    """The plan- and result-cache key of *node* run with *optimize*."""
+    return ("opt" if optimize else "raw", plan_signature(node))
+
+
 def pin_plan(
     plan: PlanNode,
     trace: Sequence[OperatorTrace],
     optimize: bool = True,
     fused: Optional[bool] = None,
-) -> PlanNode:
-    """Rebuild *plan* with the algorithms an execution actually resolved.
+) -> Tuple[str, ...]:
+    """The algorithms an execution of *plan* actually resolved.
 
-    *trace* is the :class:`~repro.query.plan.OperatorTrace` list of one
+    Returns one name per Join and Aggregate of *plan*, in post-order
+    (:func:`with_algorithms` applies them to any plan of the same
+    signature), so a pinned plan holds no relation.  *trace* is the
+    :class:`~repro.query.plan.OperatorTrace` list of one
     ``execute(plan, optimize=optimize)`` run; entries are consumed in
     the executor's append order (left subtree, right subtree, operator).
     ``optimize`` decides whether a Project-over-Join folded into the
@@ -91,65 +100,66 @@ def pin_plan(
     executor's, i.e. ``optimize``), so an Aggregate-over-Join consumes a
     single fused entry whose ``algorithm`` is ``"<join>+<group-by>"``.
     Only names the algorithm registries know are pinned — degraded
-    spellings like ``"OOC[PHJ-OM]"`` are left as the original request.
+    spellings like ``"OOC[PHJ-OM]"`` keep the original request.
     """
     if fused is None:
         fused = QueryExecutor().fuses(optimize)
-    position = 0
+    entries = iter(trace)
+    names = []
 
-    def take() -> OperatorTrace:
-        nonlocal position
-        entry = trace[position]
-        position += 1
-        return entry
+    def pin(resolved: str, registry, requested: str) -> None:
+        names.append(resolved if resolved in registry else requested)
 
-    def join_name(name: str) -> Optional[str]:
-        return name if name in ALGORITHMS else None
+    def walk_join(node: Join) -> None:
+        walk(node.left)
+        walk(node.right)
+        pin(next(entries).algorithm, ALGORITHMS, node.algorithm)
 
-    def agg_name(name: str) -> Optional[str]:
-        return name if name in GROUPBY_ALGORITHMS else None
-
-    def walk_join(node: Join) -> Join:
-        left = walk(node.left)
-        right = walk(node.right)
-        resolved = join_name(take().algorithm)
-        if resolved is None:
-            return replace(node, left=left, right=right)
-        return replace(node, left=left, right=right, algorithm=resolved)
-
-    def walk(node: PlanNode) -> PlanNode:
+    def walk(node: PlanNode) -> None:
         if isinstance(node, Scan):
-            take()
-            return node
-        if isinstance(node, Project):
+            next(entries)
+        elif isinstance(node, Project):
             if optimize and isinstance(node.child, Join):
                 # Projection pushdown: the executor emitted only the
                 # join's entry for this whole subtree.
-                return replace(node, child=walk_join(node.child))
-            child = walk(node.child)
-            take()  # the Project's own entry
-            return replace(node, child=child)
-        if isinstance(node, Join):
-            return walk_join(node)
-        if isinstance(node, Aggregate):
+                walk_join(node.child)
+            else:
+                walk(node.child)
+                next(entries)  # the Project's own entry
+        elif isinstance(node, Join):
+            walk_join(node)
+        elif isinstance(node, Aggregate):
             if fused and isinstance(node.child, Join):
-                left = walk(node.child.left)
-                right = walk(node.child.right)
-                entry = take()
-                join_part, _, agg_part = entry.algorithm.partition("+")
-                child = replace(node.child, left=left, right=right)
-                if join_name(join_part) is not None:
-                    child = replace(child, algorithm=join_part)
-                pinned = replace(node, child=child)
-                if agg_name(agg_part) is not None:
-                    pinned = replace(pinned, algorithm=agg_part)
-                return pinned
-            child = walk(node.child)
-            resolved = agg_name(take().algorithm)
-            if resolved is None:
-                return replace(node, child=child)
-            return replace(node, child=child, algorithm=resolved)
-        raise TypeError(f"unknown plan node {type(node).__name__}")
+                walk(node.child.left)
+                walk(node.child.right)
+                join_part, _, agg_part = next(entries).algorithm.partition("+")
+                pin(join_part, ALGORITHMS, node.child.algorithm)
+            else:
+                walk(node.child)
+                agg_part = next(entries).algorithm
+            pin(agg_part, GROUPBY_ALGORITHMS, node.algorithm)
+        else:
+            raise TypeError(f"unknown plan node {type(node).__name__}")
+
+    walk(plan)
+    return tuple(names)
+
+
+def with_algorithms(plan: PlanNode, names: Sequence[str]) -> PlanNode:
+    """*plan* with its Joins' and Aggregates' algorithms set to *names*,
+    in :func:`pin_plan`'s post-order."""
+    remaining = iter(names)
+
+    def walk(node: PlanNode) -> PlanNode:
+        if isinstance(node, Scan):
+            return node
+        if isinstance(node, Join):
+            left, right = walk(node.left), walk(node.right)
+            return replace(node, left=left, right=right, algorithm=next(remaining))
+        child = walk(node.child)
+        if isinstance(node, Aggregate):
+            return replace(node, child=child, algorithm=next(remaining))
+        return replace(node, child=child)
 
     return walk(plan)
 
@@ -269,14 +279,6 @@ class DependentLRU:
 # -- typed wrappers -----------------------------------------------------------
 
 
-@dataclass
-class PinnedPlan:
-    """A plan-cache value: the pinned tree plus its provenance."""
-
-    plan: PlanNode
-    pinned_from: str  #: the root operator description that resolved it
-
-
 def output_nbytes(output: object) -> int:
     """Bytes of a query output (a Relation or an aggregate column dict)."""
     if isinstance(output, Relation):
@@ -293,7 +295,8 @@ def output_shell(output: object) -> object:
 
 
 class PlanCache(DependentLRU):
-    """Signature -> :class:`PinnedPlan`, bounded by entry count."""
+    """Signature -> the :func:`pin_plan` algorithm names, bounded by entry
+    count."""
 
     def __init__(self, max_entries: int = 256):
         super().__init__(max_entries=max_entries)

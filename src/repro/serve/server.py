@@ -91,13 +91,13 @@ from ..query.plan import (
 from ..relational.relation import Relation
 from .brownout import LEVEL_NAMES, BrownoutController, BrownoutPolicy
 from .cache import (
-    PinnedPlan,
     PlanCache,
     ResultCache,
+    cache_key,
     output_nbytes,
     output_shell,
     pin_plan,
-    plan_signature,
+    with_algorithms,
 )
 from .quota import RetryBudget, TenantQuota, TenantState
 from .streams import QueryCompletion, StreamScheduler, WorkItem
@@ -1047,11 +1047,11 @@ class QueryServer:
         # paying under pressure, and an unfused trace must never be
         # pinned as if it were the fused shape.
         populate_ok = lookup_ok and not degrade
-        cache_key = ("opt" if request.optimize else "raw", plan_signature(request.plan))
+        key = cache_key(request.plan, request.optimize)
         deps = self._plan_deps(request.plan)
 
         if lookup_ok and self.enable_result_cache:
-            entry = self.result_cache.get(cache_key)
+            entry = self.result_cache.get(key)
             if entry is not None:
                 self._count("serve.result_cache_hits")
                 result = QueryResult(output=output_shell(entry.value), trace=[])
@@ -1072,9 +1072,9 @@ class QueryServer:
         plan = request.plan
         plan_cache_hit = False
         if lookup_ok and self.enable_plan_cache:
-            pinned = self.plan_cache.get(cache_key)
+            pinned = self.plan_cache.get(key)
             if pinned is not None:
-                plan = pinned.value.plan
+                plan = with_algorithms(plan, pinned.value)
                 plan_cache_hit = True
                 self._count("serve.plan_cache_hits")
             else:
@@ -1139,32 +1139,29 @@ class QueryServer:
                 self.enable_plan_cache
                 and not plan_cache_hit
                 and subresult_hits == 0
-                and cache_key not in self.plan_cache
+                and key not in self.plan_cache
             ):
                 self.plan_cache.put(
-                    cache_key,
-                    PinnedPlan(
-                        plan=pin_plan(
-                            request.plan,
-                            result.trace,
-                            optimize=request.optimize,
-                            fused=executor.fuses(request.optimize),
-                        ),
-                        pinned_from=request.plan.describe(),
+                    key,
+                    pin_plan(
+                        request.plan,
+                        result.trace,
+                        optimize=request.optimize,
+                        fused=executor.fuses(request.optimize),
                     ),
                     deps=deps,
                 )
             if self.enable_result_cache:
                 self._check_cache_insert(request, result.output)
                 self.result_cache.put(
-                    cache_key,
+                    key,
                     output_shell(result.output),
                     deps=deps,
                     nbytes=output_nbytes(result.output),
                 )
                 for node, relation in captured:
                     self.result_cache.put(
-                        ("opt" if request.optimize else "raw", plan_signature(node)),
+                        cache_key(node, request.optimize),
                         relation,
                         deps=deps,
                         nbytes=relation.total_bytes,
@@ -1233,7 +1230,7 @@ class QueryServer:
         hits = 0
 
         def lookup(node: Join) -> Optional[Relation]:
-            key = ("opt" if optimize else "raw", plan_signature(node))
+            key = cache_key(node, optimize)
             if key not in self.result_cache:
                 return None
             entry = self.result_cache.get(key)

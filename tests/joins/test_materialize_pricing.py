@@ -36,7 +36,6 @@ from repro.joins.base import (
     TRANSFORM,
     JoinConfig,
     JoinResult,
-    init_tuple_ids,
     output_column_names,
 )
 from repro.joins.matching import expand_bounds, match_positions
@@ -52,6 +51,22 @@ from repro.primitives.merge_path import match_bounds
 from repro.primitives.radix_partition import partition_codes, plan_passes
 from repro.primitives.sort_pairs import argsort_cost_only, sort_pairs
 from repro.relational.relation import Relation
+from repro.relational.types import id_dtype
+
+
+def init_tuple_ids(ctx, n, phase, label, dtype=None):
+    """``init_tuple_ids`` as it was: physical tuple IDs 0..n-1 built on
+    the host, charged as one write pass."""
+    ids = np.arange(n, dtype=dtype if dtype is not None else id_dtype(n))
+    ctx.submit(
+        KernelStats(
+            name=f"init_ids:{label}",
+            items=n,
+            seq_write_bytes=int(ids.nbytes),
+        ),
+        phase=phase,
+    )
+    return ids
 
 
 def _frozen_radix_partition(ctx, keys, payloads, total_bits, phase, hashed, label, like=None):

@@ -174,16 +174,18 @@ def test_update_releases_the_replaced_relations_memo(s):
 
 
 def test_an_unregistered_scan_is_released_after_its_query(s):
-    # Pinned plans keep their scans (they are replayed), so the plan
-    # cache is off: the server itself must keep no ad hoc relation.
-    server = QueryServer(streams=1, seed=SERVE_SEED, enable_plan_cache=False)
-    server.register("s", s)
-    refs = []
-    for seed in range(3):
-        adhoc = make_relation(256, seed=100 + seed, prefix="d")
-        refs.append(weakref.ref(adhoc))
-        server.query(Join(Scan(adhoc), Scan(s)))
-        del adhoc
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
-    assert len(server.result_cache) == 3
+    # Neither cache may keep an ad hoc relation alive after its query:
+    # the plan cache keeps resolved algorithm names, not plan trees.
+    for plan_cache in (False, True):
+        server = QueryServer(streams=1, seed=SERVE_SEED, enable_plan_cache=plan_cache)
+        server.register("s", s)
+        refs = []
+        for seed in range(3):
+            adhoc = make_relation(256, seed=100 + seed, prefix="d")
+            refs.append(weakref.ref(adhoc))
+            server.query(Join(Scan(adhoc), Scan(s)))
+            del adhoc
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None], plan_cache
+        assert len(server.result_cache) == 3
+        assert len(server.plan_cache) == (3 if plan_cache else 0)
