@@ -16,8 +16,8 @@ Host-side the strategy only prices, and the values come from the fold
 of record (:func:`~repro.aggregation.base.fold_groups`).  Its
 partitionings are therefore charged (:func:`charge_radix_partition`,
 a bytes-only reservation for the partitioned keys) and never
-performed; GFUR's gathers analyze its permuted tuple IDs, the layout's
-``order`` (:func:`partition_layout`), once per item size.
+performed; GFUR's gathers analyze its permuted tuple IDs, the stable
+order of the keys' partition codes, once per item size.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 
 from ..errors import AggregationConfigError
 from ..gpusim.kernel import KernelStats
-from ..primitives.radix_partition import charge_radix_partition, partition_layout
+from ..primitives.grouping import stable_key_order
+from ..primitives.radix_partition import charge_radix_partition, partition_codes
 from ..relational.types import id_dtype
 from .base import (
     AGGREGATE,
@@ -78,18 +79,19 @@ class PartitionedGroupBy(GroupByAlgorithm):
         held = []
         with ctx.phase(TRANSFORM):
             if self.pattern == "gfur":
-                id_bytes = n * np.dtype(id_dtype(n)).itemsize
+                id_type = np.dtype(id_dtype(n))
+                id_bytes = n * id_type.itemsize
                 ctx.submit(
                     KernelStats(name="init_ids", items=n, seq_write_bytes=id_bytes),
                     phase=TRANSFORM,
                 )
-                part = partition_layout(keys, bits, self.config.hashed_partitioning)
+                codes = partition_codes(keys, bits, hashed=self.config.hashed_partitioning)
                 charge_radix_partition(
                     ctx, n, int(keys.nbytes), id_bytes, bits, phase=TRANSFORM,
                     label="keys+ids",
                 )
                 held.append(ctx.mem.reserve(id_bytes, "ids_partitioned"))
-                fetch = gather_through(ctx, part.order)
+                fetch = gather_through(ctx, stable_key_order(codes).astype(id_type))
             else:
                 # Only the sizes set the charges, and nothing reads the
                 # moved data, so GFTR prices its partitionings.

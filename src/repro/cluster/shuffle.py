@@ -109,8 +109,8 @@ def _charge_partition_kernels(
 ) -> None:
     """Charge the local bucket-scatter of one device's block.
 
-    One OneSweep-style pass, exactly like
-    :func:`repro.primitives.radix_partition.radix_partition_pass`: a
+    One OneSweep-style pass, priced like one pass of
+    :func:`repro.primitives.radix_partition.charge_radix_partition`: a
     fused histogram read of the keys plus one read and one write of
     every column, with one atomic per destination bucket.
     """

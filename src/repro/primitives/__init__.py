@@ -22,7 +22,6 @@ from .radix_partition import (
     partition_codes,
     plan_passes,
     radix_partition,
-    radix_partition_pass,
 )
 from .grouping import (
     count_distinct,
@@ -74,7 +73,6 @@ __all__ = [
     "plan_passes",
     "radix_digit",
     "radix_partition",
-    "radix_partition_pass",
     "scatter",
     "sequential_stats",
     "set_sector_mode",

@@ -30,9 +30,7 @@ from .hashing import hashed_digit, radix_digit
 MAX_BITS_PER_PASS = 8
 
 
-def partition_codes(
-    keys: np.ndarray, total_bits: int, start_bit: int = 0, hashed: bool = False
-) -> np.ndarray:
+def partition_codes(keys: np.ndarray, total_bits: int, hashed: bool = False) -> np.ndarray:
     """The partition number of each key for a ``total_bits`` partitioning.
 
     With ``hashed=True`` digits are taken from a mixed hash of the key
@@ -40,41 +38,7 @@ def partition_codes(
     distributed across their low bits.
     """
     digit = hashed_digit if hashed else radix_digit
-    return digit(keys, start_bit, total_bits)
-
-
-def radix_partition_pass(
-    ctx: GPUContext,
-    keys: np.ndarray,
-    payloads: Sequence[np.ndarray],
-    start_bit: int,
-    num_bits: int,
-    phase: Optional[str] = None,
-    hashed: bool = False,
-    label: str = "",
-) -> tuple:
-    """One RADIX-PARTITION invocation (<= 8 bits).
-
-    Returns ``(keys_out, payloads_out)`` with tuples grouped by the digit
-    ``bits[start_bit : start_bit + num_bits]`` in ascending digit order,
-    stably.  Charges one OneSweep-style kernel through
-    :func:`charge_radix_partition`: a fused histogram read of the keys
-    plus one read and one write of keys and payloads.
-    """
-    if num_bits > MAX_BITS_PER_PASS:
-        raise ValueError(
-            f"a single RADIX-PARTITION invocation supports at most "
-            f"{MAX_BITS_PER_PASS} bits, got {num_bits}"
-        )
-    digit = partition_codes(keys, num_bits, start_bit=start_bit, hashed=hashed)
-    order = stable_key_order(digit)
-    keys_out = host_take(keys, order)
-    payloads_out = [host_take(p, order) for p in payloads]
-    charge_radix_partition(
-        ctx, int(keys.size), int(keys.nbytes), sum(int(p.nbytes) for p in payloads),
-        num_bits, phase=phase, label=label, boundaries=False,
-    )
-    return keys_out, payloads_out
+    return digit(keys, 0, total_bits)
 
 
 @dataclass

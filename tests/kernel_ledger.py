@@ -178,7 +178,7 @@ def _error(error: ReproError):
 
 
 @contextmanager
-def _recording():
+def recording():
     """Every device context, kernel record and fault event of the block."""
     log = {"contexts": [], "kernels": [], "faults": []}
     index: Dict[int, int] = {}
@@ -218,11 +218,13 @@ class Observed:
     refused: bool
     staged: bool
     kernel_faults: int
+    #: ``num_chunks`` or ``num_blocks`` of a staged run.
+    pieces: Optional[int]
 
 
 def observe(run: Callable[[], object]) -> Observed:
     """Run *run* and hash everything the simulator shows of it."""
-    with _recording() as log, TraceSession("ledger") as session:
+    with recording() as log, TraceSession("ledger") as session:
         try:
             result = run()
             outcome = ["result", _canon(result)]
@@ -242,6 +244,7 @@ def observe(run: Callable[[], object]) -> Observed:
         refused=result is None,
         staged=bool(recovery and recovery.attempts[-1].startswith("OOC[")),
         kernel_faults=sum(1 for fault in log["faults"] if fault[0] == "kernel"),
+        pieces=getattr(result, "num_chunks", None) or getattr(result, "num_blocks", None),
     )
 
 
@@ -582,7 +585,7 @@ def npj_tiny_relations(r_rows: int):
     return r, s
 
 
-def _npj(r, s, plan=None):
+def npj_join(r, s, plan=None):
     return NonPartitionedHashJoin(JoinConfig()).join(
         r, s, ctx=GPUContext(seed=5, fault_plan=plan))
 
@@ -605,13 +608,13 @@ def _npj_cells(cells):
             for payloads in (1, 3):
                 cells[f"npj/{dtype}/{'duplicated' if duplicated else 'unique'}/{payloads}"] = (
                     Cell(lambda d=dtype, u=duplicated, p=payloads:
-                         _npj(*npj_relations(d, u, p, p))))
+                         npj_join(*npj_relations(d, u, p, p))))
         cells[f"npj/{dtype}/faults"] = Cell(
-            lambda d=dtype: _npj(*npj_relations(d, True, 3, 9),
+            lambda d=dtype: npj_join(*npj_relations(d, True, 3, 9),
                                  FaultPlan(seed=1, kernel_fault_rate=0.3)),
             faults=True)
     for r_rows in (0, 1):
-        cells[f"npj/tiny/{r_rows}"] = Cell(lambda n=r_rows: _npj(*npj_tiny_relations(n)))
+        cells[f"npj/tiny/{r_rows}"] = Cell(lambda n=r_rows: npj_join(*npj_tiny_relations(n)))
     for dtype in (np.int32, np.int64, np.uint32):
         for duplicated in (False, True):
             cells[f"npj/execute/{np.dtype(dtype).name}/"
@@ -733,7 +736,7 @@ def fold_columns(rows, rng):
     return columns
 
 
-def _fold(groups):
+def fold(groups):
     """Every op over every accepted dtype, folded in one pass."""
     rng = np.random.default_rng(groups)
     rows = 2000
@@ -905,7 +908,7 @@ def grid() -> "OrderedDict[str, Cell]":
     _npj_cells(cells)
     _groupby_cells(cells)
     for groups in (1, 7, 400):
-        cells[f"fold/{groups}"] = Cell(lambda g=groups: _fold(g))
+        cells[f"fold/{groups}"] = Cell(lambda g=groups: fold(g))
     _part_cells(cells)
     _axis_cells(cells)
     return cells
@@ -949,10 +952,10 @@ def assert_cells(prefix: str) -> None:
 def write() -> None:
     entries = []
     for name, cell in grid().items():
-        entry = {"hash": None}
-        if cell.boundary is not None:
-            entry["capacity_bytes"] = int(cell.boundary())
-        entry["hash"] = run_cell(name, entry.get("capacity_bytes")).digest
+        capacity = None if cell.boundary is None else int(cell.boundary())
+        entry = {"hash": run_cell(name, capacity).digest}
+        if capacity is not None:
+            entry["capacity_bytes"] = capacity
         entries.append(f"{json.dumps(name)}: {json.dumps(entry)}")
     RECORD.write_text("{\n" + ",\n".join(entries) + "\n}\n")
 

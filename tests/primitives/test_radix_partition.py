@@ -13,48 +13,12 @@ from repro.primitives.radix_partition import (
     partition_layout,
     plan_passes,
     radix_partition,
-    radix_partition_pass,
 )
 
 
 @pytest.fixture
 def ctx():
     return GPUContext(device=A100)
-
-
-class TestSinglePass:
-    def test_groups_by_digit(self, ctx):
-        keys = np.array([5, 2, 7, 0, 6, 3], dtype=np.int32)
-        out_keys, _ = radix_partition_pass(ctx, keys, [], 0, 2)
-        digits = out_keys & 3
-        assert np.array_equal(digits, np.sort(digits))
-
-    def test_stable_within_digit(self, ctx):
-        keys = np.array([4, 0, 8, 12], dtype=np.int32)  # all digit 0 (2 bits)
-        payload = np.array([1, 2, 3, 4], dtype=np.int32)
-        out_keys, (out_payload,) = radix_partition_pass(ctx, keys, [payload], 0, 2)
-        assert list(out_keys) == [4, 0, 8, 12]
-        assert list(out_payload) == [1, 2, 3, 4]
-
-    def test_payloads_travel_with_keys(self, ctx):
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 256, 1000).astype(np.int32)
-        payload = keys * 10
-        out_keys, (out_payload,) = radix_partition_pass(ctx, keys, [payload], 0, 8)
-        assert np.array_equal(out_payload, out_keys * 10)
-
-    def test_more_than_8_bits_rejected(self, ctx):
-        with pytest.raises(ValueError, match="at most"):
-            radix_partition_pass(ctx, np.arange(4, dtype=np.int32), [], 0, 9)
-
-    def test_traffic_charged_per_invocation(self, ctx):
-        keys = np.arange(1 << 12, dtype=np.int32)
-        radix_partition_pass(ctx, keys, [keys.copy()], 0, 8)
-        stats = ctx.timeline.records()[-1].stats
-        # fused histogram read + data in/out: 2 reads of keys + 1 of
-        # payload in; 1 write each.
-        assert stats.seq_read_bytes == 3 * keys.nbytes
-        assert stats.seq_write_bytes == 2 * keys.nbytes
 
 
 class TestPlanPasses:
