@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.gpusim import A100, GPUContext
 from repro.primitives.radix_partition import (
-    MAX_BITS_PER_PASS,
     charge_radix_partition,
     partition_codes,
     partition_layout,
